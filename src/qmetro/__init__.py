@@ -28,10 +28,8 @@ from .estimate import (
     run_monte_carlo,
 )
 from .interferom import (
-    MzSequence,
-    ParityOperator,
-    RamseySequence,
     mz_single_particle,
+    mz_single_particle_state,
     mz_two_mode,
     number_operator,
     optimal_readout_rotation,
@@ -117,10 +115,8 @@ __all__ = [
     "qfi_generator",
     "run_monte_carlo",
     # interferom
-    "MzSequence",
-    "ParityOperator",
-    "RamseySequence",
     "mz_single_particle",
+    "mz_single_particle_state",
     "mz_two_mode",
     "number_operator",
     "optimal_readout_rotation",

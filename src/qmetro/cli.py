@@ -6,8 +6,11 @@ Subcommands:
   version            print the package version
 
 Flags override values from an optional flat key=value config file
-(--config).  Grids use the syntax start:stop:count where endpoints may
-be pi expressions ("pi", "pi/2", "2pi", "0.25pi").  Output is byte
+(--config).  Each experiment reads a fixed set of keys (see
+EXPERIMENTS); any other flag or config key is a configuration error,
+except --out, --format and --config, which every experiment accepts.
+Grids use the syntax start:stop:count where endpoints may be pi
+expressions ("pi", "pi/2", "2pi", "0.25pi").  Output is byte
 deterministic for identical configurations (including the Monte-Carlo
 seed); the environment variable QMETRO_OUT_DIR prefixes relative
 output paths.
@@ -24,7 +27,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,14 +45,14 @@ from .estimate import (
 )
 from .interferom import (
     mz_single_particle,
+    mz_single_particle_state,
     mz_two_mode,
-    optimal_readout_rotation,
     parity_expectation,
     parity_sector_povm,
     phase_sweep,
     ramsey,
 )
-from .spinops import Observable, collective_ops, moments, rotate
+from .spinops import Observable, collective_ops, rotate
 from .squeeze import (
     BjjParams,
     OatParams,
@@ -65,35 +68,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
 
-EXPERIMENTS = (
-    "mz-single",
-    "ramsey-css",
-    "ramsey-sss",
-    "noon-qfi",
-    "ecs-qfi",
-    "twinfock-parity",
-    "bjj-ground",
-    "oat-squeeze",
-    "monte-carlo",
-)
-
 ENV_OUT_DIR = "QMETRO_OUT_DIR"
-
-_CONFIG_KEYS = (
-    "n",
-    "phi",
-    "alpha",
-    "chi",
-    "omega",
-    "delta",
-    "ec",
-    "jtun",
-    "t",
-    "v",
-    "seed",
-    "out",
-    "format",
-)
 
 
 class ConfigError(Exception):
@@ -157,13 +132,30 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(parse_scalar(tok) for tok in text.split(",") if tok.strip())
-    except ConfigError:
-        raise
+    values = tuple(parse_scalar(tok) for tok in text.split(",") if tok.strip())
     if not values:
         raise ConfigError("empty list")
     return values
+
+
+# config key -> (SweepConfig field, parser of the key's text)
+_KEYS = {
+    "n": ("n_list", _parse_int_list),
+    "phi": ("phi", str),
+    "alpha": ("alpha", str),
+    "chi": ("chi", parse_scalar),
+    "delta": ("delta", parse_scalar),
+    "ec": ("ec", parse_scalar),
+    "jtun": ("jtun", parse_scalar),
+    "t": ("t", str),
+    "v": ("v", int),
+    "seed": ("seed", int),
+    "out": ("out", str),
+    "format": ("fmt", str),
+}
+
+# keys every experiment accepts
+_COMMON_KEYS = frozenset({"out", "format"})
 
 
 @dataclass
@@ -175,7 +167,6 @@ class SweepConfig:
     phi: str = "0.05:3.0915926535897931:100"
     alpha: str = "0.5,1,2"
     chi: float = 0.01
-    omega: float = 0.0
     delta: float = 0.0
     ec: float = 0.0
     jtun: float = 1.0
@@ -186,24 +177,17 @@ class SweepConfig:
     fmt: str = "csv"
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}")
+        _experiment(self.experiment)
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
         if self.v is not None and self.v < 1:
             raise ConfigError("repetitions v must be >= 1")
 
     def phi_grid(self) -> np.ndarray:
-        grid = parse_grid(self.phi)
-        if grid.size == 0:
-            raise ConfigError("phi grid is empty")
-        return grid
+        return parse_grid(self.phi)
 
     def t_grid(self) -> np.ndarray:
-        grid = parse_grid(self.t)
-        if grid.size == 0:
-            raise ConfigError("t grid is empty")
-        return grid
+        return parse_grid(self.t)
 
     def output_path(self) -> Optional[str]:
         if self.out is None:
@@ -228,7 +212,7 @@ def _read_config_file(path: str) -> dict:
                     )
                 key, _, value = line.partition("=")
                 key = key.strip()
-                if key not in _CONFIG_KEYS:
+                if key not in _KEYS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 values[key] = value.strip()
     except OSError as exc:
@@ -237,31 +221,28 @@ def _read_config_file(path: str) -> dict:
 
 
 def parse_config(args: argparse.Namespace) -> SweepConfig:
-    """Merge config-file values and command-line flags (flags win)."""
-    merged = {}
-    if args.config:
-        merged.update(_read_config_file(args.config))
-    for key in _CONFIG_KEYS:
-        attr = "fmt" if key == "format" else key
-        flag_value = getattr(args, attr, None)
+    """Merge config-file values and command-line flags (flags win).
+
+    A key the experiment does not read is an error, whether it comes
+    from a flag or from the config file.
+    """
+    merged = _read_config_file(args.config) if args.config else {}
+    for key in _KEYS:
+        flag_value = getattr(args, key, None)
         if flag_value is not None:
             merged[key] = flag_value
 
-    resolved: dict = {}
+    unused = sorted(set(merged) - _experiment(args.experiment).keys - _COMMON_KEYS)
+    if unused:
+        flags = ", ".join(f"--{key}" for key in unused)
+        raise ConfigError(f"{args.experiment} does not read {flags}")
+
     try:
-        if "n" in merged:
-            resolved["n_list"] = _parse_int_list(str(merged["n"]))
-        for key in ("phi", "alpha", "t", "out"):
-            if key in merged:
-                resolved[key] = str(merged[key])
-        for key in ("chi", "omega", "delta", "ec", "jtun"):
-            if key in merged:
-                resolved[key] = parse_scalar(str(merged[key]))
-        for key in ("v", "seed"):
-            if key in merged:
-                resolved[key] = int(merged[key])
-        if "format" in merged:
-            resolved["fmt"] = str(merged["format"])
+        resolved = {
+            field: parse(str(merged[key]))
+            for key, (field, parse) in _KEYS.items()
+            if key in merged
+        }
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -273,43 +254,8 @@ def parse_config(args: argparse.Namespace) -> SweepConfig:
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: each returns (columns, rows, summary line)
-
-
-@dataclass
-class ResultRecord:
-    """One sweep point; fields not produced by an experiment stay None."""
-
-    experiment: str
-    n: Optional[int] = None
-    phi: Optional[float] = None
-    alpha: Optional[float] = None
-    t: Optional[float] = None
-    chi: Optional[float] = None
-    classical_fisher: Optional[float] = None
-    qfi: Optional[float] = None
-    crb: Optional[float] = None
-    qcrb: Optional[float] = None
-    delta_theta_errorprop: Optional[float] = None
-    xi_h_sq: Optional[float] = None
-    xi_s_sq: Optional[float] = None
-    xi_r_sq: Optional[float] = None
-    parity: Optional[float] = None
-    regime: Optional[str] = None
-    ground_energy: Optional[float] = None
-    gap: Optional[float] = None
-    ground_degenerate: Optional[bool] = None
-    css_overlap: Optional[float] = None
-    theta_true: Optional[float] = None
-    v: Optional[int] = None
-    seed: Optional[int] = None
-    trials: Optional[int] = None
-    bias: Optional[float] = None
-    mse: Optional[float] = None
-    crb_variance: Optional[float] = None
-
-    def cell(self, column: str):
-        return getattr(self, column)
+# experiment runners: each returns (rows, summary line); a row is a dict
+# keyed by the experiment's columns, "experiment" excepted
 
 
 def _jz_observable(n: int) -> Observable:
@@ -318,25 +264,40 @@ def _jz_observable(n: int) -> Observable:
 
 
 def _min_summary(rows, column, swept="phi"):
-    finite = [r for r in rows if r.cell(column) is not None and math.isfinite(r.cell(column))]
+    finite = [r for r in rows if math.isfinite(r[column])]
     if not finite:
         return f"no finite {column} in sweep"
-    best = min(finite, key=lambda r: r.cell(column))
-    where = best.cell(swept)
-    return f"min {column} = {best.cell(column):.6g} at {swept} = {where:.6g}"
+    best = min(finite, key=lambda r: r[column])
+    return f"min {column} = {best[column]:.6g} at {swept} = {best[swept]:.6g}"
+
+
+def _phase_cells(phi, fisher, qfi, delta, v) -> dict:
+    """The precision figures every phase sweep writes at one phase point."""
+    return {
+        "phi": float(phi),
+        "classical_fisher": fisher,
+        "qfi": qfi,
+        "crb": cramer_rao(fisher, v),
+        "qcrb": cramer_rao(qfi, v),
+        "delta_theta_errorprop": delta,
+    }
+
+
+def _squeezing_cells(report) -> dict:
+    return {"xi_h_sq": report.xi_h_sq, "xi_s_sq": report.xi_s_sq, "xi_r_sq": report.xi_r_sq}
+
+
+def _unit_noise(signal):
+    """Standard deviation of a +-1 valued readout whose mean is signal(phi)."""
+
+    def noise(phi):
+        mean = signal(phi)
+        return math.sqrt(max(0.0, 1.0 - mean * mean))
+
+    return noise
 
 
 def _run_mz_single(cfg: SweepConfig):
-    grid = cfg.phi_grid()
-
-    def family(phi):
-        # explicit 2x2 pipeline state, for the quantum Fisher information
-        psi = np.array([1.0, 0.0], dtype=complex)
-        splitter = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-        psi = splitter @ psi
-        psi = np.array([psi[0], np.exp(1j * phi) * psi[1]])
-        return splitter @ psi
-
     prob_family = DistributionFamily(
         outcome_labels=("a", "b"),
         prob_at=lambda phi: np.array(mz_single_particle(phi)),
@@ -346,75 +307,47 @@ def _run_mz_single(cfg: SweepConfig):
         pa, pb = mz_single_particle(phi)
         return pa - pb
 
-    def noise(phi):
-        pa, pb = mz_single_particle(phi)
-        mean = pa - pb
-        return math.sqrt(max(0.0, 1.0 - mean * mean))
+    noise = _unit_noise(signal)
+    rows = [
+        {
+            "n": 1,
+            **_phase_cells(
+                phi,
+                classical_fisher(prob_family, phi),
+                qfi_from_family(mz_single_particle_state, phi),
+                error_propagation(signal, noise, phi).value,
+                cfg.v or 1,
+            ),
+        }
+        for phi in cfg.phi_grid()
+    ]
+    return rows, _min_summary(rows, "delta_theta_errorprop")
 
-    rows = []
-    for phi in grid:
-        fisher = classical_fisher(prob_family, phi)
-        qfi = qfi_from_family(family, phi)
-        prop = error_propagation(signal, noise, phi)
-        rows.append(
-            ResultRecord(
-                experiment=cfg.experiment,
-                n=1,
-                phi=float(phi),
-                classical_fisher=fisher,
-                qfi=qfi,
-                crb=cramer_rao(fisher, cfg.v or 1),
-                qcrb=cramer_rao(qfi, cfg.v or 1),
-                delta_theta_errorprop=prop.value,
-            )
-        )
-    columns = (
-        "experiment",
-        "n",
-        "phi",
-        "classical_fisher",
-        "qfi",
-        "crb",
-        "qcrb",
-        "delta_theta_errorprop",
+
+def _ramsey_rows(cfg: SweepConfig, probe, **extra) -> list[dict]:
+    """Rows of a Ramsey phase sweep with Jz readout on one probe state."""
+    n = probe.n_particles
+    v = cfg.v or 1
+    reports = phase_sweep(
+        lambda phi: ramsey(probe, phi),
+        projective_povm(probe.basis_tag),
+        _jz_observable(n),
+        cfg.phi_grid(),
+        repetitions=v,
     )
-    return columns, rows, _min_summary(rows, "delta_theta_errorprop")
+    return [
+        {
+            "n": n,
+            **extra,
+            **_phase_cells(r.theta, r.classical_fisher, r.quantum_fisher, r.error_prop, v),
+        }
+        for r in reports
+    ]
 
 
 def _run_ramsey_css(cfg: SweepConfig):
-    grid = cfg.phi_grid()
-    rows = []
-    for n in cfg.n_list:
-        initial = css(n, 0.0, 0.0)
-        povm = projective_povm(initial.basis_tag)
-        jz = _jz_observable(n)
-        reports = phase_sweep(
-            lambda phi: ramsey(initial, phi), povm, jz, grid, repetitions=cfg.v or 1
-        )
-        for rep in reports:
-            rows.append(
-                ResultRecord(
-                    experiment=cfg.experiment,
-                    n=n,
-                    phi=rep.theta,
-                    classical_fisher=rep.classical_fisher,
-                    qfi=rep.quantum_fisher,
-                    crb=rep.crb,
-                    qcrb=rep.qcrb,
-                    delta_theta_errorprop=rep.error_prop,
-                )
-            )
-    columns = (
-        "experiment",
-        "n",
-        "phi",
-        "classical_fisher",
-        "qfi",
-        "crb",
-        "qcrb",
-        "delta_theta_errorprop",
-    )
-    return columns, rows, _min_summary(rows, "delta_theta_errorprop")
+    rows = [row for n in cfg.n_list for row in _ramsey_rows(cfg, css(n, 0.0, 0.0))]
+    return rows, _min_summary(rows, "delta_theta_errorprop")
 
 
 def _prepare_squeezed_probe(n: int, chi: float, t: float):
@@ -429,68 +362,24 @@ def _prepare_squeezed_probe(n: int, chi: float, t: float):
 
 
 def _run_ramsey_sss(cfg: SweepConfig):
-    grid = cfg.phi_grid()
-    t = float(cfg.t_grid()[0])
+    t_grid = cfg.t_grid()
+    if t_grid.size != 1:
+        raise ConfigError(f"ramsey-sss takes one --t value, got a grid of {t_grid.size}")
+    t = float(t_grid[0])
     rows = []
     for n in cfg.n_list:
         probe = _prepare_squeezed_probe(n, cfg.chi, t)
-        report = squeezing_parameters(probe)
-        jz = _jz_observable(n)
-        povm = projective_povm(probe.basis_tag)
-        reports = phase_sweep(
-            lambda phi: ramsey(probe, phi), povm, jz, grid, repetitions=cfg.v or 1
-        )
-        for rep in reports:
-            rows.append(
-                ResultRecord(
-                    experiment=cfg.experiment,
-                    n=n,
-                    phi=rep.theta,
-                    chi=cfg.chi,
-                    t=t,
-                    classical_fisher=rep.classical_fisher,
-                    qfi=rep.quantum_fisher,
-                    crb=rep.crb,
-                    qcrb=rep.qcrb,
-                    delta_theta_errorprop=rep.error_prop,
-                    xi_h_sq=report.xi_h_sq,
-                    xi_s_sq=report.xi_s_sq,
-                    xi_r_sq=report.xi_r_sq,
-                )
-            )
-    columns = (
-        "experiment",
-        "n",
-        "phi",
-        "chi",
-        "t",
-        "classical_fisher",
-        "qfi",
-        "crb",
-        "qcrb",
-        "delta_theta_errorprop",
-        "xi_h_sq",
-        "xi_s_sq",
-        "xi_r_sq",
-    )
-    return columns, rows, _min_summary(rows, "delta_theta_errorprop")
+        squeezing = _squeezing_cells(squeezing_parameters(probe))
+        rows += _ramsey_rows(cfg, probe, chi=cfg.chi, t=t, **squeezing)
+    return rows, _min_summary(rows, "delta_theta_errorprop")
 
 
 def _run_noon_qfi(cfg: SweepConfig):
     rows = []
     for n in cfg.n_list:
-        state = ghz(n)
-        qfi = qfi_generator(state, _jz_observable(n))
-        rows.append(
-            ResultRecord(
-                experiment=cfg.experiment,
-                n=n,
-                qfi=qfi,
-                qcrb=cramer_rao(qfi, cfg.v or 1),
-            )
-        )
-    columns = ("experiment", "n", "qfi", "qcrb")
-    return columns, rows, _min_summary(rows, "qcrb", swept="n")
+        qfi = qfi_generator(ghz(n), _jz_observable(n))
+        rows.append({"n": n, "qfi": qfi, "qcrb": cramer_rao(qfi, cfg.v or 1)})
+    return rows, _min_summary(rows, "qcrb", swept="n")
 
 
 def _run_ecs_qfi(cfg: SweepConfig):
@@ -505,20 +394,11 @@ def _run_ecs_qfi(cfg: SweepConfig):
             return np.exp(1j * phi * n_b) * base
 
         qfi = qfi_from_family(family, 0.0)
-        rows.append(
-            ResultRecord(
-                experiment=cfg.experiment,
-                alpha=float(alpha),
-                qfi=qfi,
-                qcrb=cramer_rao(qfi, cfg.v or 1),
-            )
-        )
-    columns = ("experiment", "alpha", "qfi", "qcrb")
-    return columns, rows, _min_summary(rows, "qcrb", swept="alpha")
+        rows.append({"alpha": float(alpha), "qfi": qfi, "qcrb": cramer_rao(qfi, cfg.v or 1)})
+    return rows, _min_summary(rows, "qcrb", swept="alpha")
 
 
 def _run_twinfock_parity(cfg: SweepConfig):
-    grid = cfg.phi_grid()
     rows = []
     for n in cfg.n_list:
         probe = twin_fock(n)
@@ -530,40 +410,18 @@ def _run_twinfock_parity(cfg: SweepConfig):
         def signal(phi):
             return parity_expectation(family(phi), "b")
 
-        def noise(phi):
-            mean = signal(phi)
-            return math.sqrt(max(0.0, 1.0 - mean * mean))
-
+        noise = _unit_noise(signal)
         prob_family = povm_family(family, povm, labels=("even", "odd"))
-        for phi in grid:
-            fisher = classical_fisher(prob_family, phi)
-            qfi = qfi_from_family(family, phi)
-            prop = error_propagation(signal, noise, phi)
-            rows.append(
-                ResultRecord(
-                    experiment=cfg.experiment,
-                    n=n,
-                    phi=float(phi),
-                    parity=signal(float(phi)),
-                    classical_fisher=fisher,
-                    qfi=qfi,
-                    crb=cramer_rao(fisher, cfg.v or 1),
-                    qcrb=cramer_rao(qfi, cfg.v or 1),
-                    delta_theta_errorprop=prop.value,
-                )
+        for phi in cfg.phi_grid():
+            cells = _phase_cells(
+                phi,
+                classical_fisher(prob_family, phi),
+                qfi_from_family(family, phi),
+                error_propagation(signal, noise, phi).value,
+                cfg.v or 1,
             )
-    columns = (
-        "experiment",
-        "n",
-        "phi",
-        "parity",
-        "classical_fisher",
-        "qfi",
-        "crb",
-        "qcrb",
-        "delta_theta_errorprop",
-    )
-    return columns, rows, _min_summary(rows, "delta_theta_errorprop")
+            rows.append({"n": n, "parity": signal(float(phi)), **cells})
+    return rows, _min_summary(rows, "delta_theta_errorprop")
 
 
 def _run_bjj_ground(cfg: SweepConfig):
@@ -575,32 +433,20 @@ def _run_bjj_ground(cfg: SweepConfig):
             imbalance=cfg.delta,
             charging_energy=cfg.ec,
         )
-        hamiltonian = bjj_hamiltonian(params)
-        spectrum = ground_state(hamiltonian)
-        regime = classify_regime(params)
+        spectrum = ground_state(bjj_hamiltonian(params))
         reference = css(n, math.pi / 2.0, 0.0)
         overlap = abs(np.vdot(reference.amplitudes, spectrum.states[:, 0])) ** 2
         rows.append(
-            ResultRecord(
-                experiment=cfg.experiment,
-                n=n,
-                regime=regime.value,
-                ground_energy=spectrum.ground_energy,
-                gap=spectrum.gap,
-                ground_degenerate=spectrum.ground_degenerate,
-                css_overlap=float(overlap),
-            )
+            {
+                "n": n,
+                "regime": classify_regime(params).value,
+                "ground_energy": spectrum.ground_energy,
+                "gap": spectrum.gap,
+                "ground_degenerate": spectrum.ground_degenerate,
+                "css_overlap": float(overlap),
+            }
         )
-    columns = (
-        "experiment",
-        "n",
-        "regime",
-        "ground_energy",
-        "gap",
-        "ground_degenerate",
-        "css_overlap",
-    )
-    return columns, rows, _min_summary(rows, "gap", swept="n")
+    return rows, _min_summary(rows, "gap", swept="n")
 
 
 def _run_oat_squeeze(cfg: SweepConfig):
@@ -609,20 +455,9 @@ def _run_oat_squeeze(cfg: SweepConfig):
         initial = css(n, math.pi / 2.0, 0.0)
         for t in cfg.t_grid():
             evolved = oat_evolve(initial, OatParams(chi=cfg.chi, t=float(t)))
-            report = squeezing_parameters(evolved)
-            rows.append(
-                ResultRecord(
-                    experiment=cfg.experiment,
-                    n=n,
-                    t=float(t),
-                    chi=cfg.chi,
-                    xi_h_sq=report.xi_h_sq,
-                    xi_s_sq=report.xi_s_sq,
-                    xi_r_sq=report.xi_r_sq,
-                )
-            )
-    columns = ("experiment", "n", "t", "chi", "xi_h_sq", "xi_s_sq", "xi_r_sq")
-    return columns, rows, _min_summary(rows, "xi_r_sq", swept="t")
+            squeezing = _squeezing_cells(squeezing_parameters(evolved))
+            rows.append({"n": n, "t": float(t), "chi": cfg.chi, **squeezing})
+    return rows, _min_summary(rows, "xi_r_sq", swept="t")
 
 
 MONTE_CARLO_THETA_TRUE = 0.5
@@ -647,45 +482,67 @@ def _run_monte_carlo(cfg: SweepConfig):
     )
     fisher = classical_fisher(family, MONTE_CARLO_THETA_TRUE)
     crb_variance = 1.0 / (v * fisher)
-    rows = [
-        ResultRecord(
-            experiment=cfg.experiment,
-            theta_true=MONTE_CARLO_THETA_TRUE,
-            v=v,
-            seed=cfg.seed,
-            trials=MONTE_CARLO_TRIALS,
-            classical_fisher=fisher,
-            bias=run.bias,
-            mse=run.mse,
-            crb_variance=crb_variance,
-        )
-    ]
-    columns = (
-        "experiment",
-        "theta_true",
-        "v",
-        "seed",
-        "trials",
-        "classical_fisher",
-        "bias",
-        "mse",
-        "crb_variance",
-    )
+    row = {
+        "theta_true": MONTE_CARLO_THETA_TRUE,
+        "v": v,
+        "seed": cfg.seed,
+        "trials": MONTE_CARLO_TRIALS,
+        "classical_fisher": fisher,
+        "bias": run.bias,
+        "mse": run.mse,
+        "crb_variance": crb_variance,
+    }
     summary = f"mse/crb = {run.mse / crb_variance:.6g} over {MONTE_CARLO_TRIALS} trials"
-    return columns, rows, summary
+    return [row], summary
 
 
-_RUNNERS = {
-    "mz-single": _run_mz_single,
-    "ramsey-css": _run_ramsey_css,
-    "ramsey-sss": _run_ramsey_sss,
-    "noon-qfi": _run_noon_qfi,
-    "ecs-qfi": _run_ecs_qfi,
-    "twinfock-parity": _run_twinfock_parity,
-    "bjj-ground": _run_bjj_ground,
-    "oat-squeeze": _run_oat_squeeze,
-    "monte-carlo": _run_monte_carlo,
+# ---------------------------------------------------------------------------
+# the experiment table
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """A named sweep: its runner, its record columns, the config keys it reads."""
+
+    run: Callable[[SweepConfig], tuple[list[dict], str]]
+    columns: tuple[str, ...]
+    keys: frozenset[str]
+
+
+def _entry(run, columns: str, keys: str) -> Experiment:
+    return Experiment(run, ("experiment", *columns.split()), frozenset(keys.split()))
+
+
+_BOUNDS = "classical_fisher qfi crb qcrb delta_theta_errorprop"
+_XI = "xi_h_sq xi_s_sq xi_r_sq"
+
+# ordered as `list-experiments` prints them
+EXPERIMENTS = {
+    "mz-single": _entry(_run_mz_single, f"n phi {_BOUNDS}", "phi v"),
+    "ramsey-css": _entry(_run_ramsey_css, f"n phi {_BOUNDS}", "n phi v"),
+    "ramsey-sss": _entry(_run_ramsey_sss, f"n phi chi t {_BOUNDS} {_XI}", "n phi chi t v"),
+    "noon-qfi": _entry(_run_noon_qfi, "n qfi qcrb", "n v"),
+    "ecs-qfi": _entry(_run_ecs_qfi, "alpha qfi qcrb", "alpha v"),
+    "twinfock-parity": _entry(_run_twinfock_parity, f"n phi parity {_BOUNDS}", "n phi v"),
+    "bjj-ground": _entry(
+        _run_bjj_ground,
+        "n regime ground_energy gap ground_degenerate css_overlap",
+        "n jtun delta ec",
+    ),
+    "oat-squeeze": _entry(_run_oat_squeeze, f"n t chi {_XI}", "n chi t"),
+    "monte-carlo": _entry(
+        _run_monte_carlo,
+        "theta_true v seed trials classical_fisher bias mse crb_variance",
+        "v seed",
+    ),
 }
+
+
+def _experiment(name: str) -> Experiment:
+    try:
+        return EXPERIMENTS[name]
+    except KeyError:
+        raise ConfigError(f"unknown experiment {name!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -716,26 +573,28 @@ def _json_cell(value):
 def _render_csv(columns, rows) -> str:
     lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(_format_cell(row.cell(c)) for c in columns))
+        lines.append(",".join(_format_cell(row[c]) for c in columns))
     return "\n".join(lines) + "\n"
 
 
 def _render_json(columns, rows) -> str:
-    payload = [{c: _json_cell(row.cell(c)) for c in columns} for row in rows]
+    payload = [{c: _json_cell(row[c]) for c in columns} for row in rows]
     return json.dumps(payload, indent=2) + "\n"
 
 
 def run_sweep(cfg: SweepConfig) -> int:
     """Execute a configured sweep, emit records, print a one-line summary."""
-    runner = _RUNNERS[cfg.experiment]
+    experiment = _experiment(cfg.experiment)
     try:
-        columns, rows, summary = runner(cfg)
+        rows, summary = experiment.run(cfg)
     except ConfigError:
         raise
     except Exception as exc:
         print(f"error: {cfg.experiment}: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    text = _render_csv(columns, rows) if cfg.fmt == "csv" else _render_json(columns, rows)
+    rows = [{"experiment": cfg.experiment, **row} for row in rows]
+    render = _render_csv if cfg.fmt == "csv" else _render_json
+    text = render(experiment.columns, rows)
     path = cfg.output_path()
     if path is None:
         sys.stdout.write(text)
@@ -763,7 +622,6 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--phi", help="phase grid start:stop:count (pi literals ok)")
     runp.add_argument("--alpha", help="comma-separated coherent amplitudes")
     runp.add_argument("--chi", help="one-axis-twisting nonlinearity")
-    runp.add_argument("--omega", help="linear coupling strength")
     runp.add_argument("--delta", help="detuning / imbalance")
     runp.add_argument("--ec", help="charging energy")
     runp.add_argument("--jtun", help="tunneling strength")
@@ -771,7 +629,7 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--v", help="number of repetitions for the bounds")
     runp.add_argument("--seed", help="Monte-Carlo seed")
     runp.add_argument("--out", help="output file (QMETRO_OUT_DIR prefixes relative paths)")
-    runp.add_argument("--format", dest="fmt", choices=("csv", "json"), help="csv or json")
+    runp.add_argument("--format", choices=("csv", "json"), help="csv or json")
     runp.add_argument("--config", help="flat key=value config file")
 
     sub.add_parser("list-experiments", help="print available experiment names")

@@ -4,14 +4,15 @@ Single-particle Mach-Zehnder and Ramsey pipelines use explicit 2x2
 matrices.  The collective Ramsey sequence composes the two pi/2 pulses
 about y with the phase accumulation about z (rightmost factor first).
 The two-mode Mach-Zehnder acts sector-by-sector in total particle
-number, which keeps each beam splitter exactly unitary on the truncated
-space.
+number n, where the Schwinger map (a^dag b -> J+, with J = n/2 and
+m = (n_a - n_b)/2) turns each beam splitter into a collective rotation
+(Yurke, McCall & Klauder, PRA 33, 4033, 1986); this keeps each splitter
+exactly unitary on the truncated space.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .spinops import (
     CollectiveSpinState,
     Observable,
     collective_ops,
+    evolve,
     expectation_vector,
     moments,
     rotate,
@@ -37,10 +39,8 @@ from .spinops import (
 from .statelib import TwoModeFockState
 
 __all__ = [
-    "RamseySequence",
-    "MzSequence",
-    "ParityOperator",
     "mz_single_particle",
+    "mz_single_particle_state",
     "ramsey_single_particle",
     "ramsey",
     "mz_two_mode",
@@ -56,23 +56,24 @@ __all__ = [
 SPLITTER_2X2 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
 
-def _unitary(generator: np.ndarray, angle: float) -> np.ndarray:
-    """Dense exp(-i angle generator) by spectral decomposition."""
-    w, v = np.linalg.eigh(generator)
-    return (v * np.exp(-1j * angle * w)) @ v.conj().T
+def mz_single_particle_state(phi: float) -> np.ndarray:
+    """Output amplitudes (path a, path b) of the single-particle Mach-Zehnder.
+
+    The explicit 2x2 pipeline: enter in port a, splitter, relative phase
+    e^(i phi) on path b, splitter.
+    """
+    psi = np.array([1.0, 0.0], dtype=complex)  # enter in port a
+    psi = SPLITTER_2X2 @ psi
+    psi = np.array([psi[0], np.exp(1j * phi) * psi[1]])
+    return SPLITTER_2X2 @ psi
 
 
 def mz_single_particle(phi: float) -> tuple[float, float]:
     """Single-particle Mach-Zehnder detection probabilities (p_a, p_b).
 
-    Computed by the explicit 2x2 pipeline: splitter, relative phase
-    e^(i phi) on path b, splitter.  Equals (cos^2(phi/2), sin^2(phi/2)).
+    Equals (cos^2(phi/2), sin^2(phi/2)).
     """
-    psi = np.array([1.0, 0.0], dtype=complex)  # enter in port a
-    psi = SPLITTER_2X2 @ psi
-    psi = np.array([psi[0], np.exp(1j * phi) * psi[1]])
-    psi = SPLITTER_2X2 @ psi
-    p = np.abs(psi) ** 2
+    p = np.abs(mz_single_particle_state(phi)) ** 2
     return float(p[0]), float(p[1])
 
 
@@ -91,26 +92,6 @@ def ramsey_single_particle(phi: float) -> tuple[float, float]:
     psi = SPLITTER_2X2 @ psi
     p = np.abs(psi) ** 2
     return float(p[0]), float(p[1])
-
-
-@dataclass(frozen=True)
-class RamseySequence:
-    """Collective Ramsey sequence: pi/2 pulse, phase phi about z, pi/2 pulse,
-    plus an optional pre-readout rotation about the mean-spin axis."""
-
-    n_particles: int
-    phi: float
-    readout_rotation: float | None = None
-
-    def propagator(self) -> np.ndarray:
-        """Dense unitary of the pulse-phase-pulse sequence (no readout rotation)."""
-        ops = collective_ops(self.n_particles)
-        pulse = _unitary(ops.jy, math.pi / 2.0)
-        phase = _unitary(ops.jz, self.phi)
-        return pulse @ phase @ pulse
-
-    def apply(self, initial: CollectiveSpinState) -> CollectiveSpinState:
-        return ramsey(initial, self.phi, self.readout_rotation)
 
 
 def ramsey(
@@ -164,55 +145,17 @@ def optimal_readout_rotation(state: CollectiveSpinState) -> float:
     return grid_then_golden(readout_variance, 0.0, math.pi, n_grid=64, tol=1e-10)
 
 
-def _sector_indices(n: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    na = np.arange(max(0, n - cutoff), min(n, cutoff) + 1)
-    return na, n - na
-
-
-def _sector_generators(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian generators of the two splitters on the total-number-n sector.
-
-    h1 = i (a†b - b†a) so that exp(-i pi/4 h1) = exp[(pi/4)(a†b - b†a)];
-    h2 = a†b + b†a   so that exp(-i pi/4 h2) = exp[-i(pi/4)(a†b + b†a)].
-    Basis ordered by ascending n_a.
-    """
-    h1 = np.zeros((n + 1, n + 1), dtype=complex)
-    h2 = np.zeros((n + 1, n + 1), dtype=complex)
-    for k in range(n):  # a†b : |k, n-k> -> sqrt((k+1)(n-k)) |k+1, n-k-1>
-        amp = math.sqrt((k + 1) * (n - k))
-        h1[k + 1, k] = 1j * amp
-        h1[k, k + 1] = -1j * amp
-        h2[k + 1, k] = amp
-        h2[k, k + 1] = amp
-    return h1, h2
-
-
-@dataclass(frozen=True)
-class MzSequence:
-    """Two-mode Mach-Zehnder: splitter, phase e^(i phi n_b) on mode b, splitter."""
-
-    cutoff: int
-    phi: float
-
-    def sector_bs1(self, n: int) -> np.ndarray:
-        h1, _ = _sector_generators(n)
-        return _unitary(h1, math.pi / 4.0)
-
-    def sector_bs2(self, n: int) -> np.ndarray:
-        _, h2 = _sector_generators(n)
-        return _unitary(h2, math.pi / 4.0)
-
-    def apply(self, state: TwoModeFockState) -> TwoModeFockState:
-        return mz_two_mode(state, self.phi)
-
-
 def mz_two_mode(state: TwoModeFockState, phi: float) -> TwoModeFockState:
     """Run the two-mode Mach-Zehnder sequence on a Fock-space state.
 
-    Total particle number is conserved exactly: the splitters act inside
-    each total-number sector, and the phase is diagonal.  Every occupied
-    sector must fit under the cutoff (otherwise the splitter would leak
-    amplitude off the grid).
+    Total particle number is conserved exactly: in the sector of total
+    number n (basis ascending in n_a) the first splitter
+    exp[(pi/4)(a^dag b - b^dag a)] is exp(+i pi/2 Jy), the phase is
+    e^(i phi n_b), and the second splitter exp[-i(pi/4)(a^dag b + b^dag a)]
+    is exp(-i pi/2 Jx), with J the collective spin of n particles.  The
+    vacuum takes only the phase, which is 1.  Every occupied sector must
+    fit under the cutoff (otherwise the splitter would leak amplitude
+    off the grid).
     """
     support = state.total_number_support()
     if support.size and int(support.max()) > state.cutoff:
@@ -221,14 +164,14 @@ def mz_two_mode(state: TwoModeFockState, phi: float) -> TwoModeFockState:
         )
     grid = np.array(state.amplitudes)
     out = np.zeros_like(grid)
-    for n in support:
-        na, nb = _sector_indices(int(n), state.cutoff)
-        vec = grid[na, nb]
-        h1, h2 = _sector_generators(int(n))
-        vec = _unitary(h1, math.pi / 4.0) @ vec
+    out[0, 0] = grid[0, 0]
+    for n in support[support > 0]:
+        na = np.arange(n + 1)
+        nb = n - na
+        ops = collective_ops(int(n))
+        vec = evolve(grid[na, nb], ops.jy, -math.pi / 2.0)
         vec = np.exp(1j * phi * nb) * vec
-        vec = _unitary(h2, math.pi / 4.0) @ vec
-        out[na, nb] = vec
+        out[na, nb] = evolve(vec, ops.jx, math.pi / 2.0)
     return TwoModeFockState(state.cutoff, out, state.truncation_deficit)
 
 
@@ -241,22 +184,10 @@ def _mode_numbers(cutoff: int, mode: str) -> np.ndarray:
     raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
 
 
-@dataclass(frozen=True)
-class ParityOperator:
-    """exp(i pi n_mode): diagonal with eigenvalues +-1."""
-
-    mode: str
-    cutoff: int
-
-    def diagonal(self) -> np.ndarray:
-        return (-1.0) ** _mode_numbers(self.cutoff, self.mode).reshape(-1)
-
-    def observable(self) -> Observable:
-        return Observable(np.diag(self.diagonal()), BasisTag("fock", self.cutoff))
-
-
 def parity_operator(mode: str, cutoff: int) -> Observable:
-    return ParityOperator(mode, cutoff).observable()
+    """exp(i pi n_mode) as a diagonal observable with eigenvalues +-1."""
+    diag = (-1.0) ** _mode_numbers(cutoff, mode).reshape(-1)
+    return Observable(np.diag(diag), BasisTag("fock", cutoff))
 
 
 def number_operator(mode: str, cutoff: int) -> Observable:

@@ -8,6 +8,7 @@ are immutable; every function is pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ NORM_TOL = 1e-12
 HERMITICITY_TOL = 1e-14
 AXIS_TOL = 1e-10
 VARIANCE_CLAMP = 1e-12
+IMAG_TOL = 1e-12
 
 
 def _readonly(a):
@@ -205,21 +207,22 @@ def moments(state, obs: Observable) -> tuple[float, float]:
 
     The state may live in either basis; its tag must match the
     observable's.  Variance is clamped to 0 when round-off drives it
-    slightly negative (within 1e-12).
+    slightly negative (within 1e-12 of <O^2>).
     """
     vec, tag = _state_vector_and_tag(state)
     if tag != obs.basis_tag:
         raise ValueError(f"basis mismatch: state {tag}, observable {obs.basis_tag}")
     applied = obs.matrix @ vec
     mean_c = np.vdot(vec, applied)
-    if abs(mean_c.imag) > 1e-12:
+    second = float(np.vdot(applied, applied).real)  # <O psi|O psi> = <O^2>
+    # round-off scale grows with <O^2> (e.g. Jx^2 or Jz eigenstates at large
+    # N), so both guards scale with the second moment: the imaginary part of
+    # <O> with |O psi| = sqrt(<O^2>), the variance with <O^2> itself
+    if abs(mean_c.imag) > IMAG_TOL * max(1.0, math.sqrt(second)):
         raise ValueError(f"expectation has imaginary part {mean_c.imag!r}")
     mean = float(mean_c.real)
-    second = float(np.vdot(applied, applied).real)  # <O psi|O psi> = <O^2>
     variance = second - mean * mean
     if variance < 0.0:
-        # round-off scale grows with <O^2> (e.g. Jz eigenstates at large N),
-        # so the clamp threshold scales with the second moment
         if variance < -VARIANCE_CLAMP * max(1.0, abs(second)):
             raise ValueError(f"variance {variance!r} negative beyond round-off")
         variance = 0.0

@@ -23,6 +23,7 @@ import numpy as np
 from .spinops import (
     CollectiveSpinState,
     Observable,
+    _readonly,
     collective_ops,
     evolve,
     expectation_vector,
@@ -44,12 +45,6 @@ __all__ = [
 
 MEAN_SPIN_EPS = 1e-10
 DEGENERACY_REL_TOL = 1e-10
-
-
-def _readonly(a):
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -244,7 +239,7 @@ def ground_state(hamiltonian: Observable) -> SpectralResult:
         degenerate = False
     else:
         spectral_range = float(energies[-1] - energies[0])
-        degenerate = (energies[1] - energies[0]) <= DEGENERACY_REL_TOL * spectral_range
+        degenerate = bool(energies[1] - energies[0] <= DEGENERACY_REL_TOL * spectral_range)
     return SpectralResult(energies, states, degenerate)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .spinops import BasisTag, CollectiveSpinState
+from .spinops import BasisTag, CollectiveSpinState, _readonly
 
 __all__ = [
     "TwoModeFockState",
@@ -41,12 +41,6 @@ NORM_TOL = 1e-12
 
 class TruncationError(RuntimeError):
     """Raised when no cutoff under the hard cap meets the tail bound."""
-
-
-def _readonly(a):
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +200,16 @@ class TestRecords:
         assert len(rows) == 6
         assert min(float(r["xi_r_sq"]) for r in rows) < 1.0
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bjj_ground_both_formats(self, tmp_path, fmt):
+        out = tmp_path / f"bjj.{fmt}"
+        args = ["run", "bjj-ground", "--n", "6", "--ec", "1", "--format", fmt]
+        assert run_cli(args + ["--out", str(out)]) == 0
+        if fmt == "json":
+            assert json.loads(out.read_text())[0]["ground_degenerate"] is False
+        else:
+            assert read_csv(out)[0]["ground_degenerate"] == "false"
+
     def test_monte_carlo_record(self, tmp_path):
         out = tmp_path / "mc.csv"
         code = run_cli(["run", "monte-carlo", "--seed", "5", "--out", str(out)])
@@ -276,3 +287,73 @@ class TestOutputContracts:
         captured = capsys.readouterr()
         assert captured.out.startswith("experiment,n,qfi,qcrb")
         assert "min qcrb" in captured.err
+
+
+class TestUnusedFlags:
+    def test_omega_is_not_a_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "noon-qfi", "--n", "4", "--omega", "7"])
+        assert exc.value.code == 2
+
+    def test_omega_is_not_a_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("omega = 1\n")
+        assert run_cli(["run", "noon-qfi", "--config", str(cfg)]) == 2
+        assert "unknown key 'omega'" in capsys.readouterr().err
+
+    def test_chi_on_noon_qfi(self, capsys):
+        assert run_cli(["run", "noon-qfi", "--n", "4", "--chi", "3"]) == 2
+        assert "noon-qfi does not read --chi" in capsys.readouterr().err
+
+    def test_seed_on_ramsey_css(self, capsys):
+        assert run_cli(["run", "ramsey-css", "--n", "2", "--seed", "9"]) == 2
+        assert "ramsey-css does not read --seed" in capsys.readouterr().err
+
+    def test_every_unused_flag_is_named(self, capsys):
+        args = ["run", "noon-qfi", "--n", "4", "--chi", "3", "--alpha", "2",
+                "--seed", "9", "--t", "0:1:5"]
+        assert run_cli(args) == 2
+        assert "does not read --alpha, --chi, --seed, --t" in capsys.readouterr().err
+
+    def test_unused_config_file_key(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("n = 4\nalpha = 2\n")
+        assert run_cli(["run", "noon-qfi", "--config", str(cfg)]) == 2
+        assert "noon-qfi does not read --alpha" in capsys.readouterr().err
+
+    def test_t_grid_on_ramsey_sss(self, capsys):
+        args = ["run", "ramsey-sss", "--n", "4", "--t", "0:1:5", "--phi", "1"]
+        assert run_cli(args) == 2
+        assert "one --t value" in capsys.readouterr().err
+
+    def test_common_flags_accepted_everywhere(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("format = json\n")
+        out = tmp_path / "mc.json"
+        args = ["run", "monte-carlo", "--v", "100", "--config", str(cfg), "--out", str(out)]
+        assert run_cli(args) == 0
+        assert json.loads(out.read_text())[0]["v"] == 100
+
+
+def _readme_experiment_table():
+    """(name, flags, columns) per row of the README's experiment table."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("### Experiments, flags and record columns", 1)[1]
+    rows = []
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        name, flags, columns = (cell.strip() for cell in line.strip("|").split("|"))
+        rows.append((
+            name.strip("`"),
+            {flag.strip("` ").removeprefix("--") for flag in flags.split(",")},
+            tuple(column.strip() for column in columns.split(",")),
+        ))
+    return rows
+
+
+def test_readme_table_matches_experiments():
+    expected = [
+        (name, set(entry.keys), entry.columns) for name, entry in EXPERIMENTS.items()
+    ]
+    assert _readme_experiment_table() == expected

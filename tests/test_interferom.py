@@ -6,8 +6,7 @@ from conftest import legendre
 
 from qmetro import (
     DistributionFamily,
-    MzSequence,
-    RamseySequence,
+    CollectiveSpinState,
     TwoModeFockState,
     classical_fisher,
     collective_ops,
@@ -31,11 +30,35 @@ from qmetro import (
     rotate,
     twin_fock,
 )
+from qmetro.spinops import evolve
 
 
 def jz_obs(n):
     ops = collective_ops(n)
     return Observable(ops.jz, ops.basis_tag)
+
+
+def dense_unitary(generator, angle):
+    """exp(-i angle generator) as a dense matrix, by spectral decomposition."""
+    w, v = np.linalg.eigh(generator)
+    return (v * np.exp(-1j * angle * w)) @ v.conj().T
+
+
+def ramsey_matrix(n, phi):
+    """Columns: the Ramsey sequence applied to each Dicke basis state."""
+    columns = [ramsey(CollectiveSpinState(n, np.eye(n + 1)[k]), phi).amplitudes
+               for k in range(n + 1)]
+    return np.stack(columns, axis=1)
+
+
+def splitter_matrices(n):
+    """Both Mach-Zehnder splitters on the total-number-n sector, applied as
+    collective rotations to each basis state |k, n-k> (ascending k)."""
+    ops = collective_ops(n)
+    basis = np.eye(n + 1, dtype=complex)
+    bs1 = np.stack([evolve(e, ops.jy, -math.pi / 2) for e in basis], axis=1)
+    bs2 = np.stack([evolve(e, ops.jx, math.pi / 2) for e in basis], axis=1)
+    return bs1, bs2
 
 
 def bs1_coefficient(n, k):
@@ -99,26 +122,20 @@ class TestCollectiveRamsey:
 
     def test_zero_phase_propagator_is_pi_pulse(self):
         n = 4
-        seq = RamseySequence(n, 0.0)
-        ops = collective_ops(n)
-        w, v = np.linalg.eigh(ops.jy)
-        expected = (v * np.exp(-1j * math.pi * w)) @ v.conj().T
-        np.testing.assert_allclose(seq.propagator(), expected, atol=1e-12)
+        expected = dense_unitary(collective_ops(n).jy, math.pi)
+        np.testing.assert_allclose(ramsey_matrix(n, 0.0), expected, atol=1e-12)
 
     @pytest.mark.parametrize("phi", [0.0, 0.9, 2.7])
     def test_propagator_unitary(self, phi):
-        seq = RamseySequence(6, phi)
-        u = seq.propagator()
+        u = ramsey_matrix(6, phi)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(7), atol=1e-12)
 
-    def test_sequence_apply_matches_function(self):
+    def test_propagator_is_pulse_phase_pulse(self):
         n, phi = 4, 1.2
-        seq = RamseySequence(n, phi)
-        np.testing.assert_allclose(
-            seq.apply(css(n, 0.0, 0.0)).amplitudes,
-            ramsey(css(n, 0.0, 0.0), phi).amplitudes,
-            atol=1e-12,
-        )
+        ops = collective_ops(n)
+        pulse = dense_unitary(ops.jy, math.pi / 2)
+        expected = pulse @ dense_unitary(ops.jz, phi) @ pulse
+        np.testing.assert_allclose(ramsey_matrix(n, phi), expected, atol=1e-12)
 
     def test_readout_rotation_preserves_mean_spin(self):
         probe = oat_evolve(css(8, math.pi / 2, 0.0), OatParams(chi=0.1, t=1.0))
@@ -131,24 +148,19 @@ class TestCollectiveRamsey:
 
 class TestTwoModeMz:
     def test_bs1_n1_amplitudes(self):
-        seq = MzSequence(cutoff=2, phi=0.0)
-        u1 = seq.sector_bs1(2)
         vec = np.zeros(3, dtype=complex)
         vec[1] = 1.0  # |1,1> inside the n=2 sector (basis ascending n_a)
-        out = u1 @ vec
+        out = evolve(vec, collective_ops(2).jy, -math.pi / 2)
         np.testing.assert_allclose(
             out, [-math.sqrt(2) / 2, 0.0, math.sqrt(2) / 2], atol=1e-12
         )
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_bs1_coefficients_match_closed_form(self, n):
-        state = twin_fock(n)
-        # run only the first splitter by composing phi=0 and undoing BS2
-        seq = MzSequence(cutoff=2 * n, phi=0.0)
-        u1 = seq.sector_bs1(2 * n)
+        # |N,N> is the middle basis state of the total-number-2N sector
         vec = np.zeros(2 * n + 1, dtype=complex)
         vec[n] = 1.0
-        out = u1 @ vec
+        out = evolve(vec, collective_ops(2 * n).jy, -math.pi / 2)
         for k in range(n + 1):
             assert out[2 * k] == pytest.approx(bs1_coefficient(n, k), abs=1e-12)
         assert np.abs(out[1::2]).max() <= 1e-12  # odd occupations stay empty
@@ -162,11 +174,42 @@ class TestTwoModeMz:
 
     @pytest.mark.parametrize("n", list(range(2, 13)))
     def test_splitters_unitary_per_sector(self, n):
-        seq = MzSequence(cutoff=n, phi=0.0)
-        for u in (seq.sector_bs1(n), seq.sector_bs2(n)):
+        for u in splitter_matrices(n):
             np.testing.assert_allclose(
                 u.conj().T @ u, np.eye(n + 1), atol=1e-12
             )
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 28])
+    def test_splitter_generators_are_collective_spin(self, n):
+        # h1 = i(a^dag b - b^dag a) and h2 = a^dag b + b^dag a on the sector,
+        # built from the ladder a^dag b |k, n-k> = sqrt((k+1)(n-k)) |k+1, n-k-1>
+        h1 = np.zeros((n + 1, n + 1), dtype=complex)
+        h2 = np.zeros((n + 1, n + 1), dtype=complex)
+        for k in range(n):
+            amp = math.sqrt((k + 1) * (n - k))
+            h1[k + 1, k], h1[k, k + 1] = 1j * amp, -1j * amp
+            h2[k + 1, k] = h2[k, k + 1] = amp
+        ops = collective_ops(n)
+        assert np.abs(h1 + 2 * ops.jy).max() == 0.0
+        assert np.abs(h2 - 2 * ops.jx).max() == 0.0
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    @pytest.mark.parametrize("phi", [0.0, 0.8, 2.9])
+    def test_sector_is_splitter_phase_splitter(self, n, phi):
+        bs1, bs2 = splitter_matrices(2 * n)
+        phase = np.exp(1j * phi * (2 * n - np.arange(2 * n + 1)))
+        start = np.zeros(2 * n + 1, dtype=complex)
+        start[n] = 1.0
+        expected = bs2 @ (phase * (bs1 @ start))
+        out = mz_two_mode(twin_fock(n), phi).amplitudes
+        sector = out[np.arange(2 * n + 1), 2 * n - np.arange(2 * n + 1)]
+        np.testing.assert_allclose(sector, expected, atol=1e-12)
+
+    def test_vacuum_takes_only_the_phase(self):
+        grid = np.zeros((3, 3), dtype=complex)
+        grid[0, 0] = grid[1, 0] = 1.0 / math.sqrt(2)
+        out = mz_two_mode(TwoModeFockState(2, grid), 1.3).amplitudes
+        assert out[0, 0] == pytest.approx(1.0 / math.sqrt(2), abs=1e-15)
 
     def test_insufficient_cutoff_rejected(self):
         grid = np.zeros((4, 4), dtype=complex)

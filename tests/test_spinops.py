@@ -168,6 +168,20 @@ class TestMoments:
             _, var = moments(css(6, theta, 0.3), jz_observable(6))
             assert var >= 0.0
 
+    def test_large_n_square_observable_accepted(self):
+        # <Jx^2> ~ 8e4 here, and round-off leaves an imaginary part of
+        # ~2e-12 in it: above an absolute 1e-12, far below the state's scale
+        n = 1000
+        rng = np.random.default_rng(11)
+        amp = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        state = CollectiveSpinState(n, amp / np.linalg.norm(amp))
+        ops = collective_ops(n)
+        jx_sq = ops.jx @ ops.jx
+        mean, var = moments(state, Observable(jx_sq, ops.basis_tag))
+        vec = state.amplitudes
+        assert mean == pytest.approx(np.vdot(jx_sq @ vec, vec).real, rel=1e-12)
+        assert var >= 0.0
+
 
 class TestHeisenbergRelation:
     @staticmethod
