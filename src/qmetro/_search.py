@@ -28,15 +28,23 @@ def golden_section(f, lo: float, hi: float, tol: float = 1e-10) -> float:
 
 
 def grid_then_golden(
-    f, lo: float, hi: float, n_grid: int = 512, tol: float = 1e-10
+    f, lo: float, hi: float, n_grid: int = 512, tol: float = 1e-10, grid_values=None
 ) -> float:
     """Locate the global grid minimum, then refine the bracketing cell.
 
     Robust for multimodal objectives (periodic likelihoods and variance
-    landscapes) at desk scale.
+    landscapes) at desk scale.  ``grid_values``, if given, are f on
+    ``np.linspace(lo, hi, n_grid)`` computed by the caller (for example
+    from one table shared by many objectives); f is then evaluated
+    only by the golden-section refinement.
     """
     xs = np.linspace(lo, hi, n_grid)
-    vals = np.array([f(x) for x in xs])
+    if grid_values is None:
+        vals = np.array([f(x) for x in xs])
+    else:
+        vals = np.asarray(grid_values, dtype=float)
+        if vals.shape != xs.shape:
+            raise ValueError(f"grid_values has shape {vals.shape}, expected {xs.shape}")
     k = int(np.argmin(vals))
     a = xs[max(0, k - 1)]
     b = xs[min(n_grid - 1, k + 1)]

@@ -151,6 +151,14 @@ class Observable:
         return self.matrix.shape[0]
 
 
+def _dicke_ladder(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """m = -J..J ascending, and the couplings sqrt(J(J+1) - m(m+1)) of
+    J+ from |J,m> to |J,m+1> for every m but the last."""
+    j = n / 2.0
+    m = np.arange(-j, j + 1)
+    return m, np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1))
+
+
 def collective_ops(n_particles: int) -> CollectiveSpinOperators:
     """Build Jx, Jy, Jz for N particles via the angular-momentum ladder.
 
@@ -159,9 +167,7 @@ def collective_ops(n_particles: int) -> CollectiveSpinOperators:
     n = int(n_particles)
     if n < 1:
         raise ValueError("n_particles must be >= 1")
-    j = n / 2.0
-    m = np.arange(-j, j + 1)
-    coupling = np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1))
+    m, coupling = _dicke_ladder(n)
     jp = np.zeros((n + 1, n + 1), dtype=complex)
     jp[np.arange(1, n + 1), np.arange(n)] = coupling
     jm = jp.conj().T

@@ -23,10 +23,9 @@ import numpy as np
 from .spinops import (
     CollectiveSpinState,
     Observable,
+    _dicke_ladder,
     _readonly,
     collective_ops,
-    evolve,
-    expectation_vector,
     moments,
 )
 
@@ -132,13 +131,13 @@ def squeezing_parameters(
     """
     n = state.n_particles
     ops = collective_ops(n)
-    jvec = expectation_vector(state)
+    vec = state.amplitudes
+    jvec = np.array([float(np.vdot(vec, op @ vec).real) for op in (ops.jx, ops.jy, ops.jz)])
     jnorm = float(np.linalg.norm(jvec))
     degenerate = jnorm <= MEAN_SPIN_EPS
     msd = np.array([0.0, 0.0, 1.0]) if degenerate else jvec / jnorm
 
     n1, n2 = _perpendicular_pair(msd)
-    vec = state.amplitudes
     applied1 = ops.along(n1) @ vec
     applied2 = ops.along(n2) @ vec
     mean1 = float(np.vdot(vec, applied1).real)
@@ -180,12 +179,25 @@ def squeezing_parameters(
 def oat_evolve(
     initial: CollectiveSpinState, params: OatParams
 ) -> CollectiveSpinState:
-    """Evolve under the one-axis-twisting Hamiltonian for duration t."""
-    ops = collective_ops(initial.n_particles)
-    j_gamma = math.cos(params.gamma) * ops.jx - math.sin(params.gamma) * ops.jy
-    h = params.omega * j_gamma + params.delta * ops.jz + params.chi * (ops.jz @ ops.jz)
-    out = evolve(initial.amplitudes, h, params.t)
-    return CollectiveSpinState(initial.n_particles, out)
+    """Evolve under the one-axis-twisting Hamiltonian for duration t.
+
+    In the Dicke basis J_gamma = (e^{i gamma} J+ + e^{-i gamma} J-) / 2,
+    so H is tridiagonal, and in the gauge D = diag(e^{i k gamma}) the
+    matrix T = D^dag H D is real symmetric: diagonal delta m + chi m^2,
+    off-diagonal (omega / 2) sqrt(J(J+1) - m(m+1)).  The state is
+    propagated as D V e^{-i t w} V^T D^dag psi from the spectral
+    decomposition T = V diag(w) V^T; no (N+1)^2 operator is built.
+    """
+    # imported here: `import qmetro` does not load scipy.linalg otherwise
+    from scipy.linalg import eigh_tridiagonal
+
+    n = initial.n_particles
+    m, coupling = _dicke_ladder(n)
+    w, v = eigh_tridiagonal(params.delta * m + params.chi * m**2, 0.5 * params.omega * coupling)
+    gauge = np.exp(1j * params.gamma * np.arange(n + 1))
+    rotated = v.T @ (gauge.conj() * initial.amplitudes)
+    out = gauge * (v @ (np.exp(-1j * params.t * w) * rotated))
+    return CollectiveSpinState(n, out)
 
 
 def bjj_hamiltonian(params: BjjParams) -> Observable:
@@ -200,7 +212,7 @@ def bjj_hamiltonian(params: BjjParams) -> Observable:
     h = (
         -params.tunneling * ops.jx
         + params.imbalance * ops.jz
-        + 0.5 * params.charging_energy * (ops.jz @ ops.jz)
+        + 0.5 * params.charging_energy * np.diag(np.diag(ops.jz) ** 2)
     )
     return Observable(h, ops.basis_tag)
 

@@ -29,6 +29,9 @@ from qmetro import (
     run_monte_carlo,
     twin_fock,
 )
+from qmetro import estimate
+from qmetro._search import grid_then_golden
+from qmetro.estimate import _log_likelihood
 from qmetro.spinops import evolve
 
 
@@ -307,6 +310,99 @@ class TestBoundConsistency:
             prop = error_propagation(signal, noise, 0.3)
             if math.isfinite(prop.value):
                 assert prop.value >= cramer_rao(qfi, 1) - 1e-8
+
+
+def per_trial_grid_estimates(family, theta_true, repetitions, trials, seed, interval):
+    """The maximum-likelihood estimates with the likelihood grid evaluated
+    afresh for every trial: run_monte_carlo's search before it shared one
+    log-probability table per run.  Kept as the oracle of that table."""
+    p_true = family.probabilities(theta_true)
+    estimates = np.empty(trials)
+    for trial in range(trials):
+        counts = np.random.default_rng([seed, trial]).multinomial(repetitions, p_true)
+        estimates[trial] = grid_then_golden(
+            lambda t: -_log_likelihood(family, counts, t),
+            interval[0],
+            interval[1],
+            n_grid=512,
+            tol=1e-10,
+        )
+    return estimates
+
+
+def binomial_family(n):
+    """n + 1 outcomes: k successes in n Bernoulli(theta) draws."""
+    k = np.arange(n + 1)
+    choose = np.array([math.comb(n, int(i)) for i in k], dtype=float)
+    return DistributionFamily(
+        outcome_labels=tuple(range(n + 1)),
+        prob_at=lambda theta: choose * theta**k * (1.0 - theta) ** (n - k),
+    )
+
+
+def vanishing_ends_family():
+    """Outcomes 0 and 2 have probability zero at theta = 1 and theta = 0."""
+    return DistributionFamily(
+        outcome_labels=("aa", "ab", "bb"),
+        prob_at=lambda theta: np.array(
+            [theta**2, 2.0 * theta * (1.0 - theta), (1.0 - theta) ** 2]
+        ),
+    )
+
+
+# (family, theta_true, repetitions, trials, seed, search interval)
+MANY_OUTCOMES = (binomial_family(20), 0.37, 300, 12, 3, (0.01, 0.99))
+VANISHING_ENDS = (vanishing_ends_family(), 0.3, 40, 12, 1, (0.0, 1.0))
+
+
+class TestSharedLikelihoodGrid:
+    @pytest.mark.parametrize("seed, repetitions", [(0, 10_000), (5, 500), (7, 10_000), (11, 500)])
+    def test_bernoulli_matches_per_trial_grid(self, seed, repetitions):
+        args = (bernoulli_family(), 0.5, repetitions, 25, seed, (0.01, 0.99))
+        run = run_monte_carlo(*args)
+        assert np.array_equal(run.estimates, per_trial_grid_estimates(*args))
+
+    def test_many_outcomes_match_per_trial_grid(self):
+        run = run_monte_carlo(*MANY_OUTCOMES)
+        assert np.array_equal(run.estimates, per_trial_grid_estimates(*MANY_OUTCOMES))
+
+    def test_zero_probability_grid_ends_match_per_trial_grid(self):
+        # the grid includes theta = 0 and 1, where an observed outcome has
+        # P = 0: the log-likelihood is -inf there in both evaluations
+        with np.errstate(all="raise"):
+            run = run_monte_carlo(*VANISHING_ENDS)
+        assert np.array_equal(run.estimates, per_trial_grid_estimates(*VANISHING_ENDS))
+        assert np.all((run.estimates > 0.0) & (run.estimates < 1.0))
+
+    @pytest.mark.parametrize("args", [MANY_OUTCOMES, VANISHING_ENDS], ids=["many", "vanishing"])
+    def test_grid_values_equal_per_point_likelihoods(self, monkeypatch, args):
+        # the estimates see the grid only through its best cell, so compare
+        # the values themselves: with more than 8 active outcomes numpy sums
+        # pairwise, and each row of the table must be reduced in that order
+        family, theta_true, repetitions, trials, seed, (lo, hi) = args
+        grids = []
+
+        def recording_search(*args, grid_values, **kwargs):
+            grids.append(grid_values.copy())
+            return grid_then_golden(*args, grid_values=grid_values, **kwargs)
+
+        monkeypatch.setattr(estimate, "grid_then_golden", recording_search)
+        run_monte_carlo(*args)
+        p_true = family.probabilities(theta_true)
+        for trial, grid in enumerate(grids):
+            counts = np.random.default_rng([seed, trial]).multinomial(repetitions, p_true)
+            expected = [-_log_likelihood(family, counts, t) for t in np.linspace(lo, hi, 512)]
+            assert np.array_equal(grid, expected)
+        assert len(grids) == trials
+        # each case exercises what it is named for
+        if family is MANY_OUTCOMES[0]:
+            assert np.count_nonzero(counts) > 8
+        else:
+            assert all(np.isinf(g[[0, -1]]).all() for g in grids)
+
+    def test_grid_values_must_fit_the_grid(self):
+        with pytest.raises(ValueError, match="grid_values"):
+            grid_then_golden(abs, -1.0, 1.0, n_grid=5, grid_values=np.zeros(4))
 
 
 class TestMonteCarlo:

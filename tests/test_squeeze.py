@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from conftest import align_phase
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmetro import (
     BjjParams,
@@ -23,6 +25,7 @@ from qmetro import (
     rotate,
     squeezing_parameters,
 )
+from qmetro.spinops import evolve
 
 
 def dicke(n, k):
@@ -93,7 +96,48 @@ class TestSqueezingParameters:
         assert report.xi_h_sq == pytest.approx(1.0, abs=1e-10)
 
 
+def dense_oat(state, params):
+    """exp(-i t H) psi with the dense H = omega J_gamma + delta Jz + chi Jz^2:
+    the propagator oat_evolve used before its tridiagonal form, kept as
+    the oracle."""
+    ops = collective_ops(state.n_particles)
+    j_gamma = math.cos(params.gamma) * ops.jx - math.sin(params.gamma) * ops.jy
+    h = params.omega * j_gamma + params.delta * ops.jz + params.chi * (ops.jz @ ops.jz)
+    return evolve(state.amplitudes, h, params.t)
+
+
+def random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    return CollectiveSpinState(n, amp / np.linalg.norm(amp))
+
+
 class TestOatEvolve:
+    @given(
+        n=st.integers(min_value=1, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        chi=st.floats(min_value=-0.1, max_value=0.1),
+        t=st.floats(min_value=0.0, max_value=2.0),
+        # omega = 0 leaves H diagonal with m and -m sharing m^2 (degenerate)
+        omega=st.one_of(st.just(0.0), st.floats(min_value=-2.0, max_value=2.0)),
+        delta=st.one_of(st.just(0.0), st.floats(min_value=-2.0, max_value=2.0)),
+        gamma=st.floats(min_value=-math.pi, max_value=math.pi),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_propagator(self, n, seed, chi, t, omega, delta, gamma):
+        state = random_state(n, seed)
+        params = OatParams(chi=chi, t=t, omega=omega, delta=delta, gamma=gamma)
+        np.testing.assert_allclose(
+            oat_evolve(state, params).amplitudes, dense_oat(state, params), rtol=0, atol=1e-12
+        )
+
+    def test_large_n_with_coupling_matches_dense_propagator(self):
+        state = css(1000, math.pi / 2, 0.3)
+        params = OatParams(chi=0.01, t=0.4, omega=0.8, delta=-0.2, gamma=1.1)
+        np.testing.assert_allclose(
+            oat_evolve(state, params).amplitudes, dense_oat(state, params), rtol=0, atol=1e-12
+        )
+
     def test_pure_detuning_applies_linear_phases(self):
         n, delta, t = 5, 0.7, 1.3
         state = css(n, math.pi / 2, 0.4)
