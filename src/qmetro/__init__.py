@@ -4,9 +4,10 @@ precision bounds for collective-spin and two-mode bosonic probes.
 Covers state preparation (coherent spin, GHZ/NOON, twin Fock, entangled
 coherent), parameter-dependent evolution (Ramsey and Mach-Zehnder
 sequences, one-axis twisting, Bose-Josephson ground states), readout
-(population difference, parity, general POVMs), and precision figures
-(Fisher information, quantum Fisher information, Cramer-Rao bounds,
-error propagation, maximum-likelihood Monte Carlo).
+(population counting and mode parity, both diagonal: one outcome label
+per basis state), and precision figures (Fisher information, quantum
+Fisher information, Cramer-Rao bounds, error propagation,
+maximum-likelihood Monte Carlo).
 """
 
 from .estimate import (
@@ -15,8 +16,8 @@ from .estimate import (
     InvalidDistributionError,
     InvalidFamilyError,
     MonteCarloRun,
-    Povm,
     PrecisionReport,
+    Readout,
     classical_fisher,
     cramer_rao,
     error_propagation,
@@ -103,8 +104,8 @@ __all__ = [
     "InvalidDistributionError",
     "InvalidFamilyError",
     "MonteCarloRun",
-    "Povm",
     "PrecisionReport",
+    "Readout",
     "classical_fisher",
     "cramer_rao",
     "error_propagation",

@@ -44,6 +44,7 @@ from .estimate import (
     run_monte_carlo,
 )
 from .interferom import (
+    _mode_numbers,
     mz_single_particle,
     mz_single_particle_state,
     mz_two_mode,
@@ -386,8 +387,7 @@ def _run_ecs_qfi(cfg: SweepConfig):
     rows = []
     for alpha in _parse_float_list(cfg.alpha):
         state = ecs(alpha)
-        dim = state.cutoff + 1
-        n_b = np.tile(np.arange(dim), (dim, 1)).reshape(-1)
+        n_b = _mode_numbers(state.cutoff, "b").reshape(-1)
         base = state.vector
 
         def family(phi):
@@ -402,7 +402,7 @@ def _run_twinfock_parity(cfg: SweepConfig):
     rows = []
     for n in cfg.n_list:
         probe = twin_fock(n)
-        povm = parity_sector_povm("b", probe.cutoff)
+        readout = parity_sector_povm("b", probe.cutoff)
 
         def family(phi):
             return mz_two_mode(probe, phi)
@@ -411,7 +411,7 @@ def _run_twinfock_parity(cfg: SweepConfig):
             return parity_expectation(family(phi), "b")
 
         noise = _unit_noise(signal)
-        prob_family = povm_family(family, povm, labels=("even", "odd"))
+        prob_family = povm_family(family, readout, labels=("even", "odd"))
         for phi in cfg.phi_grid():
             cells = _phase_cells(
                 phi,

@@ -1,7 +1,7 @@
 """Parameter-estimation bounds: Fisher information, quantum Fisher
 information (both pure-state forms), Cramer-Rao bounds, error
-propagation, POVM probabilities, and a seeded maximum-likelihood
-Monte-Carlo harness.
+propagation, diagonal-readout probabilities, and a seeded
+maximum-likelihood Monte-Carlo harness.
 """
 
 from __future__ import annotations
@@ -13,13 +13,13 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from ._search import grid_then_golden
-from .spinops import BasisTag, Observable, moments
+from .spinops import BasisTag, Observable, _readonly, moments
 
 __all__ = [
     "InvalidDistributionError",
     "InvalidFamilyError",
     "DistributionFamily",
-    "Povm",
+    "Readout",
     "PrecisionReport",
     "MonteCarloRun",
     "ErrorPropagation",
@@ -38,7 +38,6 @@ ZERO_PROB_CUTOFF = 1e-12  # outcomes below this are dropped from Fisher sums
 PROB_STEP = 1e-5   # central-difference step for probability families
 STATE_STEP = 1e-4  # central-difference step for state families
 PSD_TOL = 1e-10
-COMPLETENESS_TOL = 1e-10
 MLE_GRID = 512  # grid points of the maximum-likelihood search
 
 
@@ -90,37 +89,31 @@ class DistributionFamily:
 
 
 @dataclass(frozen=True)
-class Povm:
-    """Positive-operator-valued measure: PSD elements summing to identity."""
+class Readout:
+    """Diagonal measurement in the computational basis of a tagged space.
 
-    elements: tuple
+    ``outcome[i]`` is the outcome that basis state i is counted as, so
+    P(k) = sum of |psi_i|^2 over the i with outcome[i] == k.  Population
+    counting and mode parity both have this form.  One label per basis
+    state makes the measurement complete and positive by construction.
+    """
+
+    outcome: np.ndarray
     basis_tag: BasisTag
 
     def __post_init__(self):
-        mats = tuple(np.asarray(e, dtype=complex) for e in self.elements)
-        if not mats:
-            raise ValueError("POVM needs at least one element")
+        labels = np.array(self.outcome)
         dim = self.basis_tag.dim
-        total = np.zeros((dim, dim), dtype=complex)
-        for i, m in enumerate(mats):
-            if m.shape != (dim, dim):
-                raise ValueError(f"element {i} has shape {m.shape}, expected {dim}")
-            if np.abs(m - m.conj().T).max() > 1e-12:
-                raise ValueError(f"element {i} is not Hermitian")
-            if np.linalg.eigvalsh(m).min() < -PSD_TOL:
-                raise ValueError(f"element {i} is not positive semidefinite")
-            total += m
-        if np.abs(total - np.eye(dim)).max() > COMPLETENESS_TOL:
-            raise ValueError("POVM elements do not sum to the identity")
-        frozen = []
-        for m in mats:
-            m = np.ascontiguousarray(m)
-            m.setflags(write=False)
-            frozen.append(m)
-        object.__setattr__(self, "elements", tuple(frozen))
+        if labels.shape != (dim,):
+            raise ValueError(f"outcome labels have shape {labels.shape}, expected ({dim},)")
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise ValueError(f"outcome labels must be integers, got {labels.dtype}")
+        if labels.min() < 0:
+            raise ValueError(f"negative outcome label {labels.min()}")
+        object.__setattr__(self, "outcome", _readonly(labels))
 
     def __len__(self):
-        return len(self.elements)
+        return int(self.outcome.max()) + 1
 
 
 class ErrorPropagation(NamedTuple):
@@ -179,46 +172,35 @@ def classical_fisher(
     return float(np.sum(dp[keep] ** 2 / p[keep]))
 
 
-def povm_probabilities(state, povm: Povm) -> np.ndarray:
-    """Outcome probabilities <psi| E(x_n) |psi> of a POVM on a pure state."""
-    if state.basis_tag != povm.basis_tag:
+def povm_probabilities(state, readout: Readout) -> np.ndarray:
+    """Outcome probabilities of a diagonal readout on a pure state."""
+    if state.basis_tag != readout.basis_tag:
         raise ValueError(
-            f"basis mismatch: state {state.basis_tag}, POVM {povm.basis_tag}"
+            f"basis mismatch: state {state.basis_tag}, readout {readout.basis_tag}"
         )
     vec = np.asarray(state.vector, dtype=complex)
-    probs = np.empty(len(povm))
-    for i, element in enumerate(povm.elements):
-        val = np.vdot(vec, element @ vec)
-        if abs(val.imag) > 1e-12:
-            raise ValueError(f"POVM element {i} gave non-real probability {val!r}")
-        probs[i] = val.real
-    if probs.min() < -PSD_TOL:
-        raise ValueError(f"negative POVM probability {probs.min()!r}")
+    probs = np.bincount(
+        readout.outcome, weights=vec.real**2 + vec.imag**2, minlength=len(readout)
+    )
     total = probs.sum()
     if abs(total - 1.0) > 1e-10:
-        raise ValueError(f"POVM probabilities sum to {total!r}")
-    return np.clip(probs, 0.0, None)
+        raise ValueError(f"readout probabilities sum to {total!r}")
+    return probs
 
 
-def povm_family(state_family, povm: Povm, labels=None) -> DistributionFamily:
-    """Distribution family theta -> POVM outcome probabilities on psi(theta)."""
+def povm_family(state_family, readout: Readout, labels=None) -> DistributionFamily:
+    """Distribution family theta -> readout outcome probabilities on psi(theta)."""
     if labels is None:
-        labels = tuple(range(len(povm)))
+        labels = tuple(range(len(readout)))
     return DistributionFamily(
         outcome_labels=tuple(labels),
-        prob_at=lambda theta: povm_probabilities(state_family(theta), povm),
+        prob_at=lambda theta: povm_probabilities(state_family(theta), readout),
     )
 
 
-def projective_povm(basis_tag: BasisTag) -> Povm:
+def projective_povm(basis_tag: BasisTag) -> Readout:
     """Projective measurement in the computational basis of a tagged space."""
-    dim = basis_tag.dim
-    elements = []
-    for i in range(dim):
-        e = np.zeros((dim, dim), dtype=complex)
-        e[i, i] = 1.0
-        elements.append(e)
-    return Povm(tuple(elements), basis_tag)
+    return Readout(np.arange(basis_tag.dim), basis_tag)
 
 
 def qfi_generator(initial_state, generator: Observable) -> float:

@@ -24,7 +24,7 @@ from .estimate import (
     error_propagation,
     povm_family,
     qfi_from_family,
-    Povm,
+    Readout,
 )
 from .spinops import (
     BasisTag,
@@ -202,33 +202,30 @@ def parity_expectation(state: TwoModeFockState, mode: str) -> float:
     return float(np.sum(signs * np.abs(state.amplitudes) ** 2))
 
 
-def parity_sector_povm(mode: str, cutoff: int) -> Povm:
-    """Two-outcome POVM projecting onto the +1 / -1 parity sectors of a mode."""
-    signs = (-1.0) ** _mode_numbers(cutoff, mode).reshape(-1)
-    even = np.diag((signs > 0).astype(complex))
-    odd = np.diag((signs < 0).astype(complex))
-    return Povm((even, odd), BasisTag("fock", cutoff))
+def parity_sector_povm(mode: str, cutoff: int) -> Readout:
+    """Two-outcome readout of a mode's parity: outcome 0 even, 1 odd."""
+    return Readout(_mode_numbers(cutoff, mode).reshape(-1) % 2, BasisTag("fock", cutoff))
 
 
 def phase_sweep(
     state_family,
-    povm: Povm,
+    readout: Readout,
     observable: Observable,
     phi_grid,
     repetitions: int = 1,
 ) -> list[PrecisionReport]:
     """Evaluate all precision figures over a phase grid.
 
-    For each grid point: classical Fisher information of the POVM
-    outcome distribution, quantum Fisher information of the state
-    family, the error-propagation uncertainty of the readout
-    observable, and the (quantum) Cramer-Rao bounds at ``repetitions``.
+    For each grid point: classical Fisher information of the outcome
+    distribution of the diagonal ``readout``, quantum Fisher information
+    of the state family, the error-propagation uncertainty of
+    ``observable``, and the (quantum) Cramer-Rao bounds at ``repetitions``.
     Reports are returned in grid order.
     """
     grid = np.atleast_1d(np.asarray(phi_grid, dtype=float))
     if grid.size == 0:
         raise ValueError("phase grid must be non-empty")
-    family = povm_family(state_family, povm)
+    family = povm_family(state_family, readout)
 
     def signal(theta):
         return moments(state_family(theta), observable)[0]

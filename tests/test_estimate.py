@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmetro import (
     BasisTag,
+    CollectiveSpinState,
     DistributionFamily,
     InvalidDistributionError,
     InvalidFamilyError,
     Observable,
-    Povm,
+    Readout,
+    TwoModeFockState,
     classical_fisher,
     collective_ops,
     cramer_rao,
@@ -18,6 +22,7 @@ from qmetro import (
     ghz,
     moments,
     mz_two_mode,
+    parity_expectation,
     parity_sector_povm,
     povm_family,
     povm_probabilities,
@@ -121,12 +126,21 @@ class TestClassicalFisher:
         n = 4
         state_family = lambda phi: ramsey(css(n, 0.0, 0.0), phi)
         fine = povm_family(state_family, projective_povm(BasisTag("spin", n)))
-        ops = collective_ops(n)
-        up = np.diag((np.diag(ops.jz).real > 0).astype(complex))
-        coarse_povm = Povm((up, np.eye(n + 1) - up), BasisTag("spin", n))
-        coarse = povm_family(state_family, coarse_povm)
+        m = np.diag(collective_ops(n).jz).real
+        coarse = povm_family(state_family, Readout((m > 0).astype(int), BasisTag("spin", n)))
         for phi in (0.5, 1.2):
             assert classical_fisher(fine, phi) >= classical_fisher(coarse, phi) - 1e-9
+
+
+def dense_readout_probabilities(vec, outcome):
+    """<psi| diag(outcome == k) |psi> for each outcome k: the dense POVM form,
+    kept as the reference for the outcome-label readout."""
+    vec = np.asarray(vec, dtype=complex)
+    probs = []
+    for k in range(int(outcome.max()) + 1):
+        element = np.diag((outcome == k).astype(complex))
+        probs.append(np.vdot(vec, element @ vec).real)
+    return np.array(probs)
 
 
 class TestPovm:
@@ -138,8 +152,9 @@ class TestPovm:
         np.testing.assert_allclose(probs, expected, atol=1e-12)
 
     def test_identity_povm(self):
-        povm = Povm((np.eye(3, dtype=complex),), BasisTag("spin", 2))
-        probs = povm_probabilities(css(2, 0.7, 0.1), povm)
+        readout = Readout(np.zeros(3, dtype=int), BasisTag("spin", 2))
+        probs = povm_probabilities(css(2, 0.7, 0.1), readout)
+        assert probs.shape == (1,)
         assert probs[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_parity_sectors_on_twin_fock_at_zero_phase(self):
@@ -148,16 +163,66 @@ class TestPovm:
         probs = povm_probabilities(state, povm)
         np.testing.assert_allclose(probs, [1.0, 0.0], atol=1e-12)
 
-    def test_completeness_enforced(self):
-        half = 0.5 * np.eye(2, dtype=complex)
-        with pytest.raises(ValueError, match="identity"):
-            Povm((half,), BasisTag("spin", 1))
+    @pytest.mark.parametrize("n", [1, 5, 14])
+    def test_parity_sector_contrast_is_parity_expectation(self, n):
+        probe = twin_fock(n)
+        readout = parity_sector_povm("b", probe.cutoff)
+        for phi in (0.0, 0.013, 0.4, 1.1, 2.9):
+            state = mz_two_mode(probe, phi)
+            even, odd = povm_probabilities(state, readout)
+            assert even - odd == pytest.approx(parity_expectation(state, "b"), abs=1e-14)
 
-    def test_psd_enforced(self):
-        e1 = np.diag([1.5, 0.0]).astype(complex)
-        e2 = np.diag([-0.5, 1.0]).astype(complex)
-        with pytest.raises(ValueError, match="positive"):
-            Povm((e1, e2), BasisTag("spin", 1))
+    @given(
+        space=st.one_of(
+            st.tuples(st.just("spin"), st.integers(min_value=1, max_value=40)),
+            st.tuples(st.just("fock"), st.integers(min_value=0, max_value=12)),
+        ),
+        outcomes=st.integers(min_value=1, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_quadratic_form(self, space, outcomes, seed):
+        kind, size = space
+        tag = BasisTag(kind, size)
+        rng = np.random.default_rng(seed)
+        vec = rng.normal(size=tag.dim) + 1j * rng.normal(size=tag.dim)
+        vec /= np.linalg.norm(vec)
+        if kind == "spin":
+            state = CollectiveSpinState(size, vec)
+        else:
+            state = TwoModeFockState(size, vec.reshape(size + 1, size + 1))
+        readout = Readout(rng.integers(0, outcomes, size=tag.dim), tag)
+        # both sides sum dim non-negative terms of total 1, in different
+        # orders: each sum is within (dim - 1) eps of exact, each term within eps
+        np.testing.assert_allclose(
+            povm_probabilities(state, readout),
+            dense_readout_probabilities(state.vector, readout.outcome),
+            rtol=0,
+            atol=2 * tag.dim * np.finfo(float).eps,
+        )
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            Readout(np.arange(3), BasisTag("spin", 1))
+        with pytest.raises(ValueError, match="shape"):
+            Readout(np.zeros((2, 2), dtype=int), BasisTag("fock", 1))
+
+    def test_negative_label_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            Readout(np.array([0, -1]), BasisTag("spin", 1))
+
+    def test_non_integer_labels_rejected(self):
+        for labels in (np.array([0.0, 1.0]), np.array([True, False]), np.array([0, 1j])):
+            with pytest.raises(ValueError, match="integers"):
+                Readout(labels, BasisTag("spin", 1))
+
+    def test_outcome_labels_read_only(self):
+        labels = np.array([1, 0, 1])
+        readout = Readout(labels, BasisTag("spin", 2))
+        labels[0] = 0
+        assert readout.outcome.tolist() == [1, 0, 1]
+        with pytest.raises(ValueError):
+            readout.outcome[0] = 0
 
     def test_basis_mismatch(self):
         povm = projective_povm(BasisTag("spin", 2))
