@@ -46,6 +46,7 @@ from .spinops import (
     CollectiveSpinOperators,
     CollectiveSpinState,
     Observable,
+    apply,
     collective_ops,
     expectation_vector,
     moments,
@@ -57,6 +58,7 @@ from .squeeze import (
     Regime,
     SpectralResult,
     SqueezingReport,
+    TridiagonalHamiltonian,
     bjj_hamiltonian,
     classify_regime,
     ground_state,
@@ -84,6 +86,7 @@ __all__ = [
     "CollectiveSpinOperators",
     "CollectiveSpinState",
     "Observable",
+    "apply",
     "collective_ops",
     "expectation_vector",
     "moments",
@@ -133,6 +136,7 @@ __all__ = [
     "Regime",
     "SpectralResult",
     "SqueezingReport",
+    "TridiagonalHamiltonian",
     "bjj_hamiltonian",
     "classify_regime",
     "ground_state",

@@ -53,7 +53,7 @@ from .interferom import (
     phase_sweep,
     ramsey,
 )
-from .spinops import Observable, collective_ops, rotate
+from .spinops import _jz_observable, rotate
 from .squeeze import (
     BjjParams,
     OatParams,
@@ -257,11 +257,6 @@ def parse_config(args: argparse.Namespace) -> SweepConfig:
 # ---------------------------------------------------------------------------
 # experiment runners: each returns (rows, summary line); a row is a dict
 # keyed by the experiment's columns, "experiment" excepted
-
-
-def _jz_observable(n: int) -> Observable:
-    ops = collective_ops(n)
-    return Observable(ops.jz, ops.basis_tag)
 
 
 def _min_summary(rows, column, swept="phi"):

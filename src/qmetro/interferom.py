@@ -30,6 +30,7 @@ from .spinops import (
     BasisTag,
     CollectiveSpinState,
     Observable,
+    _jz_observable,
     collective_ops,
     evolve,
     expectation_vector,
@@ -136,8 +137,7 @@ def optimal_readout_rotation(state: CollectiveSpinState) -> float:
     golden-section to width 1e-10.
     """
     axis = _mean_spin_axis(state)
-    ops = collective_ops(state.n_particles)
-    jz_obs = Observable(ops.jz, ops.basis_tag)
+    jz_obs = _jz_observable(state.n_particles)
 
     def readout_variance(angle):
         return moments(rotate(state, axis, angle), jz_obs)[1]

@@ -8,6 +8,8 @@ are immutable; every function is pure.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +21,7 @@ __all__ = [
     "CollectiveSpinOperators",
     "Observable",
     "collective_ops",
+    "apply",
     "rotate",
     "moments",
     "evolve",
@@ -159,10 +162,19 @@ def _dicke_ladder(n: int) -> tuple[np.ndarray, np.ndarray]:
     return m, np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1))
 
 
+def _jz_observable(n: int) -> Observable:
+    """Jz of N particles, built from its diagonal."""
+    m, _ = _dicke_ladder(n)
+    return Observable(np.diag(m), BasisTag("spin", n))
+
+
 def collective_ops(n_particles: int) -> CollectiveSpinOperators:
     """Build Jx, Jy, Jz for N particles via the angular-momentum ladder.
 
     J+|J,m> = sqrt(J(J+1) - m(m+1)) |J,m+1>, Jz diagonal with entries m.
+    Dense: the propagators and moments of the spin layer use the bands
+    directly (`apply`, `rotate`); these matrices serve the two-mode
+    splitters and the tests.
     """
     n = int(n_particles)
     if n < 1:
@@ -177,6 +189,22 @@ def collective_ops(n_particles: int) -> CollectiveSpinOperators:
     return CollectiveSpinOperators(n, jx, jy, jz)
 
 
+def apply(axis, vector) -> np.ndarray:
+    """(n . J) applied to an amplitude vector over |J,m>, in O(N).
+
+    J = N/2 is read from the vector's length.  Jz is diagonal and
+    n_x Jx + n_y Jy = ((n_x - i n_y) J+ + (n_x + i n_y) J-) / 2 is
+    tridiagonal, so no matrix is built.
+    """
+    ax = np.asarray(axis, dtype=float)
+    vec = np.asarray(vector, dtype=complex)
+    m, coupling = _dicke_ladder(vec.shape[0] - 1)
+    out = ax[2] * m * vec
+    out[1:] += 0.5 * complex(ax[0], -ax[1]) * coupling * vec[:-1]
+    out[:-1] += 0.5 * complex(ax[0], ax[1]) * coupling * vec[1:]
+    return out
+
+
 def evolve(state_vector: np.ndarray, generator: np.ndarray, angle: float) -> np.ndarray:
     """Apply exp(-i * angle * generator) by spectral decomposition.
 
@@ -188,10 +216,69 @@ def evolve(state_vector: np.ndarray, generator: np.ndarray, angle: float) -> np.
     return v @ (phases * (v.conj().T @ state_vector))
 
 
+def _band_spectrum(diagonal, off_diagonal) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and real orthonormal eigenvectors, as
+    columns, of a real symmetric tridiagonal matrix."""
+    # imported here: `import qmetro.cli` does not load scipy.linalg otherwise
+    from scipy.linalg import eigh_tridiagonal
+
+    return eigh_tridiagonal(diagonal, off_diagonal)
+
+
+def _real_matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """A real matrix times a complex vector, as one real product with the
+    (re, im) pairs; numpy would otherwise copy the matrix to complex."""
+    pairs = np.ascontiguousarray(vector, dtype=complex).view(float).reshape(-1, 2)
+    return np.ascontiguousarray(matrix @ pairs).view(complex).reshape(-1)
+
+
+def _band_evolve(vector, spectrum, gauge, t: float) -> np.ndarray:
+    """exp(-i t H) vector for H = D T D^dag with D = diag(gauge) and the
+    real symmetric T = V diag(w) V^T, given spectrum = (w, V)."""
+    w, v = spectrum
+    rotated = _real_matvec(v.T, gauge.conj() * vector)
+    return gauge * _real_matvec(v, np.exp(-1j * t * w) * rotated)
+
+
+@functools.lru_cache(maxsize=8)
+def _jy_band(n: int):
+    """Jy = D T D^dag with D = diag((-i)^k) and T the real Jx band
+    (off-diagonal sqrt(J(J+1) - m(m+1)) / 2): the spectrum (w, V) of T
+    and the gauge D.  V is (N+1)^2 doubles, 32 MB at N = 2000, hence
+    the small cache."""
+    _, coupling = _dicke_ladder(n)
+    w, v = _band_spectrum(np.zeros(n + 1), 0.5 * coupling)
+    gauge = np.array([1.0, -1j, -1.0, 1j])[np.arange(n + 1) % 4]
+    return (_readonly(w), _readonly(v)), _readonly(gauge)
+
+
+def _euler_zyz(axis: np.ndarray, angle: float) -> tuple[float, float, float]:
+    """Angles (alpha, beta, gamma), beta in [0, pi], with
+    exp(-i angle n.sigma/2) = Rz(alpha) Ry(beta) Rz(gamma) in SU(2),
+    Rk(x) = exp(-i x sigma_k / 2), for a unit 3-vector n.
+
+    Read from the SU(2) matrix, not from the SO(3) rotation, so the
+    angles fix the sign that half-integer J sees.  In the (up, down)
+    basis the matrix is [[a, -b*], [b, a*]] with
+    a = e^{-i(alpha+gamma)/2} cos(beta/2), b = e^{i(alpha-gamma)/2} sin(beta/2).
+    """
+    c, s = math.cos(0.5 * angle), math.sin(0.5 * angle)
+    a = complex(c, -axis[2] * s)
+    b = complex(axis[1] * s, -axis[0] * s)
+    beta = 2.0 * math.atan2(abs(b), abs(a))
+    total = -2.0 * cmath.phase(a)  # alpha + gamma
+    difference = 2.0 * cmath.phase(b) if abs(b) > 0.0 else 0.0  # alpha - gamma
+    return 0.5 * (total + difference), beta, 0.5 * (total - difference)
+
+
 def rotate(state: CollectiveSpinState, axis, angle: float) -> CollectiveSpinState:
     """Rotate a collective-spin state by `angle` about the unit 3-vector `axis`.
 
-    Returns exp(-i * angle * (n . J)) |state>.
+    Returns exp(-i * angle * (n . J)) |state>, as the Euler product
+    Rz(alpha) Ry(beta) Rz(gamma): the z rotations are diagonal phases
+    e^{-i x m}, and Ry(beta) comes from the cached spectrum of Jy's real
+    tridiagonal gauge form.  No (N+1)^2 operator is built beyond that
+    spectrum.
     """
     ax = np.asarray(axis, dtype=float)
     if ax.shape != (3,):
@@ -199,9 +286,15 @@ def rotate(state: CollectiveSpinState, axis, angle: float) -> CollectiveSpinStat
     norm = float(np.linalg.norm(ax))
     if abs(norm - 1.0) > AXIS_TOL:
         raise ValueError(f"axis must have unit norm, got |axis| = {norm!r}")
-    ops = collective_ops(state.n_particles)
-    out = evolve(state.amplitudes, ops.along(ax), angle)
-    return CollectiveSpinState(state.n_particles, out)
+    alpha, beta, gamma = _euler_zyz(ax / norm, angle * norm)
+    n = state.n_particles
+    m, _ = _dicke_ladder(n)
+    out = np.exp(-1j * gamma * m) * state.amplitudes
+    if beta != 0.0:
+        spectrum, gauge = _jy_band(n)
+        out = _band_evolve(out, spectrum, gauge, beta)
+    out = np.exp(-1j * alpha * m) * out
+    return CollectiveSpinState(n, out)
 
 
 def _state_vector_and_tag(state):
@@ -218,7 +311,11 @@ def moments(state, obs: Observable) -> tuple[float, float]:
     vec, tag = _state_vector_and_tag(state)
     if tag != obs.basis_tag:
         raise ValueError(f"basis mismatch: state {tag}, observable {obs.basis_tag}")
-    applied = obs.matrix @ vec
+    return _moments(vec, obs.matrix @ vec)
+
+
+def _moments(vec: np.ndarray, applied: np.ndarray) -> tuple[float, float]:
+    """Mean and variance of O from psi and O psi, with the guards of `moments`."""
     mean_c = np.vdot(vec, applied)
     second = float(np.vdot(applied, applied).real)  # <O psi|O psi> = <O^2>
     # round-off scale grows with <O^2> (e.g. Jx^2 or Jz eigenstates at large
@@ -237,8 +334,5 @@ def moments(state, obs: Observable) -> tuple[float, float]:
 
 def expectation_vector(state: CollectiveSpinState) -> np.ndarray:
     """The mean spin vector (<Jx>, <Jy>, <Jz>)."""
-    ops = collective_ops(state.n_particles)
     vec = state.amplitudes
-    return np.array(
-        [float(np.vdot(vec, op @ vec).real) for op in (ops.jx, ops.jy, ops.jz)]
-    )
+    return np.array([float(np.vdot(vec, apply(axis, vec)).real) for axis in np.eye(3)])

@@ -21,18 +21,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spinops import (
+    BasisTag,
     CollectiveSpinState,
-    Observable,
+    _band_evolve,
+    _band_spectrum,
     _dicke_ladder,
+    _moments,
     _readonly,
-    collective_ops,
-    moments,
+    apply,
+    expectation_vector,
 )
 
 __all__ = [
     "SqueezingReport",
     "OatParams",
     "BjjParams",
+    "TridiagonalHamiltonian",
     "SpectralResult",
     "Regime",
     "squeezing_parameters",
@@ -42,6 +46,8 @@ __all__ = [
     "classify_regime",
 ]
 
+# a mean spin counts as zero when |<J>| <= MEAN_SPIN_EPS * max(1, N/2),
+# relative to its largest possible length N/2
 MEAN_SPIN_EPS = 1e-10
 DEGENERACY_REL_TOL = 1e-10
 
@@ -130,16 +136,16 @@ def squeezing_parameters(
     (most-squeezed perpendicular direction, mean spin direction).
     """
     n = state.n_particles
-    ops = collective_ops(n)
     vec = state.amplitudes
-    jvec = np.array([float(np.vdot(vec, op @ vec).real) for op in (ops.jx, ops.jy, ops.jz)])
+    jvec = expectation_vector(state)
     jnorm = float(np.linalg.norm(jvec))
-    degenerate = jnorm <= MEAN_SPIN_EPS
+    zero_spin = MEAN_SPIN_EPS * max(1.0, n / 2.0)
+    degenerate = jnorm <= zero_spin
     msd = np.array([0.0, 0.0, 1.0]) if degenerate else jvec / jnorm
 
     n1, n2 = _perpendicular_pair(msd)
-    applied1 = ops.along(n1) @ vec
-    applied2 = ops.along(n2) @ vec
+    applied1 = apply(n1, vec)
+    applied2 = apply(n2, vec)
     mean1 = float(np.vdot(vec, applied1).real)
     mean2 = float(np.vdot(vec, applied2).real)
     var1 = float(np.vdot(applied1, applied1).real) - mean1**2
@@ -159,9 +165,9 @@ def squeezing_parameters(
     else:
         alpha_axis = np.asarray(xi_h_axes[0], float)
         gamma_axis = np.asarray(xi_h_axes[1], float)
-    _, var_alpha = moments(state, Observable(ops.along(alpha_axis), ops.basis_tag))
-    mean_gamma = float(np.vdot(vec, ops.along(gamma_axis) @ vec).real)
-    if abs(mean_gamma) <= MEAN_SPIN_EPS:
+    _, var_alpha = _moments(vec, apply(alpha_axis, vec))
+    mean_gamma = float(np.vdot(vec, apply(gamma_axis, vec)).real)
+    if abs(mean_gamma) <= zero_spin:
         xi_h_sq = math.inf
     else:
         xi_h_sq = 2.0 * var_alpha / abs(mean_gamma)
@@ -188,33 +194,60 @@ def oat_evolve(
     propagated as D V e^{-i t w} V^T D^dag psi from the spectral
     decomposition T = V diag(w) V^T; no (N+1)^2 operator is built.
     """
-    # imported here: `import qmetro` does not load scipy.linalg otherwise
-    from scipy.linalg import eigh_tridiagonal
-
     n = initial.n_particles
     m, coupling = _dicke_ladder(n)
-    w, v = eigh_tridiagonal(params.delta * m + params.chi * m**2, 0.5 * params.omega * coupling)
+    spectrum = _band_spectrum(params.delta * m + params.chi * m**2, 0.5 * params.omega * coupling)
     gauge = np.exp(1j * params.gamma * np.arange(n + 1))
-    rotated = v.T @ (gauge.conj() * initial.amplitudes)
-    out = gauge * (v @ (np.exp(-1j * params.t * w) * rotated))
-    return CollectiveSpinState(n, out)
+    return CollectiveSpinState(n, _band_evolve(initial.amplitudes, spectrum, gauge, params.t))
 
 
-def bjj_hamiltonian(params: BjjParams) -> Observable:
+@dataclass(frozen=True)
+class TridiagonalHamiltonian:
+    """Real symmetric tridiagonal Hamiltonian: its diagonal, its first
+    off-diagonal and the basis it acts in."""
+
+    diagonal: np.ndarray
+    off_diagonal: np.ndarray
+    basis_tag: BasisTag
+
+    def __post_init__(self):
+        if np.iscomplexobj(self.diagonal) or np.iscomplexobj(self.off_diagonal):
+            raise ValueError("tridiagonal Hamiltonian must be real")
+        diag = np.asarray(self.diagonal, dtype=float)
+        off = np.asarray(self.off_diagonal, dtype=float)
+        dim = self.basis_tag.dim
+        if diag.shape != (dim,) or off.shape != (dim - 1,):
+            raise ValueError(
+                f"bands of shapes {diag.shape} and {off.shape} do not match basis "
+                f"{self.basis_tag}"
+            )
+        object.__setattr__(self, "diagonal", _readonly(diag))
+        object.__setattr__(self, "off_diagonal", _readonly(off))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, for tests and inspection."""
+        off = self.off_diagonal
+        return np.diag(self.diagonal) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def bjj_hamiltonian(params: BjjParams) -> TridiagonalHamiltonian:
     """Two-mode Bose-Hubbard Hamiltonian in the fixed-N collective-spin form:
 
     H = -J_tun Jx + delta Jz + (E_c / 2) Jz^2.
 
     Total particle number is conserved by construction (the matrix acts
-    inside the fixed-N Dicke sector).
+    inside the fixed-N Dicke sector).  In the Dicke basis H is real and
+    tridiagonal: diagonal delta m + (E_c / 2) m^2, off-diagonal
+    -J_tun sqrt(J(J+1) - m(m+1)) / 2.
     """
-    ops = collective_ops(params.n_particles)
-    h = (
-        -params.tunneling * ops.jx
-        + params.imbalance * ops.jz
-        + 0.5 * params.charging_energy * np.diag(np.diag(ops.jz) ** 2)
+    n = params.n_particles
+    m, coupling = _dicke_ladder(n)
+    return TridiagonalHamiltonian(
+        params.imbalance * m + 0.5 * params.charging_energy * m**2,
+        -params.tunneling * (0.5 * coupling),
+        BasisTag("spin", n),
     )
-    return Observable(h, ops.basis_tag)
 
 
 @dataclass(frozen=True)
@@ -240,13 +273,13 @@ class SpectralResult:
         return float(self.energies[1] - self.energies[0])
 
 
-def ground_state(hamiltonian: Observable) -> SpectralResult:
-    """Diagonalize a Hermitian observable; energies ascend.
+def ground_state(hamiltonian: TridiagonalHamiltonian) -> SpectralResult:
+    """Diagonalize a tridiagonal Hamiltonian; energies ascend.
 
-    The ground state is flagged degenerate when the first gap is below
-    1e-10 of the spectral range.
+    The full spectrum is kept.  The ground state is flagged degenerate
+    when the first gap is below 1e-10 of the spectral range.
     """
-    energies, states = np.linalg.eigh(hamiltonian.matrix)
+    energies, states = _band_spectrum(hamiltonian.diagonal, hamiltonian.off_diagonal)
     if len(energies) < 2:
         degenerate = False
     else:

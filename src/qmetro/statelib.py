@@ -133,14 +133,13 @@ def _phase_normalized(amp: np.ndarray) -> np.ndarray:
     return amp * (a0.conjugate() / abs(a0))
 
 
-def _signed_power(base: float, exponent: int) -> tuple[float, float]:
-    """(sign, log|base^exponent|); handles base = 0 and negative bases."""
-    if exponent == 0:
-        return 1.0, 0.0
+def _signed_powers(base: float, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sign, log|base^k|) for each k; base^0 = 1 also for base = 0, whose
+    other powers have log -inf."""
+    sign = np.where((base < 0.0) & (exponents % 2 == 1), -1.0, 1.0)
     if base == 0.0:
-        return 0.0, -math.inf
-    sign = -1.0 if (base < 0.0 and exponent % 2 == 1) else 1.0
-    return sign, exponent * math.log(abs(base))
+        return sign, np.where(exponents == 0, 0.0, -math.inf)
+    return sign, exponents * math.log(abs(base))
 
 
 def css(n_particles: int, theta: float, phi: float) -> CollectiveSpinState:
@@ -149,24 +148,18 @@ def css(n_particles: int, theta: float, phi: float) -> CollectiveSpinState:
     Dicke amplitudes are binomial,
     c_m = sqrt(C(N, J+m)) cos^(J-m)(theta/2) sin^(J+m)(theta/2) e^(-i(J+m)phi),
     with the binomial square roots accumulated through log-gamma so that
-    N >= 170 does not overflow.
+    N >= 170 does not overflow.  A power of an exactly zero cos or sin
+    (theta = 0) gives an exactly zero amplitude.
     """
     n = int(n_particles)
     if n < 1:
         raise ValueError("n_particles must be >= 1")
     half = 0.5 * theta
-    c, s = math.cos(half), math.sin(half)
     k = np.arange(n + 1)  # k = J + m
     log_binom_sqrt = 0.5 * (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
-    amp = np.zeros(n + 1, dtype=complex)
-    for ki in range(n + 1):
-        sc, lc = _signed_power(c, n - ki)
-        ss, ls = _signed_power(s, ki)
-        sign = sc * ss
-        if sign == 0.0:
-            continue
-        mag = math.exp(log_binom_sqrt[ki] + lc + ls)
-        amp[ki] = sign * mag * np.exp(-1j * ki * phi)
+    sign_c, log_c = _signed_powers(math.cos(half), n - k)
+    sign_s, log_s = _signed_powers(math.sin(half), k)
+    amp = sign_c * sign_s * np.exp(log_binom_sqrt + log_c + log_s) * np.exp(-1j * k * phi)
     amp /= np.linalg.norm(amp)
     return CollectiveSpinState(n, _phase_normalized(amp))
 

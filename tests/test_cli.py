@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +220,59 @@ class TestRecords:
         row = read_csv(out)[0]
         ratio = float(row["mse"]) / float(row["crb_variance"])
         assert 1.0 <= ratio <= 1.3
+
+
+class TestLargeN:
+    """Large-N sweeps against the closed forms the benchmark checks."""
+
+    def test_ramsey_css_n400_sits_at_the_sql(self, tmp_path):
+        out = tmp_path / "css.csv"
+        args = ["run", "ramsey-css", "--n", "400", "--phi", "0.1pi:0.9pi:3"]
+        assert run_cli(args + ["--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 3
+        for row in rows:
+            assert float(row["classical_fisher"]) / 400 == pytest.approx(1.0, abs=1e-6)
+            assert float(row["qfi"]) / 400 == pytest.approx(1.0, abs=1e-6)
+            assert math.sqrt(400) * float(row["delta_theta_errorprop"]) == pytest.approx(
+                1.0, abs=1e-6
+            )
+
+    def test_oat_squeeze_n2000_is_squeezed(self, tmp_path):
+        out = tmp_path / "oat.csv"
+        args = ["run", "oat-squeeze", "--n", "2000", "--chi", "0.01", "--t", "0.1:1:2"]
+        assert run_cli(args + ["--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 2
+        for row in rows:
+            xi_s, xi_r = float(row["xi_s_sq"]), float(row["xi_r_sq"])
+            assert xi_s <= xi_r * (1 + 1e-12)
+            assert xi_r < 1.0
+
+    def test_bjj_ground_n2000_is_josephson(self, tmp_path):
+        out = tmp_path / "bjj.csv"
+        assert run_cli(["run", "bjj-ground", "--n", "2000", "--ec", "1", "--out", str(out)]) == 0
+        (row,) = read_csv(out)
+        assert row["regime"] == "josephson"
+        assert float(row["gap"]) > 0.0
+        assert row["ground_degenerate"] == "false"
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg is imported inside the functions that diagonalise, so
+    # the import time of the command line pays only for scipy.special
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, qmetro.cli; print('scipy.linalg' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 class TestOutputContracts:

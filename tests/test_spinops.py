@@ -11,12 +11,14 @@ from qmetro import (
     BasisTag,
     CollectiveSpinState,
     Observable,
+    apply,
     collective_ops,
     css,
     ghz,
     moments,
     rotate,
 )
+from qmetro.spinops import evolve
 
 # Pauli matrices written in the ascending-m ordering (|down>, |up>)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -136,6 +138,80 @@ class TestRotate:
         assert abs(np.linalg.norm(forward.amplitudes) - 1.0) <= 1e-12
         back = rotate(forward, axis, -angle)
         np.testing.assert_allclose(back.amplitudes, state.amplitudes, atol=1e-10)
+
+
+def wigner_small_d(n, beta):
+    """d^J_{m'm}(beta) = <J,m'|exp(-i beta Jy)|J,m> from Wigner's closed form
+    (Sakurai, Modern Quantum Mechanics, eq. 3.8.33), J = n/2; row J+m',
+    column J+m."""
+    f = math.factorial
+    c, s = math.cos(beta / 2), math.sin(beta / 2)
+    d = np.zeros((n + 1, n + 1))
+    for row in range(n + 1):  # J + m'
+        for col in range(n + 1):  # J + m
+            norm = math.sqrt(f(col) * f(n - col) * f(row) * f(n - row))
+            for k in range(max(0, col - row), min(col, n - row) + 1):
+                d[row, col] += (
+                    (-1) ** (k - col + row)
+                    * norm
+                    / (f(col - k) * f(k) * f(n - row - k) * f(k - col + row))
+                    * c ** (n - 2 * k + col - row)
+                    * s ** (2 * k - col + row)
+                )
+    return d
+
+
+def random_vector(n, seed):
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    return amp / np.linalg.norm(amp)
+
+
+unit_axes = st.one_of(
+    st.sampled_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]),
+    st.tuples(*[st.floats(min_value=-1, max_value=1)] * 3)
+    .filter(lambda a: np.linalg.norm(a) > 1e-3)
+    .map(lambda a: tuple(np.asarray(a) / np.linalg.norm(a))),
+)
+
+
+class TestBandedRotation:
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 11, 20])
+    @pytest.mark.parametrize("beta", [0.3, math.pi / 2, 2.9, -1.7, 5.0])
+    def test_y_rotation_is_wigner_small_d(self, n, beta):
+        got = np.column_stack(
+            [rotate(dicke(n, k), (0.0, 1.0, 0.0), beta).amplitudes for k in range(n + 1)]
+        )
+        np.testing.assert_allclose(got, wigner_small_d(n, beta), rtol=0, atol=1e-12)
+
+    @given(
+        n=st.integers(min_value=1, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        axis=unit_axes,
+        angle=st.floats(min_value=-4 * math.pi, max_value=4 * math.pi),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_propagator(self, n, seed, axis, angle):
+        vec = random_vector(n, seed)
+        dense = evolve(vec, collective_ops(n).along(axis), angle)
+        got = rotate(CollectiveSpinState(n, vec), axis, angle).amplitudes
+        np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 15])
+    def test_full_turn_is_minus_one_for_half_integer_spin(self, n):
+        state = css(n, 0.8, 0.3)
+        axis = np.array([0.36, -0.48, 0.8])
+        out = rotate(state, axis, 2 * math.pi).amplitudes
+        np.testing.assert_allclose(out, (-1) ** n * state.amplitudes, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    @pytest.mark.parametrize(
+        "axis", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.3, -1.2, 0.5)]
+    )
+    def test_apply_equals_dense_component(self, n, axis):
+        vec = random_vector(n, 5)
+        expected = collective_ops(n).along(axis) @ vec
+        np.testing.assert_allclose(apply(axis, vec), expected, rtol=0, atol=1e-13 * n)
 
 
 class TestMoments:

@@ -12,6 +12,7 @@ from qmetro import (
     OatParams,
     Observable,
     Regime,
+    TridiagonalHamiltonian,
     bjj_hamiltonian,
     classify_regime,
     collective_ops,
@@ -43,6 +44,26 @@ class TestSqueezingParameters:
         assert report.xi_r_sq == pytest.approx(1.0, abs=1e-10)
         assert report.xi_h_sq == pytest.approx(1.0, abs=1e-10)
         assert not report.mean_spin_degenerate
+
+    @pytest.mark.parametrize("n", [10, 1000, 2000])
+    def test_degeneracy_is_relative_to_the_spin_length(self, n):
+        # |J,0> has no mean spin in any frame; after a generic rotation the
+        # round-off left in <J> grows with N, but stays far below N/2
+        axis = np.array([0.36, -0.48, 0.8])
+        report = squeezing_parameters(rotate(dicke(n, n // 2), axis, 1.1))
+        assert report.mean_spin_degenerate
+        assert math.isinf(report.xi_r_sq) and math.isinf(report.xi_h_sq)
+        for theta, phi in [(0.0, 0.0), (1e-3, 0.2), (math.pi / 2, 0.0), (2.5, -1.0)]:
+            assert not squeezing_parameters(css(n, theta, phi)).mean_spin_degenerate
+
+    def test_mean_spin_far_below_its_length_counts_as_zero(self):
+        # |<J>| ~ 1e-9 = 1e-12 N/2 at N = 2000: above an absolute 1e-10,
+        # but no larger than round-off on a state of spin length N/2
+        n = 2000
+        amp = np.zeros(n + 1, dtype=complex)
+        amp[n // 2], amp[n // 2 + 1] = 1.0, 1e-12
+        report = squeezing_parameters(CollectiveSpinState(n, amp / np.linalg.norm(amp)))
+        assert report.mean_spin_degenerate
 
     def test_dicke_zero_projection_flags_infinite_ratio(self):
         n = 4
@@ -233,12 +254,58 @@ class TestBjjHamiltonian:
         )
 
 
+bjj_cases = [
+    BjjParams(1, tunneling=1.0),
+    BjjParams(2, tunneling=0.7, imbalance=0.3),
+    BjjParams(12, tunneling=0.9, imbalance=0.2, charging_energy=0.6),
+    BjjParams(25, tunneling=1.0, charging_energy=-0.5),
+    BjjParams(40, tunneling=0.2, imbalance=-0.1, charging_energy=3.0),
+    BjjParams(200, tunneling=1.0, charging_energy=1.0),
+    BjjParams(8, tunneling=0.0, charging_energy=-2.0),  # degenerate extremes
+    BjjParams(7, tunneling=0.0, charging_energy=2.0),  # degenerate doublet
+]
+
+
 class TestGroundState:
+    @pytest.mark.parametrize("params", bjj_cases)
+    def test_bands_match_dense_eigh(self, params):
+        h = bjj_hamiltonian(params)
+        spectrum = ground_state(h)
+        energies, states = np.linalg.eigh(h.matrix)
+        spectral_range = energies[-1] - energies[0]
+        np.testing.assert_allclose(
+            spectrum.energies, energies, rtol=0, atol=1e-12 * spectral_range
+        )
+        dense_degenerate = energies[1] - energies[0] <= 1e-10 * spectral_range
+        assert spectrum.ground_degenerate == dense_degenerate
+        if not dense_degenerate:
+            overlap = abs(np.vdot(states[:, 0], spectrum.states[:, 0]))
+            assert overlap == pytest.approx(1.0, abs=1e-12)
+
+    def test_hamiltonian_is_real_symmetric_tridiagonal(self):
+        h = bjj_hamiltonian(BjjParams(6, tunneling=0.9, imbalance=0.2, charging_energy=0.6))
+        ops = collective_ops(6)
+        dense = -0.9 * ops.jx + 0.2 * ops.jz + 0.3 * (ops.jz @ ops.jz)
+        assert h.matrix.dtype == float
+        np.testing.assert_allclose(h.matrix, dense, rtol=0, atol=1e-15)
+
+    def test_band_shapes_and_reality_enforced(self):
+        from qmetro import BasisTag
+
+        tag = BasisTag("spin", 2)
+        with pytest.raises(ValueError, match="do not match"):
+            TridiagonalHamiltonian(np.zeros(3), np.zeros(3), tag)
+        with pytest.raises(ValueError, match="real"):
+            TridiagonalHamiltonian(np.zeros(3, dtype=complex), np.zeros(2), tag)
+        h = TridiagonalHamiltonian(np.zeros(3), np.ones(2), tag)
+        with pytest.raises(ValueError):
+            h.diagonal[0] = 1.0
+
     def test_one_by_one(self):
         # a 1x1 Hamiltonian is its own decomposition
         from qmetro import BasisTag
 
-        h = Observable(np.array([[2.5 + 0j]]), BasisTag("fock", 0))
+        h = TridiagonalHamiltonian(np.array([2.5]), np.array([]), BasisTag("fock", 0))
         spectrum = ground_state(h)
         assert spectrum.energies[0] == pytest.approx(2.5)
         assert not spectrum.ground_degenerate

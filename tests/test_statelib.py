@@ -22,6 +22,33 @@ from qmetro import (
     rotate,
     twin_fock,
 )
+from qmetro.statelib import _phase_normalized
+
+
+def loop_css_amplitudes(n, theta, phi):
+    """The per-k loop css used before it was vectorised, kept as the oracle."""
+    from scipy.special import gammaln
+
+    def signed_power(base, exponent):
+        if exponent == 0:
+            return 1.0, 0.0
+        if base == 0.0:
+            return 0.0, -math.inf
+        sign = -1.0 if (base < 0.0 and exponent % 2 == 1) else 1.0
+        return sign, exponent * math.log(abs(base))
+
+    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    k = np.arange(n + 1)
+    log_binom_sqrt = 0.5 * (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
+    amp = np.zeros(n + 1, dtype=complex)
+    for ki in range(n + 1):
+        sc, lc = signed_power(c, n - ki)
+        ss, ls = signed_power(s, ki)
+        if sc * ss == 0.0:
+            continue
+        amp[ki] = sc * ss * math.exp(log_binom_sqrt[ki] + lc + ls) * np.exp(-1j * ki * phi)
+    amp /= np.linalg.norm(amp)
+    return _phase_normalized(amp)
 
 
 class TestCss:
@@ -78,6 +105,18 @@ class TestCss:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             css(0, 0.1, 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 170, 1000])
+    @pytest.mark.parametrize(
+        "theta,phi", [(0.0, 0.7), (math.pi, 0.0), (math.pi / 2, 0.0), (1.3, -2.1), (4.0, 0.4)]
+    )
+    def test_matches_the_per_k_loop(self, n, theta, phi):
+        # the same arithmetic elementwise: only numpy's exp and log may
+        # round differently from math's, by an ulp or two of each amplitude
+        expected = loop_css_amplitudes(n, theta, phi)
+        got = css(n, theta, phi).amplitudes
+        np.testing.assert_allclose(got, expected, rtol=8 * np.finfo(float).eps, atol=0)
+        assert np.array_equal(got == 0, expected == 0)  # exact zeros stay exact
 
 
 class TestGhz:
