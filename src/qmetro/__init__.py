@@ -4,8 +4,9 @@ precision bounds for collective-spin and two-mode bosonic probes.
 Covers state preparation (coherent spin, GHZ/NOON, twin Fock, entangled
 coherent), parameter-dependent evolution (Ramsey and Mach-Zehnder
 sequences, one-axis twisting, Bose-Josephson ground states), readout
-(population counting and mode parity, both diagonal: one outcome label
-per basis state), and precision figures (Fisher information, quantum
+(population counting and mode parity, both diagonal: one real value per
+basis state gives the outcome distribution and the mean and variance of
+the count), and precision figures (Fisher information, quantum
 Fisher information, Cramer-Rao bounds, error propagation,
 maximum-likelihood Monte Carlo).
 """
@@ -26,16 +27,15 @@ from .estimate import (
     projective_povm,
     qfi_from_family,
     qfi_generator,
+    readout_moments,
     run_monte_carlo,
 )
 from .interferom import (
     mz_single_particle,
     mz_single_particle_state,
     mz_two_mode,
-    number_operator,
     optimal_readout_rotation,
     parity_expectation,
-    parity_operator,
     parity_sector_povm,
     phase_sweep,
     ramsey,
@@ -117,15 +117,14 @@ __all__ = [
     "projective_povm",
     "qfi_from_family",
     "qfi_generator",
+    "readout_moments",
     "run_monte_carlo",
     # interferom
     "mz_single_particle",
     "mz_single_particle_state",
     "mz_two_mode",
-    "number_operator",
     "optimal_readout_rotation",
     "parity_expectation",
-    "parity_operator",
     "parity_sector_povm",
     "phase_sweep",
     "ramsey",

@@ -34,26 +34,21 @@ import numpy as np
 from . import __version__
 from .estimate import (
     DistributionFamily,
+    Readout,
     classical_fisher,
     cramer_rao,
-    error_propagation,
-    povm_family,
-    projective_povm,
-    qfi_from_family,
-    qfi_generator,
+    readout_moments,
     run_monte_carlo,
 )
 from .interferom import (
     _mode_numbers,
-    mz_single_particle,
     mz_single_particle_state,
     mz_two_mode,
-    parity_expectation,
     parity_sector_povm,
     phase_sweep,
     ramsey,
 )
-from .spinops import _jz_observable, rotate
+from .spinops import BasisTag, CollectiveSpinState, rotate
 from .squeeze import (
     BjjParams,
     OatParams,
@@ -267,82 +262,46 @@ def _min_summary(rows, column, swept="phi"):
     return f"min {column} = {best[column]:.6g} at {swept} = {best[swept]:.6g}"
 
 
-def _phase_cells(phi, fisher, qfi, delta, v) -> dict:
-    """The precision figures every phase sweep writes at one phase point."""
-    return {
-        "phi": float(phi),
-        "classical_fisher": fisher,
-        "qfi": qfi,
-        "crb": cramer_rao(fisher, v),
-        "qcrb": cramer_rao(qfi, v),
-        "delta_theta_errorprop": delta,
-    }
-
-
 def _squeezing_cells(report) -> dict:
     return {"xi_h_sq": report.xi_h_sq, "xi_s_sq": report.xi_s_sq, "xi_r_sq": report.xi_r_sq}
 
 
-def _unit_noise(signal):
-    """Standard deviation of a +-1 valued readout whose mean is signal(phi)."""
-
-    def noise(phi):
-        mean = signal(phi)
-        return math.sqrt(max(0.0, 1.0 - mean * mean))
-
-    return noise
-
-
-def _run_mz_single(cfg: SweepConfig):
-    prob_family = DistributionFamily(
-        outcome_labels=("a", "b"),
-        prob_at=lambda phi: np.array(mz_single_particle(phi)),
-    )
-
-    def signal(phi):
-        pa, pb = mz_single_particle(phi)
-        return pa - pb
-
-    noise = _unit_noise(signal)
-    rows = [
-        {
-            "n": 1,
-            **_phase_cells(
-                phi,
-                classical_fisher(prob_family, phi),
-                qfi_from_family(mz_single_particle_state, phi),
-                error_propagation(signal, noise, phi).value,
-                cfg.v or 1,
-            ),
-        }
-        for phi in cfg.phi_grid()
-    ]
-    return rows, _min_summary(rows, "delta_theta_errorprop")
-
-
-def _ramsey_rows(cfg: SweepConfig, probe, **extra) -> list[dict]:
-    """Rows of a Ramsey phase sweep with Jz readout on one probe state."""
-    n = probe.n_particles
-    v = cfg.v or 1
-    reports = phase_sweep(
-        lambda phi: ramsey(probe, phi),
-        projective_povm(probe.basis_tag),
-        _jz_observable(n),
-        cfg.phi_grid(),
-        repetitions=v,
-    )
+def _sweep_rows(cfg: SweepConfig, n: int, state_family, readout, **extra) -> list[dict]:
+    """Rows of one `phase_sweep` over the configured phase grid."""
+    reports = phase_sweep(state_family, readout, cfg.phi_grid(), repetitions=cfg.v or 1)
     return [
         {
             "n": n,
             **extra,
-            **_phase_cells(r.theta, r.classical_fisher, r.quantum_fisher, r.error_prop, v),
+            "phi": r.theta,
+            "classical_fisher": r.classical_fisher,
+            "qfi": r.quantum_fisher,
+            "crb": r.crb,
+            "qcrb": r.qcrb,
+            "delta_theta_errorprop": r.error_prop,
         }
         for r in reports
     ]
 
 
+def _run_mz_single(cfg: SweepConfig):
+    # one particle is the N = 1 spin; by the Schwinger map path b is m = -1/2,
+    # and the readout counts +1 in path a and -1 in path b
+    rows = _sweep_rows(
+        cfg,
+        1,
+        lambda phi: CollectiveSpinState(1, mz_single_particle_state(phi)[::-1]),
+        Readout(np.array([-1.0, 1.0]), BasisTag("spin", 1)),
+    )
+    return rows, _min_summary(rows, "delta_theta_errorprop")
+
+
 def _run_ramsey_css(cfg: SweepConfig):
-    rows = [row for n in cfg.n_list for row in _ramsey_rows(cfg, css(n, 0.0, 0.0))]
+    rows = []
+    for n in cfg.n_list:
+        probe = css(n, 0.0, 0.0)
+        jz = Readout(probe.m_values, probe.basis_tag)
+        rows += _sweep_rows(cfg, n, lambda phi: ramsey(probe, phi), jz)
     return rows, _min_summary(rows, "delta_theta_errorprop")
 
 
@@ -366,14 +325,18 @@ def _run_ramsey_sss(cfg: SweepConfig):
     for n in cfg.n_list:
         probe = _prepare_squeezed_probe(n, cfg.chi, t)
         squeezing = _squeezing_cells(squeezing_parameters(probe))
-        rows += _ramsey_rows(cfg, probe, chi=cfg.chi, t=t, **squeezing)
+        jz = Readout(probe.m_values, probe.basis_tag)
+        rows += _sweep_rows(
+            cfg, n, lambda phi: ramsey(probe, phi), jz, chi=cfg.chi, t=t, **squeezing
+        )
     return rows, _min_summary(rows, "delta_theta_errorprop")
 
 
 def _run_noon_qfi(cfg: SweepConfig):
     rows = []
     for n in cfg.n_list:
-        qfi = qfi_generator(ghz(n), _jz_observable(n))
+        probe = ghz(n)
+        qfi = 4.0 * readout_moments(probe, Readout(probe.m_values, probe.basis_tag))[1]
         rows.append({"n": n, "qfi": qfi, "qcrb": cramer_rao(qfi, cfg.v or 1)})
     return rows, _min_summary(rows, "qcrb", swept="n")
 
@@ -381,14 +344,10 @@ def _run_noon_qfi(cfg: SweepConfig):
 def _run_ecs_qfi(cfg: SweepConfig):
     rows = []
     for alpha in _parse_float_list(cfg.alpha):
+        # F_Q = 4 Var n_b under the phase e^{i phi n_b}, exact
         state = ecs(alpha)
-        n_b = _mode_numbers(state.cutoff, "b").reshape(-1)
-        base = state.vector
-
-        def family(phi):
-            return np.exp(1j * phi * n_b) * base
-
-        qfi = qfi_from_family(family, 0.0)
+        n_b = Readout(_mode_numbers(state.cutoff, "b").reshape(-1), state.basis_tag)
+        qfi = 4.0 * readout_moments(state, n_b)[1]
         rows.append({"alpha": float(alpha), "qfi": qfi, "qcrb": cramer_rao(qfi, cfg.v or 1)})
     return rows, _min_summary(rows, "qcrb", swept="alpha")
 
@@ -402,20 +361,10 @@ def _run_twinfock_parity(cfg: SweepConfig):
         def family(phi):
             return mz_two_mode(probe, phi)
 
-        def signal(phi):
-            return parity_expectation(family(phi), "b")
-
-        noise = _unit_noise(signal)
-        prob_family = povm_family(family, readout, labels=("even", "odd"))
-        for phi in cfg.phi_grid():
-            cells = _phase_cells(
-                phi,
-                classical_fisher(prob_family, phi),
-                qfi_from_family(family, phi),
-                error_propagation(signal, noise, phi).value,
-                cfg.v or 1,
-            )
-            rows.append({"n": n, "parity": signal(float(phi)), **cells})
+        rows += [
+            {**row, "parity": readout_moments(family(row["phi"]), readout)[0]}
+            for row in _sweep_rows(cfg, n, family, readout)
+        ]
     return rows, _min_summary(rows, "delta_theta_errorprop")
 
 

@@ -1,19 +1,20 @@
 """Parameter-estimation bounds: Fisher information, quantum Fisher
 information (both pure-state forms), Cramer-Rao bounds, error
-propagation, diagonal-readout probabilities, and a seeded
+propagation, diagonal readouts (outcome probabilities and the mean and
+variance of the value read out), and a seeded
 maximum-likelihood Monte-Carlo harness.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from ._search import grid_then_golden
-from .spinops import BasisTag, Observable, _readonly, moments
+from .spinops import BasisTag, Observable, _moments, _readonly, moments
 
 __all__ = [
     "InvalidDistributionError",
@@ -25,6 +26,7 @@ __all__ = [
     "ErrorPropagation",
     "classical_fisher",
     "povm_probabilities",
+    "readout_moments",
     "povm_family",
     "projective_povm",
     "qfi_generator",
@@ -92,28 +94,38 @@ class DistributionFamily:
 class Readout:
     """Diagonal measurement in the computational basis of a tagged space.
 
-    ``outcome[i]`` is the outcome that basis state i is counted as, so
-    P(k) = sum of |psi_i|^2 over the i with outcome[i] == k.  Population
-    counting and mode parity both have this form.  One label per basis
-    state makes the measurement complete and positive by construction.
+    ``value[i]`` is the real value the measurement reports on basis
+    state i: m for a Jz population count, (-1)^n_b for a mode parity.
+    The outcomes are the distinct values in ascending order
+    (``outcome_values``); ``outcome[i]`` is the index of basis state i's
+    outcome, so P(k) = sum of |psi_i|^2 over the i with outcome[i] == k,
+    and the mean and variance of the value are those of the diagonal
+    observable diag(value).  One value per basis state makes the
+    measurement complete and positive by construction.
     """
 
-    outcome: np.ndarray
+    value: np.ndarray
     basis_tag: BasisTag
+    outcome_values: np.ndarray = field(init=False, repr=False)
+    outcome: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        labels = np.array(self.outcome)
+        value = np.array(self.value)
         dim = self.basis_tag.dim
-        if labels.shape != (dim,):
-            raise ValueError(f"outcome labels have shape {labels.shape}, expected ({dim},)")
-        if not np.issubdtype(labels.dtype, np.integer):
-            raise ValueError(f"outcome labels must be integers, got {labels.dtype}")
-        if labels.min() < 0:
-            raise ValueError(f"negative outcome label {labels.min()}")
-        object.__setattr__(self, "outcome", _readonly(labels))
+        if value.shape != (dim,):
+            raise ValueError(f"readout values have shape {value.shape}, expected ({dim},)")
+        if not (np.issubdtype(value.dtype, np.integer) or np.issubdtype(value.dtype, np.floating)):
+            raise ValueError(f"readout values must be real numbers, got {value.dtype}")
+        value = value.astype(float)
+        if not np.all(np.isfinite(value)):
+            raise ValueError("readout values must be finite")
+        outcome_values, outcome = np.unique(value, return_inverse=True)
+        object.__setattr__(self, "value", _readonly(value))
+        object.__setattr__(self, "outcome_values", _readonly(outcome_values))
+        object.__setattr__(self, "outcome", _readonly(outcome))
 
     def __len__(self):
-        return int(self.outcome.max()) + 1
+        return self.outcome_values.size
 
 
 class ErrorPropagation(NamedTuple):
@@ -172,13 +184,18 @@ def classical_fisher(
     return float(np.sum(dp[keep] ** 2 / p[keep]))
 
 
-def povm_probabilities(state, readout: Readout) -> np.ndarray:
-    """Outcome probabilities of a diagonal readout on a pure state."""
+def _readout_vector(state, readout: Readout) -> np.ndarray:
     if state.basis_tag != readout.basis_tag:
         raise ValueError(
             f"basis mismatch: state {state.basis_tag}, readout {readout.basis_tag}"
         )
-    vec = np.asarray(state.vector, dtype=complex)
+    return np.asarray(state.vector, dtype=complex)
+
+
+def povm_probabilities(state, readout: Readout) -> np.ndarray:
+    """Outcome probabilities of a diagonal readout on a pure state, in the
+    order of ``readout.outcome_values``."""
+    vec = _readout_vector(state, readout)
     probs = np.bincount(
         readout.outcome, weights=vec.real**2 + vec.imag**2, minlength=len(readout)
     )
@@ -188,18 +205,24 @@ def povm_probabilities(state, readout: Readout) -> np.ndarray:
     return probs
 
 
-def povm_family(state_family, readout: Readout, labels=None) -> DistributionFamily:
+def readout_moments(state, readout: Readout) -> tuple[float, float]:
+    """Mean and variance of a readout's value on a pure state, with the
+    round-off guards of `moments`; no matrix is built."""
+    vec = _readout_vector(state, readout)
+    return _moments(vec, readout.value * vec)
+
+
+def povm_family(state_family, readout: Readout) -> DistributionFamily:
     """Distribution family theta -> readout outcome probabilities on psi(theta)."""
-    if labels is None:
-        labels = tuple(range(len(readout)))
     return DistributionFamily(
-        outcome_labels=tuple(labels),
+        outcome_labels=tuple(readout.outcome_values.tolist()),
         prob_at=lambda theta: povm_probabilities(state_family(theta), readout),
     )
 
 
 def projective_povm(basis_tag: BasisTag) -> Readout:
-    """Projective measurement in the computational basis of a tagged space."""
+    """Projective measurement in the computational basis of a tagged space;
+    the value of basis state i is i."""
     return Readout(np.arange(basis_tag.dim), basis_tag)
 
 

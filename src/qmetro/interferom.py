@@ -24,17 +24,16 @@ from .estimate import (
     error_propagation,
     povm_family,
     qfi_from_family,
+    readout_moments,
     Readout,
 )
 from .spinops import (
     BasisTag,
     CollectiveSpinState,
-    Observable,
-    _jz_observable,
+    _zero_spin,
     collective_ops,
     evolve,
     expectation_vector,
-    moments,
     rotate,
 )
 from .statelib import TwoModeFockState
@@ -46,9 +45,7 @@ __all__ = [
     "ramsey",
     "mz_two_mode",
     "parity_expectation",
-    "parity_operator",
     "parity_sector_povm",
-    "number_operator",
     "optimal_readout_rotation",
     "phase_sweep",
 ]
@@ -119,7 +116,7 @@ def ramsey(
 def _mean_spin_axis(state: CollectiveSpinState) -> np.ndarray:
     jvec = expectation_vector(state)
     norm = float(np.linalg.norm(jvec))
-    if norm <= 1e-10:
+    if norm <= _zero_spin(state.n_particles):
         raise ValueError("mean spin vanishes; readout rotation axis undefined")
     return jvec / norm
 
@@ -137,10 +134,10 @@ def optimal_readout_rotation(state: CollectiveSpinState) -> float:
     golden-section to width 1e-10.
     """
     axis = _mean_spin_axis(state)
-    jz_obs = _jz_observable(state.n_particles)
+    jz = Readout(state.m_values, state.basis_tag)
 
     def readout_variance(angle):
-        return moments(rotate(state, axis, angle), jz_obs)[1]
+        return readout_moments(rotate(state, axis, angle), jz)[1]
 
     return grid_then_golden(readout_variance, 0.0, math.pi, n_grid=64, tol=1e-10)
 
@@ -184,33 +181,19 @@ def _mode_numbers(cutoff: int, mode: str) -> np.ndarray:
     raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
 
 
-def parity_operator(mode: str, cutoff: int) -> Observable:
-    """exp(i pi n_mode) as a diagonal observable with eigenvalues +-1."""
-    diag = (-1.0) ** _mode_numbers(cutoff, mode).reshape(-1)
-    return Observable(np.diag(diag), BasisTag("fock", cutoff))
-
-
-def number_operator(mode: str, cutoff: int) -> Observable:
-    """Occupation number of one mode as a diagonal observable."""
-    diag = _mode_numbers(cutoff, mode).reshape(-1).astype(float)
-    return Observable(np.diag(diag), BasisTag("fock", cutoff))
+def parity_sector_povm(mode: str, cutoff: int) -> Readout:
+    """Parity readout of one mode, value (-1)^n_mode: outcomes odd (-1), even (+1)."""
+    return Readout((-1.0) ** _mode_numbers(cutoff, mode).reshape(-1), BasisTag("fock", cutoff))
 
 
 def parity_expectation(state: TwoModeFockState, mode: str) -> float:
-    """<exp(i pi n_mode)> = sum over occupations of (-1)^n_mode |c|^2."""
-    signs = (-1.0) ** _mode_numbers(state.cutoff, mode)
-    return float(np.sum(signs * np.abs(state.amplitudes) ** 2))
-
-
-def parity_sector_povm(mode: str, cutoff: int) -> Readout:
-    """Two-outcome readout of a mode's parity: outcome 0 even, 1 odd."""
-    return Readout(_mode_numbers(cutoff, mode).reshape(-1) % 2, BasisTag("fock", cutoff))
+    """<exp(i pi n_mode)>, the mean of the mode's parity readout."""
+    return readout_moments(state, parity_sector_povm(mode, state.cutoff))[0]
 
 
 def phase_sweep(
     state_family,
     readout: Readout,
-    observable: Observable,
     phi_grid,
     repetitions: int = 1,
 ) -> list[PrecisionReport]:
@@ -218,9 +201,10 @@ def phase_sweep(
 
     For each grid point: classical Fisher information of the outcome
     distribution of the diagonal ``readout``, quantum Fisher information
-    of the state family, the error-propagation uncertainty of
-    ``observable``, and the (quantum) Cramer-Rao bounds at ``repetitions``.
-    Reports are returned in grid order.
+    of the state family, the error-propagation uncertainty of the value
+    the readout reports (signal and noise from `readout_moments`), and
+    the (quantum) Cramer-Rao bounds at ``repetitions``.  Reports are
+    returned in grid order.
     """
     grid = np.atleast_1d(np.asarray(phi_grid, dtype=float))
     if grid.size == 0:
@@ -228,10 +212,10 @@ def phase_sweep(
     family = povm_family(state_family, readout)
 
     def signal(theta):
-        return moments(state_family(theta), observable)[0]
+        return readout_moments(state_family(theta), readout)[0]
 
     def noise(theta):
-        return math.sqrt(moments(state_family(theta), observable)[1])
+        return math.sqrt(readout_moments(state_family(theta), readout)[1])
 
     reports = []
     for phi in grid:

@@ -32,6 +32,9 @@ HERMITICITY_TOL = 1e-14
 AXIS_TOL = 1e-10
 VARIANCE_CLAMP = 1e-12
 IMAG_TOL = 1e-12
+# a mean spin counts as zero when |<J>| <= MEAN_SPIN_EPS * max(1, N/2),
+# relative to its largest possible length N/2
+MEAN_SPIN_EPS = 1e-10
 
 
 def _readonly(a):
@@ -160,12 +163,6 @@ def _dicke_ladder(n: int) -> tuple[np.ndarray, np.ndarray]:
     j = n / 2.0
     m = np.arange(-j, j + 1)
     return m, np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1))
-
-
-def _jz_observable(n: int) -> Observable:
-    """Jz of N particles, built from its diagonal."""
-    m, _ = _dicke_ladder(n)
-    return Observable(np.diag(m), BasisTag("spin", n))
 
 
 def collective_ops(n_particles: int) -> CollectiveSpinOperators:
@@ -330,6 +327,11 @@ def _moments(vec: np.ndarray, applied: np.ndarray) -> tuple[float, float]:
             raise ValueError(f"variance {variance!r} negative beyond round-off")
         variance = 0.0
     return mean, variance
+
+
+def _zero_spin(n_particles: int) -> float:
+    """The length at or below which a mean spin of N particles counts as zero."""
+    return MEAN_SPIN_EPS * max(1.0, n_particles / 2.0)
 
 
 def expectation_vector(state: CollectiveSpinState) -> np.ndarray:

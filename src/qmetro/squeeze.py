@@ -28,6 +28,7 @@ from .spinops import (
     _dicke_ladder,
     _moments,
     _readonly,
+    _zero_spin,
     apply,
     expectation_vector,
 )
@@ -46,9 +47,6 @@ __all__ = [
     "classify_regime",
 ]
 
-# a mean spin counts as zero when |<J>| <= MEAN_SPIN_EPS * max(1, N/2),
-# relative to its largest possible length N/2
-MEAN_SPIN_EPS = 1e-10
 DEGENERACY_REL_TOL = 1e-10
 
 
@@ -139,7 +137,7 @@ def squeezing_parameters(
     vec = state.amplitudes
     jvec = expectation_vector(state)
     jnorm = float(np.linalg.norm(jvec))
-    zero_spin = MEAN_SPIN_EPS * max(1.0, n / 2.0)
+    zero_spin = _zero_spin(n)
     degenerate = jnorm <= zero_spin
     msd = np.array([0.0, 0.0, 1.0]) if degenerate else jvec / jnorm
 

@@ -129,6 +129,18 @@ class TestRecords:
         deltas = [float(r["delta_theta_errorprop"]) for r in read_csv(out)]
         assert min(deltas) == pytest.approx(0.1, abs=1e-9)
 
+    def test_mz_single_sits_at_unit_fisher(self, tmp_path):
+        # one particle: F = F_Q = 1 and error propagation 1 at every interior phase
+        out = tmp_path / "mz.csv"
+        assert run_cli(["run", "mz-single", "--phi", "0.3:2.8:4", "--v", "4", "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 4
+        for row in rows:
+            assert row["n"] == "1"
+            for column in ("classical_fisher", "qfi", "delta_theta_errorprop"):
+                assert float(row[column]) == pytest.approx(1.0, abs=1e-8)
+            assert float(row["crb"]) == pytest.approx(0.5, abs=1e-8)
+
     def test_twinfock_parity_at_zero(self, tmp_path):
         out = tmp_path / "tf.csv"
         code = run_cli(
@@ -282,6 +294,8 @@ class TestOutputContracts:
             ["run", "noon-qfi", "--n", "2,5"],
             ["run", "monte-carlo", "--seed", "3"],
             ["run", "twinfock-parity", "--n", "2", "--phi", "0:pi/2:5"],
+            ["run", "mz-single", "--phi", "0:pi:7", "--v", "3"],
+            ["run", "ramsey-css", "--n", "2,10", "--phi", "0.1pi:0.9pi:5"],
         ],
     )
     def test_byte_identical_reruns(self, tmp_path, args):
@@ -391,9 +405,12 @@ class TestUnusedFlags:
         assert json.loads(out.read_text())[0]["v"] == 100
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def _readme_experiment_table():
     """(name, flags, columns) per row of the README's experiment table."""
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    text = README.read_text()
     section = text.split("### Experiments, flags and record columns", 1)[1]
     rows = []
     for line in section.splitlines():
@@ -413,3 +430,11 @@ def test_readme_table_matches_experiments():
         (name, set(entry.keys), entry.columns) for name, entry in EXPERIMENTS.items()
     ]
     assert _readme_experiment_table() == expected
+
+
+def test_readme_quick_start_prints_sql_and_heisenberg_limit(capsys):
+    section = README.read_text().split("## Quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md quick start", "exec"), {})
+    printed = [float(line.split()[0]) for line in capsys.readouterr().out.splitlines()]
+    assert printed == [pytest.approx(0.1, abs=1e-9), pytest.approx(0.01, abs=1e-9)]

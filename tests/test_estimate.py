@@ -30,6 +30,7 @@ from qmetro import (
     qfi_from_family,
     qfi_generator,
     ramsey,
+    readout_moments,
     rotate,
     run_monte_carlo,
     twin_fock,
@@ -132,13 +133,13 @@ class TestClassicalFisher:
             assert classical_fisher(fine, phi) >= classical_fisher(coarse, phi) - 1e-9
 
 
-def dense_readout_probabilities(vec, outcome):
-    """<psi| diag(outcome == k) |psi> for each outcome k: the dense POVM form,
-    kept as the reference for the outcome-label readout."""
+def dense_readout_probabilities(vec, value):
+    """<psi| diag(value == v) |psi> for each distinct value v, ascending: the
+    dense POVM form, kept as the reference for the readout."""
     vec = np.asarray(vec, dtype=complex)
     probs = []
-    for k in range(int(outcome.max()) + 1):
-        element = np.diag((outcome == k).astype(complex))
+    for v in np.unique(value):
+        element = np.diag((value == v).astype(complex))
         probs.append(np.vdot(vec, element @ vec).real)
     return np.array(probs)
 
@@ -160,8 +161,8 @@ class TestPovm:
     def test_parity_sectors_on_twin_fock_at_zero_phase(self):
         state = mz_two_mode(twin_fock(1), 0.0)
         povm = parity_sector_povm("b", state.cutoff)
-        probs = povm_probabilities(state, povm)
-        np.testing.assert_allclose(probs, [1.0, 0.0], atol=1e-12)
+        probs = povm_probabilities(state, povm)  # outcomes (odd, even)
+        np.testing.assert_allclose(probs, [0.0, 1.0], atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 5, 14])
     def test_parity_sector_contrast_is_parity_expectation(self, n):
@@ -169,7 +170,7 @@ class TestPovm:
         readout = parity_sector_povm("b", probe.cutoff)
         for phi in (0.0, 0.013, 0.4, 1.1, 2.9):
             state = mz_two_mode(probe, phi)
-            even, odd = povm_probabilities(state, readout)
+            odd, even = povm_probabilities(state, readout)
             assert even - odd == pytest.approx(parity_expectation(state, "b"), abs=1e-14)
 
     @given(
@@ -191,12 +192,14 @@ class TestPovm:
             state = CollectiveSpinState(size, vec)
         else:
             state = TwoModeFockState(size, vec.reshape(size + 1, size + 1))
-        readout = Readout(rng.integers(0, outcomes, size=tag.dim), tag)
+        # real values, negative ones included, drawn from `outcomes` distinct ones
+        value = rng.normal(size=outcomes)[rng.integers(0, outcomes, size=tag.dim)]
+        readout = Readout(value, tag)
         # both sides sum dim non-negative terms of total 1, in different
         # orders: each sum is within (dim - 1) eps of exact, each term within eps
         np.testing.assert_allclose(
             povm_probabilities(state, readout),
-            dense_readout_probabilities(state.vector, readout.outcome),
+            dense_readout_probabilities(state.vector, value),
             rtol=0,
             atol=2 * tag.dim * np.finfo(float).eps,
         )
@@ -207,14 +210,34 @@ class TestPovm:
         with pytest.raises(ValueError, match="shape"):
             Readout(np.zeros((2, 2), dtype=int), BasisTag("fock", 1))
 
-    def test_negative_label_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            Readout(np.array([0, -1]), BasisTag("spin", 1))
+    def test_outcomes_ascend_in_value_order(self):
+        readout = Readout(np.array([1.5, -1.0, 0.0, -1.0]), BasisTag("spin", 3))
+        np.testing.assert_array_equal(readout.outcome_values, [-1.0, 0.0, 1.5])
+        assert readout.outcome.tolist() == [2, 0, 1, 0]
+        assert len(readout) == 3
+        # Jz's values are its m, negative ones first
+        jz = Readout(css(4, 0.3, 0.0).m_values, BasisTag("spin", 4))
+        np.testing.assert_array_equal(jz.outcome_values, [-2.0, -1.0, 0.0, 1.0, 2.0])
+        assert jz.outcome.tolist() == [0, 1, 2, 3, 4]
 
-    def test_non_integer_labels_rejected(self):
-        for labels in (np.array([0.0, 1.0]), np.array([True, False]), np.array([0, 1j])):
-            with pytest.raises(ValueError, match="integers"):
-                Readout(labels, BasisTag("spin", 1))
+    def test_non_real_values_rejected(self):
+        for value in (np.array([0, 1j]), np.array([1.0 + 0j, 0.0]), np.array(["0", "1"])):
+            with pytest.raises(ValueError, match="real"):
+                Readout(value, BasisTag("spin", 1))
+
+    def test_non_finite_values_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                Readout(np.array([0.0, bad]), BasisTag("spin", 1))
+
+    def test_values_read_only(self):
+        value = np.array([0.5, -0.5, 0.5])
+        readout = Readout(value, BasisTag("spin", 2))
+        value[0] = 2.0
+        assert readout.value.tolist() == [0.5, -0.5, 0.5]
+        for array in (readout.value, readout.outcome_values, readout.outcome):
+            with pytest.raises(ValueError):
+                array[0] = 0
 
     def test_outcome_labels_read_only(self):
         labels = np.array([1, 0, 1])
@@ -228,6 +251,14 @@ class TestPovm:
         povm = projective_povm(BasisTag("spin", 2))
         with pytest.raises(ValueError, match="basis"):
             povm_probabilities(css(3, 0.2, 0.0), povm)
+        with pytest.raises(ValueError, match="basis"):
+            readout_moments(css(3, 0.2, 0.0), povm)
+
+    @pytest.mark.parametrize("n", [1, 4, 30])
+    def test_readout_moments_match_dense_moments(self, n):
+        state = rotate(css(n, 0.9, 0.4), (0.6, 0.0, 0.8), 0.7)
+        readout = Readout(state.m_values, state.basis_tag)
+        assert readout_moments(state, readout) == moments(state, spin_obs(n))
 
 
 class TestQfi:

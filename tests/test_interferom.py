@@ -7,6 +7,7 @@ from conftest import legendre
 from qmetro import (
     DistributionFamily,
     CollectiveSpinState,
+    Readout,
     TwoModeFockState,
     classical_fisher,
     collective_ops,
@@ -16,15 +17,16 @@ from qmetro import (
     moments,
     mz_single_particle,
     mz_two_mode,
-    number_operator,
     oat_evolve,
     OatParams,
     Observable,
     optimal_readout_rotation,
     parity_expectation,
-    parity_operator,
+    parity_sector_povm,
     phase_sweep,
+    povm_family,
     projective_povm,
+    qfi_from_family,
     ramsey,
     ramsey_single_particle,
     rotate,
@@ -36,6 +38,18 @@ from qmetro.spinops import evolve
 def jz_obs(n):
     ops = collective_ops(n)
     return Observable(ops.jz, ops.basis_tag)
+
+
+def jz_readout(state):
+    return Readout(state.m_values, state.basis_tag)
+
+
+def grid_parity(state, mode):
+    """(-1)^n_mode |c|^2 summed over the Fock grid: the oracle for the
+    parity readout's mean."""
+    n = np.arange(state.cutoff + 1)
+    occupation = n[:, None] if mode == "a" else n[None, :]
+    return float(np.sum((-1.0) ** occupation * np.abs(state.amplitudes) ** 2))
 
 
 def dense_unitary(generator, angle):
@@ -243,15 +257,25 @@ class TestParity:
             got = parity_expectation(mz_two_mode(probe, phi), "b")
             assert got == pytest.approx(legendre(n, math.cos(2 * phi)), abs=1e-8)
 
-    def test_parity_operator_eigenvalues(self):
-        obs = parity_operator("b", 3)
-        values = np.unique(np.real(np.diag(obs.matrix)))
-        np.testing.assert_array_equal(values, [-1.0, 1.0])
+    def test_parity_readout_outcomes(self):
+        readout = parity_sector_povm("b", 3)
+        np.testing.assert_array_equal(readout.outcome_values, [-1.0, 1.0])
 
     def test_parity_expectation_matches_operator(self):
         state = mz_two_mode(twin_fock(2), 0.9)
-        mean, _ = moments(state, parity_operator("b", state.cutoff))
+        dense = Observable(np.diag(parity_sector_povm("b", state.cutoff).value), state.basis_tag)
+        mean, _ = moments(state, dense)
         assert parity_expectation(state, "b") == pytest.approx(mean, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 14])
+    @pytest.mark.parametrize("mode", ["a", "b"])
+    def test_parity_expectation_matches_grid_sum(self, n, mode):
+        probe = twin_fock(n)
+        for phi in (0.0, 0.013, 0.4, 1.1, 2.9):
+            state = mz_two_mode(probe, phi)
+            assert parity_expectation(state, mode) == pytest.approx(
+                grid_parity(state, mode), abs=1e-15
+            )
 
     def test_error_propagation_near_zero_phase_hits_quantum_bound(self):
         # the parity readout saturates 1/sqrt(F_Q) = 1/sqrt(2N(N+1)) as phi -> 0
@@ -271,14 +295,15 @@ class TestParity:
 
 
 class TestModeOperators:
-    def test_number_operator_diagonal(self):
-        obs = number_operator("b", 2)
-        diag = np.real(np.diag(obs.matrix)).reshape(3, 3)
-        np.testing.assert_array_equal(diag, np.tile([0, 1, 2], (3, 1)))
+    def test_parity_readout_values(self):
+        values = parity_sector_povm("b", 2).value.reshape(3, 3)
+        np.testing.assert_array_equal(values, np.tile([1.0, -1.0, 1.0], (3, 1)))
+        values = parity_sector_povm("a", 2).value.reshape(3, 3)
+        np.testing.assert_array_equal(values, np.tile([1.0, -1.0, 1.0], (3, 1)).T)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
-            number_operator("c", 2)
+            parity_sector_povm("c", 2)
 
 
 class TestReadoutRotation:
@@ -301,6 +326,21 @@ class TestReadoutRotation:
         with pytest.raises(ValueError, match="mean spin"):
             optimal_readout_rotation(ghz(4))
 
+    def test_round_off_mean_spin_rejected(self):
+        # |J,0> + 1e-12 |J,1> at N = 2000: |<J>| = 1.0e-9, below the zero
+        # rule 1e-10 * N/2 that squeezing_parameters applies too
+        from qmetro import squeezing_parameters
+
+        n = 2000
+        amp = np.zeros(n + 1, dtype=complex)
+        amp[n // 2] = 1.0
+        amp[n // 2 + 1] = 1e-12
+        state = CollectiveSpinState(n, amp)
+        assert np.linalg.norm(expectation_vector(state)) == pytest.approx(1.0e-9, rel=1e-3)
+        assert squeezing_parameters(state).mean_spin_degenerate
+        with pytest.raises(ValueError, match="mean spin"):
+            optimal_readout_rotation(state)
+
 
 class TestPhaseSweep:
     def test_css_probe_reaches_sql_at_best_point(self):
@@ -309,8 +349,7 @@ class TestPhaseSweep:
         grid = np.linspace(0.1 * math.pi, 0.9 * math.pi, 9)
         reports = phase_sweep(
             lambda phi: ramsey(initial, phi),
-            projective_povm(initial.basis_tag),
-            jz_obs(n),
+            jz_readout(initial),
             grid,
         )
         best = min(r.error_prop for r in reports)
@@ -322,8 +361,7 @@ class TestPhaseSweep:
         initial = css(n, 0.0, 0.0)
         reports = phase_sweep(
             lambda phi: ramsey(initial, phi),
-            projective_povm(initial.basis_tag),
-            jz_obs(n),
+            jz_readout(initial),
             [0.8],
             repetitions=4,
         )
@@ -339,8 +377,7 @@ class TestPhaseSweep:
         with pytest.raises(ValueError, match="non-empty|empty"):
             phase_sweep(
                 lambda phi: ramsey(initial, phi),
-                projective_povm(initial.basis_tag),
-                jz_obs(n),
+                jz_readout(initial),
                 [],
             )
 
@@ -349,8 +386,7 @@ class TestPhaseSweep:
         initial = css(n, 0.0, 0.0)
         reports = phase_sweep(
             lambda phi: ramsey(initial, phi),
-            projective_povm(initial.basis_tag),
-            jz_obs(n),
+            jz_readout(initial),
             [0.7, 1.6],
         )
         for r in reports:
@@ -373,12 +409,36 @@ class TestPhaseSweep:
         def family(phi):
             return CollectiveSpinState(n, evolve(probe.amplitudes, jz.matrix, phi))
 
-        reports = phase_sweep(
-            family, projective_povm(probe.basis_tag), jz, [0.4, 1.1]
-        )
+        reports = phase_sweep(family, jz_readout(probe), [0.4, 1.1])
         for r in reports:
             assert r.qcrb == pytest.approx(1.0 / n, abs=1e-8)
             # the readout is phase-insensitive: only round-off dust remains
             assert r.classical_fisher == pytest.approx(0.0, abs=1e-10)
             assert r.crb > 1e8
             assert r.error_prop > 1e8
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 100])
+    def test_jz_readout_matches_dense_oracle_bit_for_bit(self, n):
+        # the sweep as it ran on a dense Jz Observable: the same figures,
+        # bit for bit, from the readout's values
+        initial = css(n, 0.0, 0.0)
+        jz = jz_obs(n)
+
+        def family(phi):
+            return ramsey(initial, phi)
+
+        def signal(phi):
+            return moments(family(phi), jz)[0]
+
+        def noise(phi):
+            return math.sqrt(moments(family(phi), jz)[1])
+
+        grid = [0.3, 1.2, math.pi / 2, 2.8]
+        reports = phase_sweep(family, jz_readout(initial), grid, repetitions=3)
+        probabilities = povm_family(family, projective_povm(initial.basis_tag))
+        for phi, r in zip(grid, reports):
+            fisher = classical_fisher(probabilities, phi)
+            prop = error_propagation(signal, noise, phi)
+            assert r.classical_fisher == fisher
+            assert r.quantum_fisher == qfi_from_family(family, phi)
+            assert (r.error_prop, r.stationary) == (prop.value, prop.stationary)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmetro import (
+    BasisTag,
     EcsParams,
     Observable,
     TruncationError,
@@ -18,11 +19,17 @@ from qmetro import (
     expectation_vector,
     ghz,
     moments,
-    number_operator,
     rotate,
     twin_fock,
 )
 from qmetro.statelib import _phase_normalized
+
+
+def mode_numbers(cutoff, sign):
+    """n_a + sign * n_b on the Fock grid, as a dense diagonal observable."""
+    n = np.arange(cutoff + 1)
+    diag = (n[:, None] + sign * n[None, :]).reshape(-1).astype(float)
+    return Observable(np.diag(diag), BasisTag("fock", cutoff))
 
 
 def loop_css_amplitudes(n, theta, phi):
@@ -154,23 +161,13 @@ class TestTwinFock:
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_total_number(self, n):
         state = twin_fock(n)
-        total = Observable(
-            number_operator("a", state.cutoff).matrix
-            + number_operator("b", state.cutoff).matrix,
-            state.basis_tag,
-        )
-        mean, var = moments(state, total)
+        mean, var = moments(state, mode_numbers(state.cutoff, +1))
         assert mean == pytest.approx(2 * n, abs=1e-12)
         assert var == pytest.approx(0.0, abs=1e-12)
 
     def test_number_difference_variance_zero(self):
         state = twin_fock(4)
-        diff = Observable(
-            number_operator("a", state.cutoff).matrix
-            - number_operator("b", state.cutoff).matrix,
-            state.basis_tag,
-        )
-        _, var = moments(state, diff)
+        _, var = moments(state, mode_numbers(state.cutoff, -1))
         assert var == pytest.approx(0.0, abs=1e-12)
 
     def test_cutoff_must_hold_mz_output(self):
@@ -189,12 +186,7 @@ class TestEcs:
     def test_mean_total_number(self, alpha):
         state = ecs(alpha)
         params = EcsParams.from_alpha(alpha)
-        total = Observable(
-            number_operator("a", state.cutoff).matrix
-            + number_operator("b", state.cutoff).matrix,
-            state.basis_tag,
-        )
-        mean, _ = moments(state, total)
+        mean, _ = moments(state, mode_numbers(state.cutoff, +1))
         assert mean == pytest.approx(params.mean_total_number, abs=1e-10)
 
     def test_alpha_one_amplitudes(self):
