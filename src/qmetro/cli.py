@@ -12,8 +12,8 @@ except --out, --format and --config, which every experiment accepts.
 Grids use the syntax start:stop:count where endpoints may be pi
 expressions ("pi", "pi/2", "2pi", "0.25pi").  Output is byte
 deterministic for identical configurations (including the Monte-Carlo
-seed); the environment variable QMETRO_OUT_DIR prefixes relative
-output paths.
+seed) at a fixed BLAS thread count; the environment variable
+QMETRO_OUT_DIR prefixes relative output paths.
 
 Exit codes: 0 success, 2 configuration error, 3 computation error.
 """

@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ._search import grid_then_golden
+from ._search import grid_then_golden_many
 from .spinops import BasisTag, Observable, _moments, _readonly, moments
 
 __all__ = [
@@ -41,6 +41,7 @@ PROB_STEP = 1e-5   # central-difference step for probability families
 STATE_STEP = 1e-4  # central-difference step for state families
 PSD_TOL = 1e-10
 MLE_GRID = 512  # grid points of the maximum-likelihood search
+LIKELIHOOD_BLOCK = 1 << 13  # most float terms summed in one likelihood block (64 kB)
 
 
 class InvalidDistributionError(ValueError):
@@ -73,21 +74,38 @@ class DistributionFamily:
     derivative: Optional[Callable[[float], np.ndarray]] = None
 
     def probabilities(self, theta: float) -> np.ndarray:
+        return self._validated(self._evaluate(theta), theta)
+
+    def _probability_table(self, thetas) -> np.ndarray:
+        """The validated probabilities at every theta in thetas as one
+        (M, K) table: ``prob_at`` is called once per theta, with theta as
+        given, and the rows are checked together."""
+        return self._validated(np.array([self._evaluate(t) for t in thetas]), thetas)
+
+    def _evaluate(self, theta) -> np.ndarray:
         p = np.asarray(self.prob_at(theta), dtype=float)
         if p.shape != (len(self.outcome_labels),):
             raise InvalidDistributionError(
                 f"expected {len(self.outcome_labels)} probabilities, got {p.shape}"
             )
-        if p.min() < -PSD_TOL:
-            raise InvalidDistributionError(
-                f"negative probability {p.min()!r} at theta={theta}"
-            )
-        total = float(p.sum())
-        if abs(total - 1.0) > 1e-10:
-            raise InvalidDistributionError(
-                f"probabilities sum to {total!r} at theta={theta}"
-            )
-        return np.clip(p, 0.0, None)
+        return p
+
+    @staticmethod
+    def _validated(p: np.ndarray, at) -> np.ndarray:
+        """p clipped at 0 after the checks of each row: no entry below
+        -PSD_TOL and a sum within 1e-10 of 1.  p is one row at theta
+        ``at`` or an (M, K) table at the M thetas ``at``; an error names
+        the first bad row."""
+        low, total = p.min(axis=-1), p.sum(axis=-1)
+        bad = (low < -PSD_TOL) | (abs(total - 1.0) > 1e-10)
+        if bad.any():
+            if p.ndim == 2:
+                m = int(np.argmax(bad))
+                low, total, at = low[m], total[m], at[m]
+            if low < -PSD_TOL:
+                raise InvalidDistributionError(f"negative probability {low!r} at theta={at}")
+            raise InvalidDistributionError(f"probabilities sum to {float(total)!r} at theta={at}")
+        return p.clip(0.0)
 
 
 @dataclass(frozen=True)
@@ -162,9 +180,7 @@ class MonteCarloRun:
     mse: float
 
     def __post_init__(self):
-        est = np.asarray(self.estimates, dtype=float)
-        est.setflags(write=False)
-        object.__setattr__(self, "estimates", est)
+        object.__setattr__(self, "estimates", _readonly(np.asarray(self.estimates, dtype=float)))
 
 
 def classical_fisher(
@@ -298,6 +314,43 @@ def _log_likelihood(family: DistributionFamily, counts: np.ndarray, theta: float
     return float(np.sum(counts[active] * np.log(p[active])))
 
 
+def _observed_patterns(counts):
+    """The distinct patterns of observed outcomes (n_i > 0) among the rows
+    of a count table, as boolean rows, and the index of each row's
+    pattern."""
+    patterns, pattern = np.unique(counts > 0, axis=0, return_inverse=True)
+    return patterns, pattern.reshape(-1)  # numpy 2.0.0 returns a column
+
+
+def _minus_log_likelihoods(counts, log_p, patterns, pattern) -> np.ndarray:
+    """-sum_i n_i ln P_i of each trial at each of M points, bit for bit as
+    `_log_likelihood` sums it.
+
+    ``counts`` is (R, K), one row of outcome counts per trial; ``log_p``
+    is (R, M, K), trial r's ln P at its own M points, or (1, M, K), one
+    table shared by every trial; ``patterns[pattern[r]]`` marks the
+    outcomes trial r observed.  Returns (R, M).  Only observed outcomes
+    enter a sum, as one C-ordered row: numpy sums each row of such a
+    table as it sums a 1-D array (pairwise above 8 terms), so the trials
+    are taken one observed pattern at a time and no zero count is padded
+    in.  An observed outcome with P = 0 has ln P = -inf, so the value is
+    +inf, as in `_log_likelihood`.
+    """
+    values = np.empty((counts.shape[0], log_p.shape[1]))
+    for g in np.unique(pattern):
+        observed = patterns[g]
+        rows = np.flatnonzero(pattern == g)
+        terms_per_row = log_p.shape[1] * np.count_nonzero(observed)
+        blocks = np.clip(rows.size * terms_per_row // LIKELIHOOD_BLOCK, 1, rows.size)
+        for block in np.array_split(rows, blocks):
+            lp = log_p[:, :, observed] if log_p.shape[0] == 1 else log_p[block][:, :, observed]
+            # order="C": a boolean index on the last axis comes out F-ordered,
+            # and numpy would then sum across the rows instead of along each
+            terms = np.multiply(counts[block][:, None, observed], lp, order="C")
+            values[block] = -np.sum(terms, axis=2)
+    return values
+
+
 def run_monte_carlo(
     family: DistributionFamily,
     theta_true: float,
@@ -312,13 +365,15 @@ def run_monte_carlo(
     maximizes the log-likelihood over ``search_interval`` by a 512-point
     grid followed by golden-section refinement to width 1e-10.  The grid
     does not depend on the trial: the family is evaluated (and validated)
-    once per grid point per run, and each trial's grid log-likelihoods
-    are sum_i n_i ln P_i from that one log-probability table, with the
-    same float operations as a per-point evaluation, so the estimates
-    are bit-identical to evaluating the likelihood afresh at every grid
-    point.  Only the golden-section refinement calls the family per
-    trial.  Trial streams are derived from (seed, trial index), so runs
-    are reproducible bit-exactly and trials are independent.
+    once per grid point per run, and every trial's grid log-likelihoods
+    come from that one log-probability table.  The trials are then
+    refined in lockstep (`_search.golden_sections`): each step evaluates
+    and validates the family once, as one table with a row per trial
+    still refining.  The likelihoods are summed with the float operations
+    of a per-point evaluation, so the estimates are bit-identical to
+    searching each trial on its own with `_log_likelihood`.  Trial
+    streams are derived from (seed, trial index), so runs are
+    reproducible bit-exactly and trials are independent.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -332,29 +387,22 @@ def run_monte_carlo(
             f"theta_true={theta_true} outside search interval [{lo}, {hi}]"
         )
     p_true = family.probabilities(theta_true)
-    grid_p = np.array([family.probabilities(t) for t in np.linspace(lo, hi, MLE_GRID)])
+    streams = (np.random.default_rng([int(seed), trial]) for trial in range(trials))
+    counts = np.array([rng.multinomial(repetitions, p_true) for rng in streams])
+    patterns, pattern = _observed_patterns(counts)
     with np.errstate(divide="ignore"):
-        grid_log_p = np.log(grid_p)
-    estimates = np.empty(trials)
-    for trial in range(trials):
-        rng = np.random.default_rng([int(seed), trial])
-        counts = rng.multinomial(repetitions, p_true)
-        active = counts > 0
-        # -_log_likelihood at every grid point, bit for bit: numpy sums each
-        # row of a C-ordered table as it sums a 1-D array (pairwise above 8
-        # terms), while grid_log_p[:, active] alone comes out F-ordered and
-        # would be summed column by column.  An observed outcome with P = 0
-        # has ln P = -inf, so its row is +inf, as in _log_likelihood.
-        terms = np.multiply(counts[active], grid_log_p[:, active], order="C")
-        grid_values = -np.sum(terms, axis=1)
-        estimates[trial] = grid_then_golden(
-            lambda t: -_log_likelihood(family, counts, t),
-            lo,
-            hi,
-            n_grid=MLE_GRID,
-            tol=1e-10,
-            grid_values=grid_values,
-        )
+        grid_log_p = np.log(family._probability_table(np.linspace(lo, hi, MLE_GRID)))
+    grid_values = _minus_log_likelihoods(counts, grid_log_p[None], patterns, pattern)
+
+    def minus_log_likelihood(which, thetas):
+        # thetas as Python floats, the points the scalar search would pass
+        with np.errstate(divide="ignore"):
+            log_p = np.log(family._probability_table(thetas.tolist()))
+        return _minus_log_likelihoods(counts[which], log_p[:, None], patterns, pattern[which])[:, 0]
+
+    estimates = grid_then_golden_many(
+        minus_log_likelihood, lo, hi, grid_values, n_grid=MLE_GRID, tol=1e-10
+    )
     bias = float(estimates.mean() - theta_true)
     mse = float(np.mean((estimates - theta_true) ** 2))
     return MonteCarloRun(int(seed), repetitions, theta_true, estimates, bias, mse)

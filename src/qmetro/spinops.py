@@ -38,9 +38,11 @@ MEAN_SPIN_EPS = 1e-10
 
 
 def _readonly(a):
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
+    """A read-only C-contiguous copy of a.  Always a copy, so the array
+    frozen is never the one given, which may be the caller's."""
+    frozen = np.array(a, order="C", ndmin=1)
+    frozen.setflags(write=False)
+    return frozen
 
 
 @dataclass(frozen=True)

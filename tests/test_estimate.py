@@ -1,4 +1,7 @@
+import collections
+import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from qmetro import (
     DistributionFamily,
     InvalidDistributionError,
     InvalidFamilyError,
+    MonteCarloRun,
     Observable,
     Readout,
     TwoModeFockState,
@@ -36,8 +40,8 @@ from qmetro import (
     twin_fock,
 )
 from qmetro import estimate
-from qmetro._search import grid_then_golden
-from qmetro.estimate import _log_likelihood
+from qmetro._search import grid_then_golden, grid_then_golden_many
+from qmetro.estimate import _log_likelihood, _minus_log_likelihoods, _observed_patterns
 from qmetro.spinops import evolve
 
 
@@ -409,15 +413,21 @@ class TestBoundConsistency:
 
 
 def per_trial_grid_estimates(family, theta_true, repetitions, trials, seed, interval):
-    """The maximum-likelihood estimates with the likelihood grid evaluated
-    afresh for every trial: run_monte_carlo's search before it shared one
-    log-probability table per run.  Kept as the oracle of that table."""
+    """The maximum-likelihood estimates with every trial searched on its own:
+    the likelihood evaluated afresh by `_log_likelihood` at each of the 512
+    grid points and at each point of a scalar golden-section refinement.
+    Kept as the oracle of run_monte_carlo's shared table and lockstep
+    refinement.  The family's validated probabilities are memoized per
+    theta (and per theta's type, which the family sees), so the oracle
+    pays once for each point the trials share."""
+    memo = SimpleNamespace(probabilities=functools.lru_cache(maxsize=None, typed=True)(
+        family.probabilities))
     p_true = family.probabilities(theta_true)
     estimates = np.empty(trials)
     for trial in range(trials):
         counts = np.random.default_rng([seed, trial]).multinomial(repetitions, p_true)
         estimates[trial] = grid_then_golden(
-            lambda t: -_log_likelihood(family, counts, t),
+            lambda t: -_log_likelihood(memo, counts, t),
             interval[0],
             interval[1],
             n_grid=512,
@@ -449,6 +459,17 @@ def vanishing_ends_family():
 # (family, theta_true, repetitions, trials, seed, search interval)
 MANY_OUTCOMES = (binomial_family(20), 0.37, 300, 12, 3, (0.01, 0.99))
 VANISHING_ENDS = (vanishing_ends_family(), 0.3, 40, 12, 1, (0.0, 1.0))
+# 41 outcomes from 50 draws: the trials observe many different outcome sets
+MANY_PATTERNS = (binomial_family(40), 0.37, 50, 60, 2, (0.01, 0.99))
+# the CLI's monte-carlo experiment: Bernoulli, 200 trials on [0.01, 0.99]
+CLI_TRIALS, CLI_INTERVAL = 200, (0.01, 0.99)
+
+
+def trial_counts(family, theta_true, repetitions, trials, seed):
+    p_true = family.probabilities(theta_true)
+    return np.array(
+        [np.random.default_rng([seed, t]).multinomial(repetitions, p_true) for t in range(trials)]
+    )
 
 
 class TestSharedLikelihoodGrid:
@@ -471,34 +492,104 @@ class TestSharedLikelihoodGrid:
         assert np.all((run.estimates > 0.0) & (run.estimates < 1.0))
 
     @pytest.mark.parametrize("args", [MANY_OUTCOMES, VANISHING_ENDS], ids=["many", "vanishing"])
-    def test_grid_values_equal_per_point_likelihoods(self, monkeypatch, args):
+    def test_grid_values_equal_per_point_likelihoods(self, args):
         # the estimates see the grid only through its best cell, so compare
         # the values themselves: with more than 8 active outcomes numpy sums
         # pairwise, and each row of the table must be reduced in that order
         family, theta_true, repetitions, trials, seed, (lo, hi) = args
-        grids = []
-
-        def recording_search(*args, grid_values, **kwargs):
-            grids.append(grid_values.copy())
-            return grid_then_golden(*args, grid_values=grid_values, **kwargs)
-
-        monkeypatch.setattr(estimate, "grid_then_golden", recording_search)
-        run_monte_carlo(*args)
-        p_true = family.probabilities(theta_true)
+        counts = trial_counts(family, theta_true, repetitions, trials, seed)
+        xs = np.linspace(lo, hi, 512)
+        with np.errstate(divide="ignore"):
+            grid_log_p = np.log(family._probability_table(xs))
+        grids = _minus_log_likelihoods(counts, grid_log_p[None], *_observed_patterns(counts))
         for trial, grid in enumerate(grids):
-            counts = np.random.default_rng([seed, trial]).multinomial(repetitions, p_true)
-            expected = [-_log_likelihood(family, counts, t) for t in np.linspace(lo, hi, 512)]
+            expected = [-_log_likelihood(family, counts[trial], t) for t in xs]
             assert np.array_equal(grid, expected)
         assert len(grids) == trials
         # each case exercises what it is named for
         if family is MANY_OUTCOMES[0]:
-            assert np.count_nonzero(counts) > 8
+            assert np.count_nonzero(counts[-1]) > 8
         else:
             assert all(np.isinf(g[[0, -1]]).all() for g in grids)
 
+    def test_likelihood_blocks_do_not_change_the_values(self, monkeypatch):
+        family, theta_true, repetitions, trials, seed, (lo, hi) = MANY_PATTERNS
+        counts = trial_counts(family, theta_true, repetitions, trials, seed)
+        grid_log_p = np.log(family._probability_table(np.linspace(lo, hi, 512)))[None]
+        monkeypatch.setattr(estimate, "LIKELIHOOD_BLOCK", 1 << 40)  # one block per pattern
+        whole = _minus_log_likelihoods(counts, grid_log_p, *_observed_patterns(counts))
+        monkeypatch.setattr(estimate, "LIKELIHOOD_BLOCK", 3000)  # one trial per block
+        assert np.array_equal(
+            _minus_log_likelihoods(counts, grid_log_p, *_observed_patterns(counts)), whole)
+
     def test_grid_values_must_fit_the_grid(self):
         with pytest.raises(ValueError, match="grid_values"):
-            grid_then_golden(abs, -1.0, 1.0, n_grid=5, grid_values=np.zeros(4))
+            grid_then_golden_many(None, -1.0, 1.0, np.zeros((3, 4)), n_grid=5)
+        with pytest.raises(ValueError, match="grid_values"):
+            grid_then_golden_many(None, -1.0, 1.0, np.zeros(5), n_grid=5)
+
+
+class TestLockstepRefinement:
+    @pytest.mark.parametrize("repetitions", [500, 10_000])
+    @pytest.mark.parametrize("seed", [0, 5, 11, 1424759319])
+    def test_cli_configuration_matches_per_trial_search(self, seed, repetitions):
+        args = (bernoulli_family(), 0.5, repetitions, CLI_TRIALS, seed, CLI_INTERVAL)
+        run = run_monte_carlo(*args)
+        assert np.array_equal(run.estimates, per_trial_grid_estimates(*args))
+
+    def test_many_observed_patterns_match_per_trial_search(self):
+        run = run_monte_carlo(*MANY_PATTERNS)
+        assert np.array_equal(run.estimates, per_trial_grid_estimates(*MANY_PATTERNS))
+        counts = trial_counts(*MANY_PATTERNS[:5])
+        assert len(_observed_patterns(counts)[0]) > 20
+
+    def test_trials_stopping_on_different_steps_match_per_trial_search(self, monkeypatch):
+        # near the interval's lower end some trials' best grid point is the
+        # first, whose bracket is one grid cell wide, not two: those
+        # searches reach width 1e-10 on an earlier step than the others
+        args = (bernoulli_family(), 0.015, 300, 40, 4, CLI_INTERVAL)
+        points = collections.Counter()
+
+        def counting_search(f, *a, **kw):
+            def counted(which, x):
+                points.update(which.tolist())
+                return f(which, x)
+
+            return grid_then_golden_many(counted, *a, **kw)
+
+        monkeypatch.setattr(estimate, "grid_then_golden_many", counting_search)
+        run = run_monte_carlo(*args)
+        assert np.array_equal(run.estimates, per_trial_grid_estimates(*args))
+        assert len(set(points.values())) > 1
+        assert sorted(points) == list(range(40))
+
+    def test_negative_probability_in_one_bracket_raises(self):
+        args = (bernoulli_family(), 0.5, 500, 20, 9, CLI_INTERVAL)
+        estimates = run_monte_carlo(*args).estimates
+        # an estimate no other trial shares, off the grid and off theta_true
+        values, seen = np.unique(estimates, return_counts=True)
+        dip = values[seen == 1][0]
+        xs = np.linspace(*CLI_INTERVAL, 512)
+        assert np.abs(xs - dip).min() > 1e-6 and abs(dip - 0.5) > 1e-6
+
+        def prob_at(theta):
+            if abs(theta - dip) < 1e-7:
+                return np.array([-0.1, 1.1])
+            return np.array([theta, 1.0 - theta])
+
+        family = DistributionFamily(("heads", "tails"), prob_at)
+        with pytest.raises(InvalidDistributionError, match="negative"):
+            run_monte_carlo(family, *args[1:])
+
+    def test_probability_table_names_the_bad_theta(self):
+        family = DistributionFamily(
+            ("a", "b"), lambda t: np.array([t, 1.0 - t]) if t < 0.5 else np.array([t, 0.9 - t])
+        )
+        assert np.array_equal(family._probability_table([0.1, 0.2]), [[0.1, 0.9], [0.2, 0.8]])
+        with pytest.raises(InvalidDistributionError, match="sum to .* at theta=0.7"):
+            family._probability_table([0.1, 0.7, 0.8])
+        with pytest.raises(InvalidDistributionError, match="expected 2 probabilities"):
+            DistributionFamily(("a", "b"), lambda t: np.ones(3) / 3)._probability_table([0.1])
 
 
 class TestMonteCarlo:
@@ -540,6 +631,14 @@ class TestMonteCarlo:
         )
         assert np.all(run.estimates <= 1.0 / 511 + 1e-9)
         assert run.mse > 0.2  # far above any informative bound
+
+    def test_run_leaves_the_callers_estimates_writeable(self):
+        estimates = np.array([0.4, 0.6])
+        run = MonteCarloRun(0, 10, 0.5, estimates, 0.0, 0.01)
+        estimates[0] = 0.5  # the caller's array is not frozen
+        assert run.estimates[0] == 0.4
+        with pytest.raises(ValueError):
+            run.estimates[0] = 0.5
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):

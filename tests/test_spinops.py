@@ -311,3 +311,12 @@ class TestValidation:
         state = css(3, 0.4, 0.1)
         with pytest.raises(ValueError):
             state.amplitudes[0] = 1.0
+
+    def test_state_leaves_the_callers_array_writeable(self):
+        v = np.zeros(3, complex)
+        v[0] = 1.0
+        state = CollectiveSpinState(2, v)
+        v[1] = 0.5  # the caller's array is not frozen
+        assert state.amplitudes[1] == 0.0
+        with pytest.raises(ValueError):
+            state.amplitudes[1] = 0.5

@@ -262,6 +262,15 @@ class TestNormAndPhaseConventions:
         with pytest.raises(ValueError, match="grid"):
             TwoModeFockState(2, np.zeros((2, 2)))
 
+    def test_two_mode_state_leaves_the_callers_array_writeable(self):
+        grid = np.zeros((3, 3), dtype=complex)
+        grid[1, 1] = 1.0
+        state = TwoModeFockState(2, grid)
+        grid[0, 0] = 0.5  # the caller's array is not frozen
+        assert state.amplitudes[0, 0] == 0.0
+        with pytest.raises(ValueError):
+            state.amplitudes[0, 0] = 0.5
+
     def test_two_mode_state_validates_norm(self):
         grid = np.zeros((3, 3), dtype=complex)
         grid[0, 0] = 0.5
