@@ -97,7 +97,8 @@ class DistributionFamily:
         ``at`` or an (M, K) table at the M thetas ``at``; an error names
         the first bad row."""
         low, total = p.min(axis=-1), p.sum(axis=-1)
-        bad = (low < -PSD_TOL) | (abs(total - 1.0) > 1e-10)
+        # written as "not good" so that a NaN row is bad too
+        bad = ~(low >= -PSD_TOL) | ~(abs(total - 1.0) <= 1e-10)
         if bad.any():
             if p.ndim == 2:
                 m = int(np.argmax(bad))
@@ -216,7 +217,7 @@ def povm_probabilities(state, readout: Readout) -> np.ndarray:
         readout.outcome, weights=vec.real**2 + vec.imag**2, minlength=len(readout)
     )
     total = probs.sum()
-    if abs(total - 1.0) > 1e-10:
+    if not abs(total - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError(f"readout probabilities sum to {total!r}")
     return probs
 
@@ -252,7 +253,7 @@ def _family_vector(state_family, theta: float) -> np.ndarray:
     state = state_family(theta)
     vec = np.asarray(getattr(state, "vector", state), dtype=complex)
     norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > 1e-8:
+    if not abs(norm - 1.0) <= 1e-8:  # NaN fails too
         raise InvalidFamilyError(f"state norm {norm!r} at theta={theta}")
     return vec
 

@@ -30,6 +30,7 @@ from .estimate import (
 from .spinops import (
     BasisTag,
     CollectiveSpinState,
+    _rotated,
     _zero_spin,
     collective_ops,
     evolve,
@@ -103,11 +104,12 @@ def ramsey(
     (rightmost factor of the composed propagator acts first).  When
     ``readout_rotation`` is given, the final state is additionally
     rotated by that angle about its own mean-spin axis, which reorients
-    the uncertainty ellipse without moving the mean spin.
+    the uncertainty ellipse without moving the mean spin.  The pulses act
+    on the amplitude vector; only the state they end in is validated.
     """
-    state = rotate(initial, (0.0, 1.0, 0.0), math.pi / 2.0)
-    state = rotate(state, (0.0, 0.0, 1.0), phi)
-    state = rotate(state, (0.0, 1.0, 0.0), math.pi / 2.0)
+    vec = _rotated(initial.amplitudes, (0.0, 1.0, 0.0), math.pi / 2.0)
+    vec = _rotated(vec, (0.0, 0.0, 1.0), phi)
+    state = CollectiveSpinState(initial.n_particles, _rotated(vec, (0.0, 1.0, 0.0), math.pi / 2.0))
     if readout_rotation is not None:
         state = _rotate_about_mean_spin(state, readout_rotation)
     return state

@@ -86,7 +86,7 @@ class CollectiveSpinState:
                 f"amplitude vector must have length {n + 1}, got {amp.shape}"
             )
         norm_sq = float(np.sum(np.abs(amp) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:  # NaN fails too
             raise ValueError(f"state not normalized: sum |c|^2 = {norm_sq!r}")
         object.__setattr__(self, "amplitudes", _readonly(amp))
 
@@ -96,8 +96,7 @@ class CollectiveSpinState:
 
     @property
     def m_values(self) -> np.ndarray:
-        j = self.j
-        return _readonly(np.arange(-j, j + 1))
+        return _dicke_ladder(self.n_particles)[0]
 
     @property
     def vector(self) -> np.ndarray:
@@ -159,12 +158,14 @@ class Observable:
         return self.matrix.shape[0]
 
 
+@functools.lru_cache(maxsize=64)
 def _dicke_ladder(n: int) -> tuple[np.ndarray, np.ndarray]:
     """m = -J..J ascending, and the couplings sqrt(J(J+1) - m(m+1)) of
-    J+ from |J,m> to |J,m+1> for every m but the last."""
+    J+ from |J,m> to |J,m+1> for every m but the last.  Cached per N,
+    so both arrays are read-only."""
     j = n / 2.0
     m = np.arange(-j, j + 1)
-    return m, np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1))
+    return _readonly(m), _readonly(np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1)))
 
 
 def collective_ops(n_particles: int) -> CollectiveSpinOperators:
@@ -270,30 +271,41 @@ def _euler_zyz(axis: np.ndarray, angle: float) -> tuple[float, float, float]:
     return 0.5 * (total + difference), beta, 0.5 * (total - difference)
 
 
+def _rotated(vector: np.ndarray, axis, angle: float) -> np.ndarray:
+    """exp(-i angle (n . J)) vector for a unit 3-vector n, unchecked.
+
+    The Euler product Rz(alpha) Ry(beta) Rz(gamma): the z rotations are
+    diagonal phases e^{-i x m}, skipped when their angle is exactly 0,
+    and Ry(beta) comes from the cached spectrum of Jy's real tridiagonal
+    gauge form.
+    """
+    alpha, beta, gamma = _euler_zyz(axis, angle)
+    n = vector.shape[0] - 1
+    m, _ = _dicke_ladder(n)
+    out = vector
+    if gamma != 0.0:
+        out = np.exp(-1j * gamma * m) * out
+    if beta != 0.0:
+        spectrum, gauge = _jy_band(n)
+        out = _band_evolve(out, spectrum, gauge, beta)
+    if alpha != 0.0:
+        out = np.exp(-1j * alpha * m) * out
+    return out
+
+
 def rotate(state: CollectiveSpinState, axis, angle: float) -> CollectiveSpinState:
     """Rotate a collective-spin state by `angle` about the unit 3-vector `axis`.
 
-    Returns exp(-i * angle * (n . J)) |state>, as the Euler product
-    Rz(alpha) Ry(beta) Rz(gamma): the z rotations are diagonal phases
-    e^{-i x m}, and Ry(beta) comes from the cached spectrum of Jy's real
-    tridiagonal gauge form.  No (N+1)^2 operator is built beyond that
-    spectrum.
+    Returns exp(-i * angle * (n . J)) |state> through `_rotated`; no
+    (N+1)^2 operator is built beyond the cached Jy spectrum.
     """
     ax = np.asarray(axis, dtype=float)
     if ax.shape != (3,):
         raise ValueError("axis must be a 3-vector")
     norm = float(np.linalg.norm(ax))
-    if abs(norm - 1.0) > AXIS_TOL:
+    if not abs(norm - 1.0) <= AXIS_TOL:  # NaN fails too
         raise ValueError(f"axis must have unit norm, got |axis| = {norm!r}")
-    alpha, beta, gamma = _euler_zyz(ax / norm, angle * norm)
-    n = state.n_particles
-    m, _ = _dicke_ladder(n)
-    out = np.exp(-1j * gamma * m) * state.amplitudes
-    if beta != 0.0:
-        spectrum, gauge = _jy_band(n)
-        out = _band_evolve(out, spectrum, gauge, beta)
-    out = np.exp(-1j * alpha * m) * out
-    return CollectiveSpinState(n, out)
+    return CollectiveSpinState(state.n_particles, _rotated(state.amplitudes, ax / norm, angle * norm))
 
 
 def _state_vector_and_tag(state):

@@ -185,8 +185,10 @@ def oat_evolve(
 ) -> CollectiveSpinState:
     """Evolve under the one-axis-twisting Hamiltonian for duration t.
 
-    In the Dicke basis J_gamma = (e^{i gamma} J+ + e^{-i gamma} J-) / 2,
-    so H is tridiagonal, and in the gauge D = diag(e^{i k gamma}) the
+    With omega = 0, H = delta Jz + chi Jz^2 is diagonal in the Dicke
+    basis, and the state takes the phases e^{-i t (delta m + chi m^2)}
+    in O(N).  Otherwise J_gamma = (e^{i gamma} J+ + e^{-i gamma} J-) / 2
+    makes H tridiagonal, and in the gauge D = diag(e^{i k gamma}) the
     matrix T = D^dag H D is real symmetric: diagonal delta m + chi m^2,
     off-diagonal (omega / 2) sqrt(J(J+1) - m(m+1)).  The state is
     propagated as D V e^{-i t w} V^T D^dag psi from the spectral
@@ -194,7 +196,10 @@ def oat_evolve(
     """
     n = initial.n_particles
     m, coupling = _dicke_ladder(n)
-    spectrum = _band_spectrum(params.delta * m + params.chi * m**2, 0.5 * params.omega * coupling)
+    diagonal = params.delta * m + params.chi * m**2
+    if params.omega == 0.0:
+        return CollectiveSpinState(n, np.exp(-1j * params.t * diagonal) * initial.amplitudes)
+    spectrum = _band_spectrum(diagonal, 0.5 * params.omega * coupling)
     gauge = np.exp(1j * params.gamma * np.arange(n + 1))
     return CollectiveSpinState(n, _band_evolve(initial.amplitudes, spectrum, gauge, params.t))
 

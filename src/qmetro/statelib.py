@@ -67,7 +67,7 @@ class TwoModeFockState:
                 f"truncation deficit {self.truncation_deficit!r} out of range"
             )
         norm_sq = float(np.sum(np.abs(amp) ** 2))
-        if abs(norm_sq - (1.0 - self.truncation_deficit)) > NORM_TOL:
+        if not abs(norm_sq - (1.0 - self.truncation_deficit)) <= NORM_TOL:  # NaN fails too
             raise ValueError(f"state not normalized: sum |c|^2 = {norm_sq!r}")
         object.__setattr__(self, "amplitudes", _readonly(amp))
 

@@ -296,6 +296,8 @@ class TestOutputContracts:
             ["run", "twinfock-parity", "--n", "2", "--phi", "0:pi/2:5"],
             ["run", "mz-single", "--phi", "0:pi:7", "--v", "3"],
             ["run", "ramsey-css", "--n", "2,10", "--phi", "0.1pi:0.9pi:5"],
+            ["run", "oat-squeeze", "--n", "10,40", "--chi", "0.05", "--t", "0.1:1:3"],
+            ["run", "ramsey-sss", "--n", "20", "--chi", "0.05", "--t", "1", "--phi", "0.1pi:0.9pi:5"],
         ],
     )
     def test_byte_identical_reruns(self, tmp_path, args):

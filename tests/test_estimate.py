@@ -320,6 +320,43 @@ class TestQfi:
             qfi_from_family(family, 0.5)
 
 
+class TestNanGuards:
+    """A NaN compares false to every tolerance, so each guard must reject
+    it rather than let it through as "not too far off"."""
+
+    @staticmethod
+    def nan_family():
+        return DistributionFamily(
+            outcome_labels=("a", "b"), prob_at=lambda theta: np.array([np.nan, np.nan])
+        )
+
+    def test_family_probabilities_reject_nan(self):
+        with pytest.raises(InvalidDistributionError, match="nan"):
+            self.nan_family().probabilities(0.3)
+
+    def test_family_table_rejects_a_nan_row(self):
+        family = DistributionFamily(
+            outcome_labels=("a", "b"),
+            prob_at=lambda theta: np.array([np.nan, 1.0]) if theta > 0.5 else np.array([0.5, 0.5]),
+        )
+        with pytest.raises(InvalidDistributionError, match="theta=0.7"):
+            family._probability_table([0.1, 0.7])
+
+    def test_classical_fisher_rejects_nan_family(self):
+        with pytest.raises(InvalidDistributionError):
+            classical_fisher(self.nan_family(), 0.3)
+
+    def test_readout_probabilities_reject_nan_vector(self):
+        tag = BasisTag("spin", 2)
+        state = SimpleNamespace(vector=np.array([np.nan, 0.0, 0.0]), basis_tag=tag)
+        with pytest.raises(ValueError, match="sum to"):
+            povm_probabilities(state, projective_povm(tag))
+
+    def test_qfi_from_family_rejects_nan_family(self):
+        with pytest.raises(InvalidFamilyError, match="nan"):
+            qfi_from_family(lambda theta: np.full(3, np.nan, dtype=complex), 0.5)
+
+
 class TestCramerRao:
     def test_standard_quantum_limit(self):
         for n in (4, 25, 10_000):

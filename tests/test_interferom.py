@@ -65,6 +65,25 @@ def ramsey_matrix(n, phi):
     return np.stack(columns, axis=1)
 
 
+def rotate_ramsey(initial, phi, readout_rotation=None):
+    """The Ramsey sequence as three validated `rotate` calls, then the
+    readout rotation about the mean spin: the oracle of `ramsey`, whose
+    pulses share one unchecked array kernel."""
+    state = rotate(initial, (0.0, 1.0, 0.0), math.pi / 2.0)
+    state = rotate(state, (0.0, 0.0, 1.0), phi)
+    state = rotate(state, (0.0, 1.0, 0.0), math.pi / 2.0)
+    if readout_rotation is not None:
+        jvec = expectation_vector(state)
+        state = rotate(state, jvec / np.linalg.norm(jvec), readout_rotation)
+    return state
+
+
+def random_spin_state(n, seed):
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    return CollectiveSpinState(n, amp / np.linalg.norm(amp))
+
+
 def splitter_matrices(n):
     """Both Mach-Zehnder splitters on the total-number-n sector, applied as
     collective rotations to each basis state |k, n-k> (ascending k)."""
@@ -150,6 +169,20 @@ class TestCollectiveRamsey:
         pulse = dense_unitary(ops.jy, math.pi / 2)
         expected = pulse @ dense_unitary(ops.jz, phi) @ pulse
         np.testing.assert_allclose(ramsey_matrix(n, phi), expected, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 400])
+    @pytest.mark.parametrize(
+        "phi", [0.0, math.pi, -math.pi, float(np.random.default_rng(5).uniform(-4.0, 4.0))]
+    )
+    def test_bit_identical_to_three_rotations(self, n, phi):
+        for probe in (css(n, 0.0, 0.0), random_spin_state(n, n)):
+            assert np.array_equal(ramsey(probe, phi).amplitudes, rotate_ramsey(probe, phi).amplitudes)
+
+    @pytest.mark.parametrize("n", [8, 100])
+    def test_readout_rotation_bit_identical_to_three_rotations(self, n):
+        probe = oat_evolve(css(n, math.pi / 2, 0.0), OatParams(chi=0.1, t=1.0))
+        got = ramsey(probe, 0.7, readout_rotation=0.9)
+        assert np.array_equal(got.amplitudes, rotate_ramsey(probe, 0.7, 0.9).amplitudes)
 
     def test_readout_rotation_preserves_mean_spin(self):
         probe = oat_evolve(css(8, math.pi / 2, 0.0), OatParams(chi=0.1, t=1.0))

@@ -18,7 +18,7 @@ from qmetro import (
     moments,
     rotate,
 )
-from qmetro.spinops import evolve
+from qmetro.spinops import _dicke_ladder, evolve
 
 # Pauli matrices written in the ascending-m ordering (|down>, |up>)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -116,6 +116,10 @@ class TestRotate:
     def test_nonunit_axis_rejected(self):
         with pytest.raises(ValueError):
             rotate(css(2, 0.3, 0.0), (0.0, 0.0, 2.0), 0.1)
+
+    def test_nan_axis_rejected(self):
+        with pytest.raises(ValueError, match="unit norm"):
+            rotate(css(2, 0.3, 0.0), (np.nan, 0.0, 0.0), 0.1)
 
     @given(
         n=st.integers(min_value=1, max_value=12),
@@ -303,6 +307,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="normalized"):
             CollectiveSpinState(1, np.array([1.0, 1.0]))
 
+    def test_state_rejects_nan_amplitudes(self):
+        with pytest.raises(ValueError, match="normalized"):
+            CollectiveSpinState(2, np.array([np.nan, 0.0, 0.0]))
+
     def test_state_requires_correct_length(self):
         with pytest.raises(ValueError, match="length"):
             CollectiveSpinState(2, np.array([1.0, 0.0]))
@@ -320,3 +328,14 @@ class TestValidation:
         assert state.amplitudes[1] == 0.0
         with pytest.raises(ValueError):
             state.amplitudes[1] = 0.5
+
+
+class TestDickeLadder:
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    def test_cached_arrays_are_read_only(self, n):
+        m, coupling = _dicke_ladder(n)
+        assert _dicke_ladder(n)[0] is m
+        with pytest.raises(ValueError):
+            m[0] = 0.0
+        with pytest.raises(ValueError):
+            coupling[0] = 0.0

@@ -26,7 +26,7 @@ from qmetro import (
     rotate,
     squeezing_parameters,
 )
-from qmetro.spinops import evolve
+from qmetro.spinops import _band_evolve, _band_spectrum, _dicke_ladder, evolve
 
 
 def dicke(n, k):
@@ -127,6 +127,17 @@ def dense_oat(state, params):
     return evolve(state.amplitudes, h, params.t)
 
 
+def banded_oat(state, params):
+    """exp(-i t H) psi by oat_evolve's banded path (the spectrum of the
+    tridiagonal H in its real gauge form), run even at omega = 0: the
+    oracle of the diagonal path."""
+    n = state.n_particles
+    m, coupling = _dicke_ladder(n)
+    spectrum = _band_spectrum(params.delta * m + params.chi * m**2, 0.5 * params.omega * coupling)
+    gauge = np.exp(1j * params.gamma * np.arange(n + 1))
+    return _band_evolve(state.amplitudes, spectrum, gauge, params.t)
+
+
 def random_state(n, seed):
     rng = np.random.default_rng(seed)
     amp = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
@@ -150,6 +161,24 @@ class TestOatEvolve:
         params = OatParams(chi=chi, t=t, omega=omega, delta=delta, gamma=gamma)
         np.testing.assert_allclose(
             oat_evolve(state, params).amplitudes, dense_oat(state, params), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 1000])
+    @pytest.mark.parametrize("chi,delta", [(0.01, 0.0), (0.05, 0.3), (-0.2, -1.1), (0.0, 0.7)])
+    def test_diagonal_path_bit_identical_to_banded_path(self, n, chi, delta):
+        params = OatParams(chi=chi, t=0.7, delta=delta)
+        for state in (css(n, math.pi / 2, 0.0), random_state(n, n)):
+            assert np.array_equal(oat_evolve(state, params).amplitudes, banded_oat(state, params))
+
+    def test_diagonal_path_ignores_gamma(self):
+        # with omega = 0, J_gamma drops out of H; the banded path's gauge
+        # e^{i k gamma} cancels only to round-off
+        state = random_state(40, 3)
+        params = OatParams(chi=0.05, t=1.3, delta=0.2, gamma=1.1)
+        plain = OatParams(chi=0.05, t=1.3, delta=0.2)
+        assert np.array_equal(oat_evolve(state, params).amplitudes, oat_evolve(state, plain).amplitudes)
+        np.testing.assert_allclose(
+            oat_evolve(state, params).amplitudes, banded_oat(state, params), rtol=0, atol=1e-13
         )
 
     def test_large_n_with_coupling_matches_dense_propagator(self):

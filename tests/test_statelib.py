@@ -271,6 +271,10 @@ class TestNormAndPhaseConventions:
         with pytest.raises(ValueError):
             state.amplitudes[0, 0] = 0.5
 
+    def test_two_mode_state_rejects_nan_grid(self):
+        with pytest.raises(ValueError, match="normalized"):
+            TwoModeFockState(2, np.full((3, 3), np.nan, dtype=complex))
+
     def test_two_mode_state_validates_norm(self):
         grid = np.zeros((3, 3), dtype=complex)
         grid[0, 0] = 0.5
