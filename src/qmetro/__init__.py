@@ -66,7 +66,6 @@ from .squeeze import (
     squeezing_parameters,
 )
 from .statelib import (
-    CssParams,
     EcsParams,
     TruncationError,
     TwoModeFockState,
@@ -92,7 +91,6 @@ __all__ = [
     "moments",
     "rotate",
     # statelib
-    "CssParams",
     "EcsParams",
     "TruncationError",
     "TwoModeFockState",

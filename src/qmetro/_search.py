@@ -1,12 +1,13 @@
 """1-D minimization: coarse grid bracket followed by golden-section refinement.
 
-The golden-section loop runs many independent searches in lockstep: the
-objective is called once per step with one point per search still
-running, so an objective that is cheaper per point when evaluated in
-bulk (a likelihood over many Monte-Carlo trials) pays its fixed cost
-once per step.  Each search takes exactly the float operations and
-branches of the scalar `golden_section` on its own bracket, so it
-returns the same minimum bit for bit.
+There is one golden-section loop, and it runs many independent searches
+in lockstep: the objective is called once per step with one point per
+search still running, so an objective that is cheaper per point when
+evaluated in bulk (a likelihood over many Monte-Carlo trials) pays its
+fixed cost once per step.  Each search takes exactly the float
+operations and branches of a scalar golden section on its own bracket
+(the tests keep one as an oracle), so it returns the same minimum bit
+for bit.
 """
 
 from __future__ import annotations
@@ -54,64 +55,21 @@ def golden_sections(f, lo, hi, tol: float = 1e-10) -> np.ndarray:
         fc, fd = np.where(left, values, fd), np.where(left, fc, values)
 
 
-def golden_section(f, lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Golden-section minimum of f on [lo, hi] to interval width tol.
-
-    The scalar twin of `golden_sections`, with the same float operations
-    and branches, so each search there returns what it returns here.  It
-    is kept because the one-element case of the lockstep loop spends
-    about 0.4 ms more per search in numpy calls on one-element arrays,
-    15% of an `optimal_readout_rotation` at N <= 100.
-    """
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def _grid_brackets(vals, lo: float, hi: float):
-    """The cells [x(k-1), x(k+1)] around the first grid minimum k of each
-    row of vals, with x = np.linspace(lo, hi, width of vals), cut at the
-    grid ends."""
-    xs = np.linspace(lo, hi, vals.shape[-1])
-    k = np.argmin(vals, axis=-1)
-    return xs[np.maximum(k - 1, 0)], xs[np.minimum(k + 1, xs.size - 1)]
-
-
-def grid_then_golden(f, lo: float, hi: float, n_grid: int = 512, tol: float = 1e-10) -> float:
-    """Locate the global grid minimum, then refine the bracketing cell.
-
-    Robust for multimodal objectives (periodic likelihoods and variance
-    landscapes) at desk scale.
-    """
-    a, b = _grid_brackets(np.array([f(x) for x in np.linspace(lo, hi, n_grid)]), lo, hi)
-    if a == b:
-        return float(a)
-    return golden_section(f, a, b, tol)
-
-
 def grid_then_golden_many(
     f, lo: float, hi: float, grid_values, n_grid: int = 512, tol: float = 1e-10
 ) -> np.ndarray:
-    """`grid_then_golden` for many objectives at once, their grid values
-    supplied by the caller and their refinements run by `golden_sections`.
+    """The minima of many objectives: each is bracketed by the cell
+    [x(k-1), x(k+1)] around its first grid minimum k, cut at the grid
+    ends, and refined by `golden_sections`.
 
-    ``grid_values[j, g]`` is objective j at ``np.linspace(lo, hi, n_grid)[g]``;
-    ``f`` is as in `golden_sections` and is called only by the refinement.
-    Each estimate is the one `grid_then_golden` returns for objective j.
+    ``grid_values[j, g]``, supplied by the caller, is objective j at
+    ``x[g] = np.linspace(lo, hi, n_grid)[g]``; ``f`` is as in
+    `golden_sections` and is called only by the refinement.
     """
     vals = np.asarray(grid_values, dtype=float)
     if vals.ndim != 2 or vals.shape[1] != n_grid:
         raise ValueError(f"grid_values has shape {vals.shape}, expected (objectives, {n_grid})")
+    xs = np.linspace(lo, hi, n_grid)
+    k = np.argmin(vals, axis=1)
     # a one-point grid gives a == b, where the refinement returns a as is
-    return golden_sections(f, *_grid_brackets(vals, lo, hi), tol)
+    return golden_sections(f, xs[np.maximum(k - 1, 0)], xs[np.minimum(k + 1, n_grid - 1)], tol)

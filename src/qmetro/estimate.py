@@ -184,9 +184,7 @@ class MonteCarloRun:
         object.__setattr__(self, "estimates", _readonly(np.asarray(self.estimates, dtype=float)))
 
 
-def classical_fisher(
-    family: DistributionFamily, theta: float, step: float = PROB_STEP
-) -> float:
+def classical_fisher(family: DistributionFamily, theta: float) -> float:
     """Fisher information F(theta) = sum_i P_i (d ln P_i / d theta)^2.
 
     Outcomes with P < 1e-12 are excluded: their contribution vanishes
@@ -196,7 +194,7 @@ def classical_fisher(
     if family.derivative is not None:
         dp = np.asarray(family.derivative(theta), dtype=float)
     else:
-        dp = _central_diff(lambda t: family.probabilities(t), theta, step)
+        dp = _central_diff(lambda t: family.probabilities(t), theta, PROB_STEP)
     keep = p >= ZERO_PROB_CUTOFF
     return float(np.sum(dp[keep] ** 2 / p[keep]))
 
@@ -258,7 +256,7 @@ def _family_vector(state_family, theta: float) -> np.ndarray:
     return vec
 
 
-def qfi_from_family(state_family, theta: float, step: float = STATE_STEP) -> float:
+def qfi_from_family(state_family, theta: float) -> float:
     """Quantum Fisher information from the parameterized final state:
 
     F_Q = 4 [ <psi'|psi'> - |<psi'|psi>|^2 ],
@@ -267,7 +265,7 @@ def qfi_from_family(state_family, theta: float, step: float = STATE_STEP) -> flo
     Agrees with ``qfi_generator`` whenever the family is exp(-iH theta) psi0.
     """
     psi = _family_vector(state_family, theta)
-    dpsi = _central_diff(lambda t: _family_vector(state_family, t), theta, step)
+    dpsi = _central_diff(lambda t: _family_vector(state_family, t), theta, STATE_STEP)
     fq = 4.0 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(dpsi, psi)) ** 2)
     return max(0.0, float(fq))
 
@@ -276,16 +274,14 @@ def cramer_rao(fisher: float, repetitions: int = 1) -> float:
     """Cramer-Rao lower bound 1 / sqrt(v F); +inf for zero information."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    if fisher < 0.0:
-        raise ValueError("Fisher information must be non-negative")
+    if not fisher >= 0.0:  # NaN fails too
+        raise ValueError(f"Fisher information must be non-negative, got {fisher!r}")
     if fisher == 0.0:
         return math.inf
     return 1.0 / math.sqrt(repetitions * fisher)
 
 
-def error_propagation(
-    signal, noise, theta: float, step: float = PROB_STEP
-) -> ErrorPropagation:
+def error_propagation(signal, noise, theta: float) -> ErrorPropagation:
     """Delta theta = Delta O / |d<O>/d theta| for a readout observable.
 
     ``signal`` maps theta to <O>, ``noise`` maps theta to Delta O.
@@ -295,6 +291,7 @@ def error_propagation(
     (the discrepancy between the two central-difference estimates that
     enter the Richardson refinement).
     """
+    step = PROB_STEP
     samples = [float(signal(theta + s)) for s in (step, -step, 0.5 * step, -0.5 * step)]
     d_full = (samples[0] - samples[1]) / (2.0 * step)
     d_half = (samples[2] - samples[3]) / step
@@ -307,14 +304,6 @@ def error_propagation(
     return ErrorPropagation(sigma / abs(slope), False)
 
 
-def _log_likelihood(family: DistributionFamily, counts: np.ndarray, theta: float):
-    p = family.probabilities(theta)
-    active = counts > 0
-    if np.any(p[active] <= 0.0):
-        return -math.inf
-    return float(np.sum(counts[active] * np.log(p[active])))
-
-
 def _observed_patterns(counts):
     """The distinct patterns of observed outcomes (n_i > 0) among the rows
     of a count table, as boolean rows, and the index of each row's
@@ -325,7 +314,7 @@ def _observed_patterns(counts):
 
 def _minus_log_likelihoods(counts, log_p, patterns, pattern) -> np.ndarray:
     """-sum_i n_i ln P_i of each trial at each of M points, bit for bit as
-    `_log_likelihood` sums it.
+    np.sum sums one trial's observed terms at one point.
 
     ``counts`` is (R, K), one row of outcome counts per trial; ``log_p``
     is (R, M, K), trial r's ln P at its own M points, or (1, M, K), one
@@ -335,7 +324,7 @@ def _minus_log_likelihoods(counts, log_p, patterns, pattern) -> np.ndarray:
     table as it sums a 1-D array (pairwise above 8 terms), so the trials
     are taken one observed pattern at a time and no zero count is padded
     in.  An observed outcome with P = 0 has ln P = -inf, so the value is
-    +inf, as in `_log_likelihood`.
+    +inf.
     """
     values = np.empty((counts.shape[0], log_p.shape[1]))
     for g in np.unique(pattern):
@@ -372,7 +361,7 @@ def run_monte_carlo(
     and validates the family once, as one table with a row per trial
     still refining.  The likelihoods are summed with the float operations
     of a per-point evaluation, so the estimates are bit-identical to
-    searching each trial on its own with `_log_likelihood`.  Trial
+    searching each trial on its own with a scalar golden section.  Trial
     streams are derived from (seed, trial index), so runs are
     reproducible bit-exactly and trials are independent.
     """

@@ -16,7 +16,6 @@ import math
 
 import numpy as np
 
-from ._search import grid_then_golden
 from .estimate import (
     PrecisionReport,
     classical_fisher,
@@ -32,6 +31,7 @@ from .spinops import (
     CollectiveSpinState,
     _rotated,
     _zero_spin,
+    apply,
     collective_ops,
     evolve,
     expectation_vector,
@@ -104,8 +104,11 @@ def ramsey(
     (rightmost factor of the composed propagator acts first).  When
     ``readout_rotation`` is given, the final state is additionally
     rotated by that angle about its own mean-spin axis, which reorients
-    the uncertainty ellipse without moving the mean spin.  The pulses act
-    on the amplitude vector; only the state they end in is validated.
+    the uncertainty ellipse without moving the mean spin;
+    `optimal_readout_rotation` gives the angle that turns the narrowest
+    quadrature onto Jz, in closed form over the full period [0, 2 pi).
+    The pulses act on the amplitude vector; only the state they end in
+    is validated.
     """
     vec = _rotated(initial.amplitudes, (0.0, 1.0, 0.0), math.pi / 2.0)
     vec = _rotated(vec, (0.0, 0.0, 1.0), phi)
@@ -129,19 +132,55 @@ def _rotate_about_mean_spin(
     return rotate(state, _mean_spin_axis(state), angle)
 
 
-def optimal_readout_rotation(state: CollectiveSpinState) -> float:
-    """Rotation angle about the mean-spin axis minimizing Var(Jz).
+def _readout_variance_series(state: CollectiveSpinState) -> np.ndarray:
+    """The coefficients (a0, a1, b1, a2, b2) of
 
-    Scanned over [0, pi) by a coarse bracket and refined by
-    golden-section to width 1e-10.
+    Var Jz(theta) = a0 + a1 cos(theta) + b1 sin(theta) + a2 cos(2 theta) + b2 sin(2 theta)
+
+    after a rotation by theta about the mean-spin axis n.  The rotation
+    turns Jz into u.J with u = R(n, -theta) z = c n + cos(theta) p +
+    sin(theta) q, where c = n_z, p = z - c n and q = -n x z, so the
+    variance is u^T C u for the symmetrized spin covariance C in the
+    frame (n, p, q).  The perpendicular block comes from p.J and q.J
+    themselves, whose means vanish, so it does not cancel against the
+    mean spin.
     """
     axis = _mean_spin_axis(state)
-    jz = Readout(state.m_values, state.basis_tag)
+    c = axis[2]
+    z = np.array([0.0, 0.0, 1.0])
+    vec = state.amplitudes
+    applied = [apply(u, vec) for u in (axis, z - c * axis, -np.cross(axis, z))]
+    means = [np.vdot(vec, a).real for a in applied]
+    (c_nn, c_np, c_nq), (_, c_pp, c_pq), (_, _, c_qq) = [
+        [np.vdot(a, b).real - mean_a * mean_b for b, mean_b in zip(applied, means)]
+        for a, mean_a in zip(applied, means)
+    ]
+    a0 = c * c * c_nn + 0.5 * (c_pp + c_qq)
+    return np.array([a0, 2.0 * c * c_np, 2.0 * c * c_nq, 0.5 * (c_pp - c_qq), c_pq])
 
-    def readout_variance(angle):
-        return readout_moments(rotate(state, axis, angle), jz)[1]
 
-    return grid_then_golden(readout_variance, 0.0, math.pi, n_grid=64, tol=1e-10)
+def optimal_readout_rotation(state: CollectiveSpinState) -> float:
+    """Rotation angle in [0, 2 pi) about the mean-spin axis minimizing Var(Jz).
+
+    In closed form, with no search (Kitagawa & Ueda, PRA 47, 5138, 1993;
+    Wineland et al., PRA 50, 67, 1994): Var Jz(theta) is the degree-2
+    trigonometric polynomial of `_readout_variance_series`, of period
+    2 pi unless the mean spin is perpendicular to z.  Its critical points
+    are the roots of the quartic g2 z^4 + g1 z^3 + conj(g1) z + conj(g2)
+    in z = e^{i theta}, with g1 = i(a1 - i b1) and g2 = 2i(a2 - i b2);
+    the root angle of least variance is returned.  A polynomial that is
+    identically zero has no roots (a mean spin along +-z, which the
+    rotation leaves alone), and then the angle is 0.0.
+    """
+    _, a1, b1, a2, b2 = _readout_variance_series(state)
+    g1, g2 = 1j * complex(a1, -b1), 2j * complex(a2, -b2)
+    angles = np.angle(np.roots([g2, g1, 0.0, g1.conjugate(), g2.conjugate()])) % (2.0 * math.pi)
+    if angles.size == 0:
+        return 0.0
+    values = a1 * np.cos(angles) + b1 * np.sin(angles)
+    values += a2 * np.cos(2.0 * angles) + b2 * np.sin(2.0 * angles)
+    best = float(angles[np.argmin(values)])
+    return best if best < 2.0 * math.pi else 0.0  # -tiny % 2 pi rounds up to 2 pi
 
 
 def mz_two_mode(state: TwoModeFockState, phi: float) -> TwoModeFockState:

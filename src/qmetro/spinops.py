@@ -24,7 +24,7 @@ __all__ = [
     "apply",
     "rotate",
     "moments",
-    "evolve",
+    "expectation_vector",
 ]
 
 NORM_TOL = 1e-12
@@ -119,7 +119,7 @@ class CollectiveSpinOperators:
     def __post_init__(self):
         for name in ("jx", "jy", "jz"):
             mat = np.asarray(getattr(self, name), dtype=complex)
-            if np.abs(mat - mat.conj().T).max() > HERMITICITY_TOL:
+            if not np.abs(mat - mat.conj().T).max() <= HERMITICITY_TOL:  # NaN fails too
                 raise ValueError(f"{name} is not Hermitian")
             object.__setattr__(self, name, _readonly(mat))
 
@@ -144,7 +144,7 @@ class Observable:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("observable matrix must be square")
-        if np.abs(mat - mat.conj().T).max() > HERMITICITY_TOL:
+        if not np.abs(mat - mat.conj().T).max() <= HERMITICITY_TOL:  # NaN fails too
             raise ValueError("observable matrix is not Hermitian")
         if self.basis_tag.dim != mat.shape[0]:
             raise ValueError(

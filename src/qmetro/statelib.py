@@ -25,7 +25,6 @@ from .spinops import BasisTag, CollectiveSpinState, _readonly
 
 __all__ = [
     "TwoModeFockState",
-    "CssParams",
     "EcsParams",
     "TruncationError",
     "css",
@@ -83,14 +82,6 @@ class TwoModeFockState:
         """Sorted total particle numbers n_a + n_b carrying any amplitude."""
         na, nb = np.nonzero(self.amplitudes)
         return np.unique(na + nb)
-
-
-@dataclass(frozen=True)
-class CssParams:
-    """Polar/azimuthal angles of a coherent spin state."""
-
-    theta: float
-    phi: float
 
 
 @dataclass(frozen=True)

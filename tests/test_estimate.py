@@ -40,9 +40,10 @@ from qmetro import (
     twin_fock,
 )
 from qmetro import estimate
-from qmetro._search import grid_then_golden, grid_then_golden_many
-from qmetro.estimate import _log_likelihood, _minus_log_likelihoods, _observed_patterns
+from qmetro._search import grid_then_golden_many
+from qmetro.estimate import _minus_log_likelihoods, _observed_patterns
 from qmetro.spinops import evolve
+from search_oracles import _log_likelihood, grid_then_golden
 
 
 def spin_obs(n, which="z"):
@@ -376,6 +377,10 @@ class TestCramerRao:
     def test_negative_fisher_rejected(self):
         with pytest.raises(ValueError):
             cramer_rao(-1.0, 1)
+
+    def test_nan_fisher_rejected(self):
+        with pytest.raises(ValueError, match="nan"):
+            cramer_rao(math.nan, 1)
 
 
 class TestErrorPropagation:

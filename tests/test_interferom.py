@@ -29,10 +29,13 @@ from qmetro import (
     qfi_from_family,
     ramsey,
     ramsey_single_particle,
+    readout_moments,
     rotate,
     twin_fock,
 )
-from qmetro.spinops import evolve
+from qmetro.interferom import _mean_spin_axis, _readout_variance_series
+from qmetro.spinops import _dicke_ladder, evolve
+from search_oracles import grid_then_golden
 
 
 def jz_obs(n):
@@ -50,6 +53,50 @@ def grid_parity(state, mode):
     n = np.arange(state.cutoff + 1)
     occupation = n[:, None] if mode == "a" else n[None, :]
     return float(np.sum((-1.0) ** occupation * np.abs(state.amplitudes) ** 2))
+
+
+def oat_probe(n, chi=None):
+    """One-axis-twisted equatorial CSS with its mean spin turned to -z."""
+    chi = n ** (-2.0 / 3.0) if chi is None else chi
+    probe = oat_evolve(css(n, math.pi / 2, 0.0), OatParams(chi=chi, t=1.0))
+    return rotate(probe, (0.0, 1.0, 0.0), math.pi / 2)
+
+
+def rotated_variance(state, angle):
+    """Var Jz after rotating state by angle about its mean spin, by `rotate`."""
+    return readout_moments(rotate(state, _mean_spin_axis(state), angle), jz_readout(state))[1]
+
+
+def rotated_variances(state, angles):
+    """`rotated_variance` at every angle, in O(N) per angle.
+
+    With the mean spin n at polar angles (T, P), exp(-i theta n.J) is
+    W exp(-i theta Jz) W^dag for W = Rz(P) Ry(T), and W^dag Jz W = k.J
+    with k = (-sin T, 0, cos T).  So the variance is that of the
+    tridiagonal k.J on e^{-i theta m} W^dag psi, where W^dag psi takes
+    two `rotate` calls per state.
+    """
+    axis = _mean_spin_axis(state)
+    polar, azimuth = math.acos(axis[2]), math.atan2(axis[1], axis[0])
+    base = rotate(rotate(state, (0.0, 0.0, 1.0), -azimuth), (0.0, 1.0, 0.0), -polar).amplitudes
+    m, coupling = _dicke_ladder(state.n_particles)
+    variances = []
+    for block in np.array_split(np.asarray(angles, dtype=float), max(1, len(angles) // 500)):
+        a = np.exp(-1j * np.outer(m, block)) * base[:, None]
+        ka = math.cos(polar) * m[:, None] * a
+        ka[1:] -= 0.5 * math.sin(polar) * coupling[:, None] * a[:-1]
+        ka[:-1] -= 0.5 * math.sin(polar) * coupling[:, None] * a[1:]
+        mean = np.einsum("ij,ij->j", a.conj(), ka).real
+        variances.append(np.einsum("ij,ij->j", ka.conj(), ka).real - mean**2)
+    return np.concatenate(variances)
+
+
+def assert_grid_minimum_reached(state):
+    """The returned angle is no worse than a 4001-point grid over [0, 2 pi)."""
+    grid_min = rotated_variances(state, np.linspace(0.0, 2.0 * math.pi, 4001)).min()
+    angle = optimal_readout_rotation(state)
+    assert 0.0 <= angle < 2.0 * math.pi
+    assert rotated_variance(state, angle) <= grid_min + 1e-9 * max(1.0, grid_min)
 
 
 def dense_unitary(generator, angle):
@@ -352,6 +399,70 @@ class TestReadoutRotation:
         report = squeezing_parameters(probe)
         min_var = report.xi_s_sq * 12 / 4
         assert var == pytest.approx(min_var, rel=1e-6)
+
+    def test_angle_matches_half_period_search_on_oat_ramsey(self):
+        # a twisted probe's ellipse is symmetric under a half turn about
+        # its mean spin, so a golden-section search over [0, pi) finds the
+        # minimum too, up to its own resolution
+        probe = oat_probe(12, chi=0.08)
+        for phi in (math.pi / 2, math.pi / 2 + 1e-5, math.pi / 2 - 5e-6):
+            final = ramsey(probe, phi)
+            searched = grid_then_golden(
+                lambda a: rotated_variance(final, a), 0.0, math.pi, n_grid=64
+            )
+            offset = (optimal_readout_rotation(final) - searched) % math.pi
+            assert min(offset, math.pi - offset) <= 1e-8
+
+    def test_minimum_in_second_half_period_found(self):
+        # a tilted mean spin gives Var Jz(theta) period 2 pi: this state's
+        # minimum is 1.4 below the best angle in [0, pi)
+        state = random_spin_state(11, 48)
+        angles = np.linspace(0.0, 2.0 * math.pi, 4001)
+        variances = rotated_variances(state, angles)
+        found = rotated_variance(state, optimal_readout_rotation(state))
+        assert variances[angles < math.pi].min() > found + 0.5
+        assert_grid_minimum_reached(state)
+
+    def test_random_states_reach_grid_minimum(self):
+        for seed in range(200):
+            assert_grid_minimum_reached(random_spin_state(2 + seed % 39, seed))
+
+    @pytest.mark.parametrize("n", [10, 100, 1000])
+    @pytest.mark.parametrize("phi", [0.3, 0.9, math.pi / 2])
+    def test_oat_ramsey_reaches_grid_minimum(self, n, phi):
+        assert_grid_minimum_reached(ramsey(oat_probe(n), phi))
+
+    @staticmethod
+    def assert_series_equals_rotated_variance(state, rel):
+        a0, a1, b1, a2, b2 = _readout_variance_series(state)
+        angles = np.random.default_rng(state.n_particles).uniform(0.0, 2.0 * math.pi, 4)
+        series = a0 + a1 * np.cos(angles) + b1 * np.sin(angles)
+        series += a2 * np.cos(2 * angles) + b2 * np.sin(2 * angles)
+        direct = [rotated_variance(state, a) for a in angles]
+        np.testing.assert_allclose(series, direct, rtol=rel, atol=0.0)
+        np.testing.assert_allclose(rotated_variances(state, angles), direct, rtol=rel, atol=0.0)
+
+    def test_series_equals_rotated_variance_to_1e_12_up_to_n_40(self):
+        for seed in range(20):
+            state = random_spin_state(2 + 2 * seed, seed)
+            self.assert_series_equals_rotated_variance(state, 1e-12)
+        for n in (2, 40):
+            for phi in (0.3, math.pi / 2):
+                self.assert_series_equals_rotated_variance(ramsey(oat_probe(n), phi), 1e-12)
+
+    @pytest.mark.parametrize("n", [400, 1000, 2000])
+    def test_series_equals_rotated_variance_to_1e_9_up_to_n_2000(self, n):
+        for phi in (0.3, 0.9):
+            self.assert_series_equals_rotated_variance(ramsey(oat_probe(n), phi), 1e-9)
+
+    @pytest.mark.parametrize("n, index", [(1, 0), (5, 5), (6, 1), (30, 30)])
+    def test_mean_spin_along_z_gives_zero(self, n, index):
+        # a Dicke state |J, m != 0>: rotating about z leaves Var Jz alone
+        amp = np.zeros(n + 1)
+        amp[index] = 1.0
+        state = CollectiveSpinState(n, amp)
+        assert not np.any(_readout_variance_series(state)[1:])
+        assert optimal_readout_rotation(state) == 0.0
 
     def test_degenerate_mean_spin_rejected(self):
         from qmetro import ghz

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmetro._search import golden_section, golden_sections, grid_then_golden, grid_then_golden_many
+from qmetro._search import golden_sections, grid_then_golden_many
+from search_oracles import golden_section, grid_then_golden
 
 
 def wavy(weight, centre, ripple, wavenumber):

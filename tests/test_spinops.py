@@ -9,6 +9,7 @@ from conftest import align_phase
 
 from qmetro import (
     BasisTag,
+    CollectiveSpinOperators,
     CollectiveSpinState,
     Observable,
     apply,
@@ -298,6 +299,16 @@ class TestValidation:
     def test_observable_requires_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             Observable(np.array([[0.0, 1.0], [0.0, 0.0]]), BasisTag("spin", 1))
+
+    def test_observable_rejects_nan_matrix(self):
+        # NaN compares false both ways, so a NaN entry must fail the check
+        with pytest.raises(ValueError, match="Hermitian"):
+            Observable(np.full((3, 3), np.nan), BasisTag("spin", 2))
+
+    def test_operators_reject_nan_matrix(self):
+        ops = collective_ops(2)
+        with pytest.raises(ValueError, match="jy is not Hermitian"):
+            CollectiveSpinOperators(2, ops.jx, np.full((3, 3), np.nan), ops.jz)
 
     def test_observable_dimension_must_match_tag(self):
         with pytest.raises(ValueError):
