@@ -178,6 +178,8 @@ class SweepConfig:
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
         if self.v is not None and self.v < 1:
             raise ConfigError("repetitions v must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     def phi_grid(self) -> np.ndarray:
         return parse_grid(self.phi)

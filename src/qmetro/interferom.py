@@ -29,12 +29,11 @@ from .estimate import (
 from .spinops import (
     BasisTag,
     CollectiveSpinState,
+    _mean_spin,
     _rotated,
-    _zero_spin,
-    apply,
+    _spin_covariance,
     collective_ops,
     evolve,
-    expectation_vector,
     rotate,
 )
 from .statelib import TwoModeFockState
@@ -119,11 +118,10 @@ def ramsey(
 
 
 def _mean_spin_axis(state: CollectiveSpinState) -> np.ndarray:
-    jvec = expectation_vector(state)
-    norm = float(np.linalg.norm(jvec))
-    if norm <= _zero_spin(state.n_particles):
+    axis, _ = _mean_spin(state)
+    if axis is None:
         raise ValueError("mean spin vanishes; readout rotation axis undefined")
-    return jvec / norm
+    return axis
 
 
 def _rotate_about_mean_spin(
@@ -140,21 +138,16 @@ def _readout_variance_series(state: CollectiveSpinState) -> np.ndarray:
     after a rotation by theta about the mean-spin axis n.  The rotation
     turns Jz into u.J with u = R(n, -theta) z = c n + cos(theta) p +
     sin(theta) q, where c = n_z, p = z - c n and q = -n x z, so the
-    variance is u^T C u for the symmetrized spin covariance C in the
-    frame (n, p, q).  The perpendicular block comes from p.J and q.J
-    themselves, whose means vanish, so it does not cancel against the
-    mean spin.
+    variance is u^T C u for the spin covariance C (`_spin_covariance`)
+    in the frame (n, p, q).  The perpendicular block comes from p.J and
+    q.J themselves, whose means vanish, so it does not cancel against
+    the mean spin.
     """
     axis = _mean_spin_axis(state)
     c = axis[2]
     z = np.array([0.0, 0.0, 1.0])
-    vec = state.amplitudes
-    applied = [apply(u, vec) for u in (axis, z - c * axis, -np.cross(axis, z))]
-    means = [np.vdot(vec, a).real for a in applied]
-    (c_nn, c_np, c_nq), (_, c_pp, c_pq), (_, _, c_qq) = [
-        [np.vdot(a, b).real - mean_a * mean_b for b, mean_b in zip(applied, means)]
-        for a, mean_a in zip(applied, means)
-    ]
+    _, cov = _spin_covariance(state.amplitudes, (axis, z - c * axis, -np.cross(axis, z)))
+    (c_nn, c_np, c_nq), (_, c_pp, c_pq), (_, _, c_qq) = cov
     a0 = c * c * c_nn + 0.5 * (c_pp + c_qq)
     return np.array([a0, 2.0 * c * c_np, 2.0 * c * c_nq, 0.5 * (c_pp - c_qq), c_pq])
 

@@ -352,3 +352,27 @@ def expectation_vector(state: CollectiveSpinState) -> np.ndarray:
     """The mean spin vector (<Jx>, <Jy>, <Jz>)."""
     vec = state.amplitudes
     return np.array([float(np.vdot(vec, apply(axis, vec)).real) for axis in np.eye(3)])
+
+
+def _mean_spin(state: CollectiveSpinState) -> tuple[np.ndarray | None, float]:
+    """The unit direction of the mean spin <J> and its length |<J>|.
+    The direction is None when the length is at or below `_zero_spin`."""
+    jvec = expectation_vector(state)
+    length = float(np.linalg.norm(jvec))
+    if length <= _zero_spin(state.n_particles):
+        return None, length
+    return jvec / length, length
+
+
+def _spin_covariance(vec: np.ndarray, axes) -> tuple[np.ndarray, np.ndarray]:
+    """The means <u_i.J> and the symmetrized covariance
+    Re<u_i.J u_j.J> - <u_i.J><u_j.J> of the spin components along the
+    3-vectors u_i, from one `apply` per axis.  Each entry on or above the
+    diagonal is computed once and mirrored, so the matrix is symmetric."""
+    applied = [apply(u, vec) for u in axes]
+    means = np.array([np.vdot(vec, a).real for a in applied])
+    cov = np.empty((len(applied), len(applied)))
+    for i, a in enumerate(applied):
+        for j in range(i, len(applied)):
+            cov[i, j] = cov[j, i] = np.vdot(a, applied[j]).real - means[i] * means[j]
+    return means, cov

@@ -1,11 +1,13 @@
 """Spin squeezing measures, one-axis-twisting dynamics, and the two-mode
 Bose-Hubbard (Bose-Josephson) Hamiltonian with its regime classification.
 
-Three squeezing parameters are reported:
+Three squeezing parameters are reported.  All three read one variance,
+V = Var(d.J), measured along the squeezed direction d: the direction
+perpendicular to the mean spin <J> in which the spin fluctuates least.
 
-* xi_H^2 = 2 Var(J_alpha) / |<J_gamma>|   (uncertainty-relation form)
-* xi_S^2 = 4 min Var(J_perp) / N          (minimal perpendicular variance)
-* xi_R^2 = N min Var(J_perp) / |<J>|^2    (Ramsey phase-sensitivity ratio)
+* xi_H^2 = 2 V / |<J>|      (uncertainty-relation form)
+* xi_S^2 = 4 V / N          (minimal perpendicular variance)
+* xi_R^2 = N V / |<J>|^2    (Ramsey phase-sensitivity ratio)
 
 A state is squeezed when the parameter drops below 1; every coherent
 spin state sits exactly at 1.
@@ -26,11 +28,11 @@ from .spinops import (
     _band_evolve,
     _band_spectrum,
     _dicke_ladder,
+    _mean_spin,
     _moments,
     _readonly,
-    _zero_spin,
+    _spin_covariance,
     apply,
-    expectation_vector,
 )
 
 __all__ = [
@@ -54,9 +56,11 @@ DEGENERACY_REL_TOL = 1e-10
 class SqueezingReport:
     """Squeezing parameters plus the directions they refer to.
 
-    ``mean_spin_degenerate`` marks a vanishing mean spin; xi_R (and the
-    default-axis xi_H) are +inf in that case and ``msd`` falls back to
-    the z axis by convention.
+    All three parameters read the one variance measured along
+    ``min_perp_direction``, the squeezed direction perpendicular to the
+    mean spin direction ``msd``.  ``mean_spin_degenerate`` marks a
+    vanishing mean spin; xi_R and xi_H are +inf in that case and ``msd``
+    falls back to the z axis by convention.
     """
 
     xi_h_sq: float
@@ -122,58 +126,34 @@ def _perpendicular_pair(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return n1, n2
 
 
-def squeezing_parameters(
-    state: CollectiveSpinState, xi_h_axes=None
-) -> SqueezingReport:
+def squeezing_parameters(state: CollectiveSpinState) -> SqueezingReport:
     """Evaluate all three squeezing parameters of a collective-spin state.
 
-    The minimal perpendicular variance is the smaller eigenvalue of the
-    2x2 symmetrized covariance of the two spin components orthogonal to
-    the mean spin direction (closed form; no search).  ``xi_h_axes`` may
-    override the (alpha, gamma) axes of xi_H; the default pair is
-    (most-squeezed perpendicular direction, mean spin direction).
+    The squeezed direction d is the eigenvector of the smaller eigenvalue
+    of the 2x2 spin covariance (`_spin_covariance`) of the two components
+    orthogonal to the mean spin direction (closed form; no search).  The
+    variance V = Var(d.J) that all three parameters read is then
+    measured along d itself, not taken from that eigenvalue, which
+    carries the round-off of the larger one.
     """
     n = state.n_particles
     vec = state.amplitudes
-    jvec = expectation_vector(state)
-    jnorm = float(np.linalg.norm(jvec))
-    zero_spin = _zero_spin(n)
-    degenerate = jnorm <= zero_spin
-    msd = np.array([0.0, 0.0, 1.0]) if degenerate else jvec / jnorm
+    msd, jnorm = _mean_spin(state)
+    degenerate = msd is None
+    if degenerate:
+        msd = np.array([0.0, 0.0, 1.0])
 
     n1, n2 = _perpendicular_pair(msd)
-    applied1 = apply(n1, vec)
-    applied2 = apply(n2, vec)
-    mean1 = float(np.vdot(vec, applied1).real)
-    mean2 = float(np.vdot(vec, applied2).real)
-    var1 = float(np.vdot(applied1, applied1).real) - mean1**2
-    var2 = float(np.vdot(applied2, applied2).real) - mean2**2
-    cov = float(np.vdot(applied1, applied2).real) - mean1 * mean2
-    cov_matrix = np.array([[var1, cov], [cov, var2]])
-    eigvals, eigvecs = np.linalg.eigh(cov_matrix)
-    min_var = max(0.0, float(eigvals[0]))
+    _, cov = _spin_covariance(vec, (n1, n2))
+    eigvecs = np.linalg.eigh(cov)[1]
     direction = eigvecs[0, 0] * n1 + eigvecs[1, 0] * n2
     direction /= np.linalg.norm(direction)
-
-    xi_s_sq = 4.0 * min_var / n
-    xi_r_sq = math.inf if degenerate else n * min_var / jnorm**2
-
-    if xi_h_axes is None:
-        alpha_axis, gamma_axis = direction, msd
-    else:
-        alpha_axis = np.asarray(xi_h_axes[0], float)
-        gamma_axis = np.asarray(xi_h_axes[1], float)
-    _, var_alpha = _moments(vec, apply(alpha_axis, vec))
-    mean_gamma = float(np.vdot(vec, apply(gamma_axis, vec)).real)
-    if abs(mean_gamma) <= zero_spin:
-        xi_h_sq = math.inf
-    else:
-        xi_h_sq = 2.0 * var_alpha / abs(mean_gamma)
+    _, min_var = _moments(vec, apply(direction, vec))
 
     return SqueezingReport(
-        xi_h_sq=xi_h_sq,
-        xi_s_sq=xi_s_sq,
-        xi_r_sq=xi_r_sq,
+        xi_h_sq=math.inf if degenerate else 2.0 * min_var / jnorm,
+        xi_s_sq=4.0 * min_var / n,
+        xi_r_sq=math.inf if degenerate else n * min_var / jnorm**2,
         msd=msd,
         min_perp_direction=direction,
         mean_spin_degenerate=degenerate,

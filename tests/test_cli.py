@@ -86,6 +86,10 @@ class TestExitCodes:
     def test_missing_config_file(self, capsys):
         assert run_cli(["run", "noon-qfi", "--config", "/nonexistent.cfg"]) == 2
 
+    def test_negative_seed_is_a_configuration_error(self, capsys):
+        assert run_cli(["run", "monte-carlo", "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+
     def test_computation_error_maps_to_exit3(self, capsys):
         # |alpha|^2 = 900 cannot reach the truncation bound under the cap
         assert run_cli(["run", "ecs-qfi", "--alpha", "30"]) == 3

@@ -19,7 +19,7 @@ from qmetro import (
     moments,
     rotate,
 )
-from qmetro.spinops import _dicke_ladder, evolve
+from qmetro.spinops import _dicke_ladder, _spin_covariance, evolve
 
 # Pauli matrices written in the ascending-m ordering (|down>, |up>)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -262,6 +262,27 @@ class TestMoments:
         vec = state.amplitudes
         assert mean == pytest.approx(np.vdot(jx_sq @ vec, vec).real, rel=1e-12)
         assert var >= 0.0
+
+
+class TestSpinCovariance:
+    @given(
+        n=st.integers(min_value=1, max_value=20),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        axes=st.lists(st.tuples(*[st.floats(min_value=-1, max_value=1)] * 3), min_size=1, max_size=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_dense_oracle(self, n, seed, axes):
+        vec = random_vector(n, seed)
+        ops = collective_ops(n)
+        dense = [ops.along(u) for u in axes]
+        means = np.array([np.vdot(vec, a @ vec).real for a in dense])
+        second = np.array([[np.vdot(vec, (a @ b + b @ a) @ vec).real / 2 for b in dense] for a in dense])
+        want = second - np.outer(means, means)
+        got_means, got = _spin_covariance(vec, axes)
+        scale = max(1.0, np.abs(want).max())
+        assert np.abs(got_means - means).max() <= 1e-12 * max(1.0, np.abs(means).max())
+        assert np.abs(got - want).max() <= 1e-12 * scale
+        assert np.array_equal(got, got.T)
 
 
 class TestHeisenbergRelation:

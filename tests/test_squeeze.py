@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from conftest import align_phase
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmetro import (
@@ -107,14 +107,40 @@ class TestSqueezingParameters:
         assert rotated.xi_r_sq == pytest.approx(base.xi_r_sq, abs=1e-8)
         assert rotated.xi_h_sq == pytest.approx(base.xi_h_sq, abs=1e-8)
 
-    def test_xi_h_axes_override(self):
-        n = 6
-        state = css(n, math.pi / 2, 0.0)  # mean spin along +x
-        report = squeezing_parameters(
-            state, xi_h_axes=((0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
-        )
-        # Var(Jz) = N/4 against |<Jx>| = N/2
-        assert report.xi_h_sq == pytest.approx(1.0, abs=1e-10)
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_all_three_match_the_dense_variance_along_the_squeezed_direction(self, n):
+        # xi_S^2 and xi_R^2 once came from the small eigenvalue of the 2x2
+        # perpendicular covariance, off by ~eps lambda_max / lambda_min
+        ops = collective_ops(n)
+        axis = np.array([0.36, -0.48, 0.8])
+        for t in (0.4, 0.5):
+            twisted = oat_evolve(css(n, math.pi / 2, 0.0), OatParams(chi=0.01, t=t))
+            for state in (twisted, rotate(twisted, axis, 1.234)):
+                report = squeezing_parameters(state)
+                _, var = moments(state, Observable(ops.along(report.min_perp_direction), ops.basis_tag))
+                jnorm = np.linalg.norm(
+                    [moments(state, Observable(j, ops.basis_tag))[0] for j in (ops.jx, ops.jy, ops.jz)]
+                )
+                assert report.xi_s_sq == pytest.approx(4.0 * var / n, rel=5e-15, abs=0)
+                assert report.xi_r_sq == pytest.approx(n * var / jnorm**2, rel=5e-15, abs=0)
+                assert report.xi_h_sq == pytest.approx(2.0 * var / jnorm, rel=5e-15, abs=0)
+
+    @given(
+        n=st.integers(min_value=1, max_value=2000),
+        theta=st.floats(min_value=0.01, max_value=math.pi - 0.01),
+        phi=st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True),
+    )
+    # _perpendicular_pair switches its helper axis at |cos theta| = 0.9
+    @example(n=7, theta=math.acos(0.9) - 1e-9, phi=0.4)
+    @example(n=7, theta=math.acos(0.9) + 1e-9, phi=0.4)
+    @example(n=2000, theta=math.acos(-0.9) - 1e-9, phi=5.0)
+    @example(n=2000, theta=math.acos(-0.9) + 1e-9, phi=5.0)
+    @settings(max_examples=60, deadline=None)
+    def test_every_css_sits_at_unity(self, n, theta, phi):
+        report = squeezing_parameters(css(n, theta, phi))
+        assert report.xi_s_sq == pytest.approx(1.0, abs=1e-12)
+        assert report.xi_r_sq == pytest.approx(1.0, abs=1e-12)
+        assert report.xi_h_sq == pytest.approx(1.0, abs=1e-12)
 
 
 def dense_oat(state, params):
