@@ -29,11 +29,13 @@ from .estimate import (
 from .spinops import (
     BasisTag,
     CollectiveSpinState,
+    _band_evolve,
+    _dicke_ladder,
+    _jy_gauge,
     _mean_spin,
+    _real_matvec,
     _rotated,
     _spin_covariance,
-    collective_ops,
-    evolve,
     rotate,
 )
 from .statelib import TwoModeFockState
@@ -183,26 +185,31 @@ def mz_two_mode(state: TwoModeFockState, phi: float) -> TwoModeFockState:
     number n (basis ascending in n_a) the first splitter
     exp[(pi/4)(a^dag b - b^dag a)] is exp(+i pi/2 Jy), the phase is
     e^(i phi n_b), and the second splitter exp[-i(pi/4)(a^dag b + b^dag a)]
-    is exp(-i pi/2 Jx), with J the collective spin of n particles.  The
-    vacuum takes only the phase, which is 1.  Every occupied sector must
-    fit under the cutoff (otherwise the splitter would leak amplitude
-    off the grid).
+    is exp(-i pi/2 Jx), with J the collective spin of n particles.  Both
+    splitters come from one real `numpy.linalg.eigh` per occupied sector,
+    of Jx's real tridiagonal band T = V diag(w) V^T: exp(-i pi/2 Jx) is
+    V e^(-i pi/2 w) V^T, and since Jy = D T D^dag with D = diag((-i)^k),
+    exp(+i pi/2 Jy) is D V e^(+i pi/2 w) V^T D^dag.  The vacuum takes
+    only the phase, which is 1.  Every occupied sector must fit under the
+    cutoff (otherwise the splitter would leak amplitude off the grid).
     """
     support = state.total_number_support()
     if support.size and int(support.max()) > state.cutoff:
         raise ValueError(
             f"cutoff {state.cutoff} cannot hold total number {int(support.max())}"
         )
-    grid = np.array(state.amplitudes)
+    grid = state.amplitudes
     out = np.zeros_like(grid)
     out[0, 0] = grid[0, 0]
-    for n in support[support > 0]:
+    for n in support[support > 0].tolist():
         na = np.arange(n + 1)
         nb = n - na
-        ops = collective_ops(int(n))
-        vec = evolve(grid[na, nb], ops.jy, -math.pi / 2.0)
+        _, coupling = _dicke_ladder(n)
+        band = np.diag(0.5 * coupling, 1)
+        w, v = np.linalg.eigh(band + band.T)
+        vec = _band_evolve(grid[na, nb], (w, v), _jy_gauge(n), -math.pi / 2.0)
         vec = np.exp(1j * phi * nb) * vec
-        out[na, nb] = evolve(vec, ops.jx, math.pi / 2.0)
+        out[na, nb] = _real_matvec(v, np.exp(-0.5j * math.pi * w) * _real_matvec(v.T, vec))
     return TwoModeFockState(state.cutoff, out, state.truncation_deficit)
 
 

@@ -172,9 +172,10 @@ def collective_ops(n_particles: int) -> CollectiveSpinOperators:
     """Build Jx, Jy, Jz for N particles via the angular-momentum ladder.
 
     J+|J,m> = sqrt(J(J+1) - m(m+1)) |J,m+1>, Jz diagonal with entries m.
-    Dense: the propagators and moments of the spin layer use the bands
-    directly (`apply`, `rotate`); these matrices serve the two-mode
-    splitters and the tests.
+    Dense: every propagator and moment of the library, the two-mode
+    splitters included, works on the bands directly (`apply`, `rotate`,
+    `interferom.mz_two_mode`); these matrices serve the tests and demos
+    as the dense reference.
     """
     n = int(n_particles)
     if n < 1:
@@ -240,16 +241,20 @@ def _band_evolve(vector, spectrum, gauge, t: float) -> np.ndarray:
     return gauge * _real_matvec(v, np.exp(-1j * t * w) * rotated)
 
 
+def _jy_gauge(n: int) -> np.ndarray:
+    """D = diag((-i)^k), k = 0..N, as a vector: Jy = D T D^dag with T the
+    real Jx band (off-diagonal sqrt(J(J+1) - m(m+1)) / 2)."""
+    return np.array([1.0, -1j, -1.0, 1j])[np.arange(n + 1) % 4]
+
+
 @functools.lru_cache(maxsize=8)
 def _jy_band(n: int):
-    """Jy = D T D^dag with D = diag((-i)^k) and T the real Jx band
-    (off-diagonal sqrt(J(J+1) - m(m+1)) / 2): the spectrum (w, V) of T
-    and the gauge D.  V is (N+1)^2 doubles, 32 MB at N = 2000, hence
-    the small cache."""
+    """Jy in its real gauge form (`_jy_gauge`): the spectrum (w, V) of the
+    real Jx band T and the gauge D.  V is (N+1)^2 doubles, 32 MB at
+    N = 2000, hence the small cache."""
     _, coupling = _dicke_ladder(n)
     w, v = _band_spectrum(np.zeros(n + 1), 0.5 * coupling)
-    gauge = np.array([1.0, -1j, -1.0, 1j])[np.arange(n + 1) % 4]
-    return (_readonly(w), _readonly(v)), _readonly(gauge)
+    return (_readonly(w), _readonly(v)), _readonly(_jy_gauge(n))
 
 
 def _euler_zyz(axis: np.ndarray, angle: float) -> tuple[float, float, float]:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import legendre
 
 from qmetro.cli import (
     ConfigError,
@@ -154,6 +155,23 @@ class TestRecords:
         rows = read_csv(out)
         assert len(rows) == 1
         assert float(rows[0]["parity"]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_twinfock_parity_closed_forms_at_n40(self, tmp_path):
+        # QFI = 2N(N+1), parity = P_N(cos 2 phi) and F <= F_Q well past the
+        # N <= 20 of the other twin-Fock checks
+        n, out = 40, tmp_path / "tf40.csv"
+        code = run_cli(
+            ["run", "twinfock-parity", "--n", str(n), "--phi", "0.01:pi/2:5", "--out", str(out)]
+        )
+        assert code == 0
+        rows = read_csv(out)
+        assert len(rows) == 5
+        for row in rows:
+            qfi = float(row["qfi"])
+            assert qfi == pytest.approx(2 * n * (n + 1), rel=1e-6)
+            expected = legendre(n, math.cos(2 * float(row["phi"])))
+            assert float(row["parity"]) == pytest.approx(expected, abs=1e-8)
+            assert float(row["classical_fisher"]) <= qfi * (1 + 1e-6)
 
     def test_ecs_qfi_matches_closed_form(self, tmp_path):
         out = tmp_path / "ecs.json"

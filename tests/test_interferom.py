@@ -12,6 +12,7 @@ from qmetro import (
     classical_fisher,
     collective_ops,
     css,
+    ecs,
     error_propagation,
     expectation_vector,
     moments,
@@ -139,6 +140,34 @@ def splitter_matrices(n):
     bs1 = np.stack([evolve(e, ops.jy, -math.pi / 2) for e in basis], axis=1)
     bs2 = np.stack([evolve(e, ops.jx, math.pi / 2) for e in basis], axis=1)
     return bs1, bs2
+
+
+def dense_mz_two_mode(state, phi):
+    """The two-mode Mach-Zehnder as the dense composition per occupied
+    sector n: evolve under collective_ops(n).jy by -pi/2, the phase
+    e^(i phi n_b), evolve under Jx by pi/2.  The oracle of mz_two_mode."""
+    grid = state.amplitudes
+    out = np.zeros_like(grid)
+    out[0, 0] = grid[0, 0]
+    for n in state.total_number_support():
+        if n == 0:
+            continue
+        na = np.arange(n + 1)
+        nb = n - na
+        ops = collective_ops(int(n))
+        vec = evolve(grid[na, nb], ops.jy, -math.pi / 2)
+        vec = np.exp(1j * phi * nb) * vec
+        out[na, nb] = evolve(vec, ops.jx, math.pi / 2)
+    return out
+
+
+def random_fock_state(cutoff, seed):
+    """Random normalized grid over every |n_a, n_b> with n_a + n_b <= cutoff:
+    every sector up to the cutoff occupied, the vacuum included."""
+    rng = np.random.default_rng(seed)
+    na, nb = np.indices((cutoff + 1, cutoff + 1))
+    amp = (rng.normal(size=na.shape) + 1j * rng.normal(size=na.shape)) * (na + nb <= cutoff)
+    return TwoModeFockState(cutoff, amp / np.linalg.norm(amp))
 
 
 def bs1_coefficient(n, k):
@@ -298,6 +327,19 @@ class TestTwoModeMz:
         out = mz_two_mode(twin_fock(n), phi).amplitudes
         sector = out[np.arange(2 * n + 1), 2 * n - np.arange(2 * n + 1)]
         np.testing.assert_allclose(sector, expected, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "probe",
+        [random_fock_state(c, c) for c in (1, 2, 5, 14)] + [ecs(a) for a in (0.5, 1.0, 2.0)],
+        ids=["random-1", "random-2", "random-5", "random-14", "ecs-0.5", "ecs-1", "ecs-2"],
+    )
+    @pytest.mark.parametrize(
+        "phi", [0.0, 0.8, math.pi, float(np.random.default_rng(12).uniform(-4.0, 4.0))]
+    )
+    def test_matches_dense_composition_on_every_sector(self, probe, phi):
+        assert list(probe.total_number_support()) == list(range(probe.cutoff + 1))
+        out = mz_two_mode(probe, phi).amplitudes
+        assert np.abs(out - dense_mz_two_mode(probe, phi)).max() <= 1e-12
 
     def test_vacuum_takes_only_the_phase(self):
         grid = np.zeros((3, 3), dtype=complex)

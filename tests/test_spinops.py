@@ -19,7 +19,7 @@ from qmetro import (
     moments,
     rotate,
 )
-from qmetro.spinops import _dicke_ladder, _spin_covariance, evolve
+from qmetro.spinops import _dicke_ladder, _jy_gauge, _spin_covariance, evolve
 
 # Pauli matrices written in the ascending-m ordering (|down>, |up>)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -80,6 +80,15 @@ class TestCollectiveOps:
         ops = collective_ops(n)
         for mat in (ops.jx, ops.jy, ops.jz):
             assert np.abs(mat - mat.conj().T).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 28])
+    def test_jy_is_jx_in_the_gauge(self, n):
+        # Jy = D Jx D^dag with D = diag((-i)^k): the real gauge form in which
+        # `rotate` and `mz_two_mode` diagonalise Jy through Jx's real band
+        ops = collective_ops(n)
+        gauge = _jy_gauge(n)
+        np.testing.assert_allclose(gauge, (-1j) ** np.arange(n + 1), rtol=0, atol=1e-15)
+        assert np.abs(gauge[:, None] * ops.jx * gauge.conj() - ops.jy).max() <= 1e-15
 
     @pytest.mark.parametrize("n", [0, -1, -10])
     def test_invalid_particle_number(self, n):
