@@ -5,12 +5,15 @@ Subcommands:
   list-experiments   print the available experiment names
   version            print the package version
 
-Flags override values from an optional flat key=value config file
-(--config).  Each experiment reads a fixed set of keys (see
+Every configuration key is declared once, in the table _KEYS, with its
+parser, its default text and its help: `run` takes --<key> for each
+entry, an optional flat key=value config file (--config) takes the same
+keys, and flags override file values.  `parse_config` parses each value
+once, checks included.  Each experiment reads a fixed set of keys (see
 EXPERIMENTS); any other flag or config key is a configuration error,
 except --out, --format and --config, which every experiment accepts.
-Grids use the syntax start:stop:count where endpoints may be pi
-expressions ("pi", "pi/2", "2pi", "0.25pi").  Output is byte
+Numbers may use exponents ("1e-3") and pi expressions ("pi", "pi/2",
+"2pi", "0.25pi"); grids use start:stop:count.  Output is byte
 deterministic for identical configurations (including the Monte-Carlo
 seed) at a fixed BLAS thread count; the environment variable
 QMETRO_OUT_DIR prefixes relative output paths.
@@ -27,7 +30,8 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -71,31 +75,28 @@ class ConfigError(Exception):
     """Configuration problem; maps to exit code 2."""
 
 
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?"
 _PI_TOKEN = re.compile(
-    r"^(?P<sign>[+-]?)(?P<mult>\d+\.?\d*|\.\d+)?\s*\*?\s*(?P<pi>pi)?"
-    r"(?:/(?P<div>\d+\.?\d*|\.\d+))?$"
+    rf"^(?P<sign>[+-]?)(?P<mult>{_NUMBER})?\s*\*?\s*(?P<pi>pi)?(?:/(?P<div>{_NUMBER}))?$"
 )
 
 
 def parse_scalar(text: str) -> float:
-    """Parse a float or a pi expression like 'pi', '2pi', 'pi/2', '0.25pi'."""
-    token = text.strip().lower()
-    m = _PI_TOKEN.match(token)
+    """Parse a float or a pi expression like '1e-3', 'pi', '2pi', 'pi/2', '0.25pi'."""
+    m = _PI_TOKEN.match(text.strip().lower())
     if not m or (m.group("mult") is None and m.group("pi") is None):
         raise ConfigError(f"cannot parse number {text!r}")
-    value = float(m.group("mult")) if m.group("mult") else 1.0
+    value = float(m.group("mult") or 1.0)
     if m.group("pi"):
         value *= math.pi
-    elif m.group("mult") is None:
-        raise ConfigError(f"cannot parse number {text!r}")
     if m.group("div"):
         divisor = float(m.group("div"))
         if divisor == 0:
             raise ConfigError(f"division by zero in {text!r}")
         value /= divisor
-    if m.group("sign") == "-":
-        value = -value
-    return value
+    if not math.isfinite(value):
+        raise ConfigError(f"number out of range {text!r}")
+    return -value if m.group("sign") == "-" else value
 
 
 def parse_grid(text: str) -> np.ndarray:
@@ -134,66 +135,53 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return values
 
 
-# config key -> (SweepConfig field, parser of the key's text)
+def _repetitions(text: str) -> int:
+    v = int(text)
+    if v < 1:
+        raise ConfigError("repetitions v must be >= 1")
+    return v
+
+
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
+    return seed
+
+
+def _out_path(text: str) -> str:
+    base = os.environ.get(ENV_OUT_DIR)
+    return os.path.join(base, text) if base and not os.path.isabs(text) else text
+
+
+def _format(text: str) -> str:
+    if text not in ("csv", "json"):
+        raise ConfigError(f"format must be csv or json, got {text!r}")
+    return text
+
+
+# The one list of configuration keys: key -> (parser of its text, default
+# text or None, help).  `run` takes --<key> for each; a config file takes
+# the same keys.
 _KEYS = {
-    "n": ("n_list", _parse_int_list),
-    "phi": ("phi", str),
-    "alpha": ("alpha", str),
-    "chi": ("chi", parse_scalar),
-    "delta": ("delta", parse_scalar),
-    "ec": ("ec", parse_scalar),
-    "jtun": ("jtun", parse_scalar),
-    "t": ("t", str),
-    "v": ("v", int),
-    "seed": ("seed", int),
-    "out": ("out", str),
-    "format": ("fmt", str),
+    "n": (_parse_int_list, "10", "comma-separated particle numbers"),
+    "phi": (parse_grid, "0.05:3.0915926535897931:100",
+            "phase grid start:stop:count or one value (pi literals ok)"),
+    "alpha": (_parse_float_list, "0.5,1,2", "comma-separated coherent amplitudes"),
+    "chi": (parse_scalar, "0.01", "one-axis-twisting nonlinearity"),
+    "delta": (parse_scalar, "0", "detuning / imbalance"),
+    "ec": (parse_scalar, "0", "charging energy"),
+    "jtun": (parse_scalar, "1", "tunneling strength"),
+    "t": (parse_grid, "1", "evolution time, one value or a grid"),
+    "v": (_repetitions, None, "repetitions for the bounds; 10000 for monte-carlo, 1 elsewhere"),
+    "seed": (_seed, "0", "Monte-Carlo seed, >= 0"),
+    "out": (_out_path, None,
+            "output file, stdout if absent; QMETRO_OUT_DIR prefixes relative paths"),
+    "format": (_format, "csv", "csv or json"),
 }
 
 # keys every experiment accepts
 _COMMON_KEYS = frozenset({"out", "format"})
-
-
-@dataclass
-class SweepConfig:
-    """Resolved configuration of one experiment sweep."""
-
-    experiment: str
-    n_list: tuple[int, ...] = (10,)
-    phi: str = "0.05:3.0915926535897931:100"
-    alpha: str = "0.5,1,2"
-    chi: float = 0.01
-    delta: float = 0.0
-    ec: float = 0.0
-    jtun: float = 1.0
-    t: str = "1"
-    v: Optional[int] = None
-    seed: int = 0
-    out: Optional[str] = None
-    fmt: str = "csv"
-
-    def __post_init__(self):
-        _experiment(self.experiment)
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
-        if self.v is not None and self.v < 1:
-            raise ConfigError("repetitions v must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-
-    def phi_grid(self) -> np.ndarray:
-        return parse_grid(self.phi)
-
-    def t_grid(self) -> np.ndarray:
-        return parse_grid(self.t)
-
-    def output_path(self) -> Optional[str]:
-        if self.out is None:
-            return None
-        base = os.environ.get(ENV_OUT_DIR)
-        if base and not os.path.isabs(self.out):
-            return os.path.join(base, self.out)
-        return self.out
 
 
 def _read_config_file(path: str) -> dict:
@@ -215,39 +203,35 @@ def _read_config_file(path: str) -> dict:
                 values[key] = value.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise ConfigError(f"cannot read config file {path}: not UTF-8 text")
     return values
 
 
-def parse_config(args: argparse.Namespace) -> SweepConfig:
-    """Merge config-file values and command-line flags (flags win).
+def parse_config(args: argparse.Namespace) -> SimpleNamespace:
+    """Resolve the keys the experiment reads, each parsed once: from its
+    flag, else from its config-file line, else from its default in _KEYS.
 
     A key the experiment does not read is an error, whether it comes
     from a flag or from the config file.
     """
-    merged = _read_config_file(args.config) if args.config else {}
-    for key in _KEYS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
-
-    unused = sorted(set(merged) - _experiment(args.experiment).keys - _COMMON_KEYS)
+    given = _read_config_file(args.config) if args.config else {}
+    given.update({k: v for k, v in vars(args).items() if k in _KEYS and v is not None})
+    reads = _experiment(args.experiment).keys | _COMMON_KEYS
+    unused = sorted(set(given) - reads)
     if unused:
         flags = ", ".join(f"--{key}" for key in unused)
         raise ConfigError(f"{args.experiment} does not read {flags}")
 
-    try:
-        resolved = {
-            field: parse(str(merged[key]))
-            for key, (field, parse) in _KEYS.items()
-            if key in merged
-        }
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-    cfg = SweepConfig(experiment=args.experiment, **resolved)
-    cfg.phi_grid()  # validate grids eagerly so bad specs exit with code 2
-    cfg.t_grid()
-    _parse_float_list(cfg.alpha)
+    cfg = SimpleNamespace(experiment=args.experiment)
+    for key, (parse, default, _) in _KEYS.items():
+        if key not in reads:
+            continue
+        text = given.get(key, default)
+        try:
+            setattr(cfg, key, None if text is None else parse(text))
+        except (ConfigError, ValueError, MemoryError) as exc:  # a grid count too large
+            raise ConfigError(f"--{key}: {exc}") from None
     return cfg
 
 
@@ -268,9 +252,9 @@ def _squeezing_cells(report) -> dict:
     return {"xi_h_sq": report.xi_h_sq, "xi_s_sq": report.xi_s_sq, "xi_r_sq": report.xi_r_sq}
 
 
-def _sweep_rows(cfg: SweepConfig, n: int, state_family, readout, **extra) -> list[dict]:
+def _sweep_rows(cfg: SimpleNamespace, n: int, state_family, readout, **extra) -> list[dict]:
     """Rows of one `phase_sweep` over the configured phase grid."""
-    reports = phase_sweep(state_family, readout, cfg.phi_grid(), repetitions=cfg.v or 1)
+    reports = phase_sweep(state_family, readout, cfg.phi, repetitions=cfg.v or 1)
     return [
         {
             "n": n,
@@ -286,7 +270,7 @@ def _sweep_rows(cfg: SweepConfig, n: int, state_family, readout, **extra) -> lis
     ]
 
 
-def _run_mz_single(cfg: SweepConfig):
+def _run_mz_single(cfg: SimpleNamespace):
     # one particle is the N = 1 spin; by the Schwinger map path b is m = -1/2,
     # and the readout counts +1 in path a and -1 in path b
     rows = _sweep_rows(
@@ -298,9 +282,9 @@ def _run_mz_single(cfg: SweepConfig):
     return rows, _min_summary(rows, "delta_theta_errorprop")
 
 
-def _run_ramsey_css(cfg: SweepConfig):
+def _run_ramsey_css(cfg: SimpleNamespace):
     rows = []
-    for n in cfg.n_list:
+    for n in cfg.n:
         probe = css(n, 0.0, 0.0)
         jz = Readout(probe.m_values, probe.basis_tag)
         rows += _sweep_rows(cfg, n, lambda phi: ramsey(probe, phi), jz)
@@ -318,13 +302,12 @@ def _prepare_squeezed_probe(n: int, chi: float, t: float):
     return rotate(probe, (0.0, 0.0, 1.0), beta)
 
 
-def _run_ramsey_sss(cfg: SweepConfig):
-    t_grid = cfg.t_grid()
-    if t_grid.size != 1:
-        raise ConfigError(f"ramsey-sss takes one --t value, got a grid of {t_grid.size}")
-    t = float(t_grid[0])
+def _run_ramsey_sss(cfg: SimpleNamespace):
+    if cfg.t.size != 1:
+        raise ConfigError(f"ramsey-sss takes one --t value, got a grid of {cfg.t.size}")
+    t = float(cfg.t[0])
     rows = []
-    for n in cfg.n_list:
+    for n in cfg.n:
         probe = _prepare_squeezed_probe(n, cfg.chi, t)
         squeezing = _squeezing_cells(squeezing_parameters(probe))
         jz = Readout(probe.m_values, probe.basis_tag)
@@ -334,18 +317,18 @@ def _run_ramsey_sss(cfg: SweepConfig):
     return rows, _min_summary(rows, "delta_theta_errorprop")
 
 
-def _run_noon_qfi(cfg: SweepConfig):
+def _run_noon_qfi(cfg: SimpleNamespace):
     rows = []
-    for n in cfg.n_list:
+    for n in cfg.n:
         probe = ghz(n)
         qfi = 4.0 * readout_moments(probe, Readout(probe.m_values, probe.basis_tag))[1]
         rows.append({"n": n, "qfi": qfi, "qcrb": cramer_rao(qfi, cfg.v or 1)})
     return rows, _min_summary(rows, "qcrb", swept="n")
 
 
-def _run_ecs_qfi(cfg: SweepConfig):
+def _run_ecs_qfi(cfg: SimpleNamespace):
     rows = []
-    for alpha in _parse_float_list(cfg.alpha):
+    for alpha in cfg.alpha:
         # F_Q = 4 Var n_b under the phase e^{i phi n_b}, exact
         state = ecs(alpha)
         n_b = Readout(_mode_numbers(state.cutoff, "b").reshape(-1), state.basis_tag)
@@ -354,9 +337,9 @@ def _run_ecs_qfi(cfg: SweepConfig):
     return rows, _min_summary(rows, "qcrb", swept="alpha")
 
 
-def _run_twinfock_parity(cfg: SweepConfig):
+def _run_twinfock_parity(cfg: SimpleNamespace):
     rows = []
-    for n in cfg.n_list:
+    for n in cfg.n:
         probe = twin_fock(n)
         readout = parity_sector_povm("b", probe.cutoff)
 
@@ -370,9 +353,9 @@ def _run_twinfock_parity(cfg: SweepConfig):
     return rows, _min_summary(rows, "delta_theta_errorprop")
 
 
-def _run_bjj_ground(cfg: SweepConfig):
+def _run_bjj_ground(cfg: SimpleNamespace):
     rows = []
-    for n in cfg.n_list:
+    for n in cfg.n:
         params = BjjParams(
             n_particles=n,
             tunneling=cfg.jtun,
@@ -395,11 +378,11 @@ def _run_bjj_ground(cfg: SweepConfig):
     return rows, _min_summary(rows, "gap", swept="n")
 
 
-def _run_oat_squeeze(cfg: SweepConfig):
+def _run_oat_squeeze(cfg: SimpleNamespace):
     rows = []
-    for n in cfg.n_list:
+    for n in cfg.n:
         initial = css(n, math.pi / 2.0, 0.0)
-        for t in cfg.t_grid():
+        for t in cfg.t:
             evolved = oat_evolve(initial, OatParams(chi=cfg.chi, t=float(t)))
             squeezing = _squeezing_cells(squeezing_parameters(evolved))
             rows.append({"n": n, "t": float(t), "chi": cfg.chi, **squeezing})
@@ -411,7 +394,7 @@ MONTE_CARLO_TRIALS = 200
 MONTE_CARLO_INTERVAL = (0.01, 0.99)
 
 
-def _run_monte_carlo(cfg: SweepConfig):
+def _run_monte_carlo(cfg: SimpleNamespace):
     family = DistributionFamily(
         outcome_labels=("success", "failure"),
         prob_at=lambda theta: np.array([theta, 1.0 - theta]),
@@ -450,7 +433,7 @@ def _run_monte_carlo(cfg: SweepConfig):
 class Experiment:
     """A named sweep: its runner, its record columns, the config keys it reads."""
 
-    run: Callable[[SweepConfig], tuple[list[dict], str]]
+    run: Callable[[SimpleNamespace], tuple[list[dict], str]]
     columns: tuple[str, ...]
     keys: frozenset[str]
 
@@ -528,7 +511,7 @@ def _render_json(columns, rows) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def run_sweep(cfg: SweepConfig) -> int:
+def run_sweep(cfg: SimpleNamespace) -> int:
     """Execute a configured sweep, emit records, print a one-line summary."""
     experiment = _experiment(cfg.experiment)
     try:
@@ -539,19 +522,21 @@ def run_sweep(cfg: SweepConfig) -> int:
         print(f"error: {cfg.experiment}: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     rows = [{"experiment": cfg.experiment, **row} for row in rows]
-    render = _render_csv if cfg.fmt == "csv" else _render_json
+    render = _render_csv if cfg.format == "csv" else _render_json
     text = render(experiment.columns, rows)
-    path = cfg.output_path()
-    if path is None:
+    if cfg.out is None:
         sys.stdout.write(text)
         print(f"{cfg.experiment}: {summary}", file=sys.stderr)
-    else:
-        directory = os.path.dirname(path)
+        return EXIT_OK
+    try:
+        directory = os.path.dirname(cfg.out)
         if directory:
             os.makedirs(directory, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        print(f"{cfg.experiment}: {summary} -> {path}")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {cfg.out}: {exc.strerror}") from None
+    print(f"{cfg.experiment}: {summary} -> {cfg.out}")
     return EXIT_OK
 
 
@@ -564,18 +549,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     runp = sub.add_parser("run", help="run a named experiment sweep")
     runp.add_argument("experiment", help="experiment name (see list-experiments)")
-    runp.add_argument("--n", help="comma-separated particle numbers")
-    runp.add_argument("--phi", help="phase grid start:stop:count (pi literals ok)")
-    runp.add_argument("--alpha", help="comma-separated coherent amplitudes")
-    runp.add_argument("--chi", help="one-axis-twisting nonlinearity")
-    runp.add_argument("--delta", help="detuning / imbalance")
-    runp.add_argument("--ec", help="charging energy")
-    runp.add_argument("--jtun", help="tunneling strength")
-    runp.add_argument("--t", help="evolution time (scalar or grid)")
-    runp.add_argument("--v", help="number of repetitions for the bounds")
-    runp.add_argument("--seed", help="Monte-Carlo seed")
-    runp.add_argument("--out", help="output file (QMETRO_OUT_DIR prefixes relative paths)")
-    runp.add_argument("--format", choices=("csv", "json"), help="csv or json")
+    for key, (_, default, text) in _KEYS.items():
+        runp.add_argument(f"--{key}", help=f"{text} (default {default})" if default else text)
     runp.add_argument("--config", help="flat key=value config file")
 
     sub.add_parser("list-experiments", help="print available experiment names")

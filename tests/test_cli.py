@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -11,8 +12,10 @@ import pytest
 from conftest import legendre
 
 from qmetro.cli import (
+    _KEYS,
     ConfigError,
     EXPERIMENTS,
+    _build_parser,
     main,
     parse_grid,
     parse_scalar,
@@ -40,14 +43,24 @@ class TestScalarAndGridParsing:
             ("-pi/4", -math.pi / 4),
             ("2*pi", 2 * math.pi),
             ("0", 0.0),
+            ("1e-3", 1e-3),
+            ("2.5E2", 250.0),
+            ("-2.5e+1", -25.0),
+            (".5e1", 5.0),
+            ("1e-3pi", 1e-3 * math.pi),
+            ("pi/1e2", math.pi / 100),
+            ("3E-1*pi/2.5e-1", 1.2 * math.pi),
         ],
     )
     def test_scalar_forms(self, text, value):
         assert parse_scalar(text) == pytest.approx(value, rel=1e-15)
 
-    def test_bad_scalar(self):
+    @pytest.mark.parametrize(
+        "text", ["two", "inf", "-inf", "nan", "1_000", "1e", "e3", "1e400", "1e308pi", "pi/1e-400"]
+    )
+    def test_bad_scalar(self, text):
         with pytest.raises(ConfigError):
-            parse_scalar("two")
+            parse_scalar(text)
 
     def test_grid_spec(self):
         grid = parse_grid("0:pi:100")
@@ -84,12 +97,65 @@ class TestExitCodes:
         assert run_cli(["run", "mz-single", "--phi", "0:1:0"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_grid_too_large_to_allocate(self, capsys):
+        # 8e17 bytes exceed any address space, so the allocation fails at once
+        assert run_cli(["run", "mz-single", "--phi", f"0:1:{10**17}"]) == 2
+        assert capsys.readouterr().err.startswith("error: --phi: ")
+
     def test_missing_config_file(self, capsys):
         assert run_cli(["run", "noon-qfi", "--config", "/nonexistent.cfg"]) == 2
+
+    def test_config_file_that_is_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"\xff\xfe n = 2\n")
+        assert run_cli(["run", "noon-qfi", "--config", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: cannot read config file {bad}: not UTF-8 text\n"
 
     def test_negative_seed_is_a_configuration_error(self, capsys):
         assert run_cli(["run", "monte-carlo", "--seed", "-1"]) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--v", "0"], "--v: repetitions v must be >= 1"),
+            (["--v", "2.5"], "--v: invalid literal for int() with base 10: '2.5'"),
+            (["--format", "xml"], "--format: format must be csv or json, got 'xml'"),
+            (["--n", "2,x"], "--n: cannot parse integer list '2,x'"),
+        ],
+    )
+    def test_bad_flag_value_names_its_key(self, capsys, flags, message):
+        assert run_cli(["run", "noon-qfi", *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("v = 0", "--v: repetitions v must be >= 1"),
+            ("format = xml", "--format: format must be csv or json, got 'xml'"),
+        ],
+    )
+    def test_bad_config_value_names_its_key(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"n = 2\n{line}\n")
+        assert run_cli(["run", "noon-qfi", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_unwritable_out_exits_2_without_traceback(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        path = blocker / "x.csv"  # its directory is a regular file
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "qmetro.cli", "run", "noon-qfi", "--n", "2", "--out", str(path)],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith(f"error: cannot write {path}: ")
+        assert "Traceback" not in done.stderr
 
     def test_computation_error_maps_to_exit3(self, capsys):
         # |alpha|^2 = 900 cannot reach the truncation bound under the cap
@@ -429,7 +495,29 @@ class TestUnusedFlags:
         assert json.loads(out.read_text())[0]["v"] == 100
 
 
+def test_run_flags_are_the_key_table():
+    (subparsers,) = (
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    flags = {opt for a in subparsers.choices["run"]._actions for opt in a.option_strings}
+    assert flags - {"-h", "--help"} == {f"--{key}" for key in _KEYS} | {"--config"}
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_key_table_matches_keys():
+    """The README lists the keys of _KEYS in order, with the same default texts."""
+    section = README.read_text().split("## Command-line interface", 1)[1]
+    section = section.split("### Experiments, flags and record columns", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        if not line.strip().startswith("| `"):
+            continue
+        key, _, default = (cell.strip() for cell in line.strip().strip("|").split("|"))
+        code = default.split("`")[1] if default.startswith("`") else None
+        rows.append((key.strip("`"), code))
+    assert rows == [(key, default) for key, (_, default, _) in _KEYS.items()]
 
 
 def _readme_experiment_table():
