@@ -9,134 +9,19 @@ basis state gives the outcome distribution and the mean and variance of
 the count), and precision figures (Fisher information, quantum
 Fisher information, Cramer-Rao bounds, error propagation,
 maximum-likelihood Monte Carlo).
+
+The public names are those each submodule lists in its own __all__;
+this package re-exports them unchanged.
 """
 
-from .estimate import (
-    DistributionFamily,
-    ErrorPropagation,
-    InvalidDistributionError,
-    InvalidFamilyError,
-    MonteCarloRun,
-    PrecisionReport,
-    Readout,
-    classical_fisher,
-    cramer_rao,
-    error_propagation,
-    povm_family,
-    povm_probabilities,
-    projective_povm,
-    qfi_from_family,
-    qfi_generator,
-    readout_moments,
-    run_monte_carlo,
-)
-from .interferom import (
-    mz_single_particle,
-    mz_single_particle_state,
-    mz_two_mode,
-    optimal_readout_rotation,
-    parity_expectation,
-    parity_sector_povm,
-    phase_sweep,
-    ramsey,
-    ramsey_single_particle,
-)
-from .spinops import (
-    BasisTag,
-    CollectiveSpinOperators,
-    CollectiveSpinState,
-    Observable,
-    apply,
-    collective_ops,
-    expectation_vector,
-    moments,
-    rotate,
-)
-from .squeeze import (
-    BjjParams,
-    OatParams,
-    Regime,
-    SpectralResult,
-    SqueezingReport,
-    TridiagonalHamiltonian,
-    bjj_hamiltonian,
-    classify_regime,
-    ground_state,
-    oat_evolve,
-    squeezing_parameters,
-)
-from .statelib import (
-    EcsParams,
-    TruncationError,
-    TwoModeFockState,
-    css,
-    ecs,
-    ecs_branch_tail,
-    ghz,
-    twin_fock,
-)
+from . import estimate, interferom, spinops, squeeze, statelib
+from .estimate import *
+from .interferom import *
+from .spinops import *
+from .squeeze import *
+from .statelib import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # spinops
-    "BasisTag",
-    "CollectiveSpinOperators",
-    "CollectiveSpinState",
-    "Observable",
-    "apply",
-    "collective_ops",
-    "expectation_vector",
-    "moments",
-    "rotate",
-    # statelib
-    "EcsParams",
-    "TruncationError",
-    "TwoModeFockState",
-    "css",
-    "ecs",
-    "ecs_branch_tail",
-    "ghz",
-    "twin_fock",
-    # estimate
-    "DistributionFamily",
-    "ErrorPropagation",
-    "InvalidDistributionError",
-    "InvalidFamilyError",
-    "MonteCarloRun",
-    "PrecisionReport",
-    "Readout",
-    "classical_fisher",
-    "cramer_rao",
-    "error_propagation",
-    "povm_family",
-    "povm_probabilities",
-    "projective_povm",
-    "qfi_from_family",
-    "qfi_generator",
-    "readout_moments",
-    "run_monte_carlo",
-    # interferom
-    "mz_single_particle",
-    "mz_single_particle_state",
-    "mz_two_mode",
-    "optimal_readout_rotation",
-    "parity_expectation",
-    "parity_sector_povm",
-    "phase_sweep",
-    "ramsey",
-    "ramsey_single_particle",
-    # squeeze
-    "BjjParams",
-    "OatParams",
-    "Regime",
-    "SpectralResult",
-    "SqueezingReport",
-    "TridiagonalHamiltonian",
-    "bjj_hamiltonian",
-    "classify_regime",
-    "ground_state",
-    "oat_evolve",
-    "squeezing_parameters",
-]
+__all__ = ["__version__", *spinops.__all__, *statelib.__all__, *estimate.__all__,
+           *interferom.__all__, *squeeze.__all__]

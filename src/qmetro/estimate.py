@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from ._search import grid_then_golden_many
-from .spinops import BasisTag, Observable, _moments, _readonly, moments
+from .spinops import BasisTag, Observable, _moments, _readonly, _vector_in, moments
 
 __all__ = [
     "InvalidDistributionError",
@@ -199,18 +199,10 @@ def classical_fisher(family: DistributionFamily, theta: float) -> float:
     return float(np.sum(dp[keep] ** 2 / p[keep]))
 
 
-def _readout_vector(state, readout: Readout) -> np.ndarray:
-    if state.basis_tag != readout.basis_tag:
-        raise ValueError(
-            f"basis mismatch: state {state.basis_tag}, readout {readout.basis_tag}"
-        )
-    return np.asarray(state.vector, dtype=complex)
-
-
 def povm_probabilities(state, readout: Readout) -> np.ndarray:
     """Outcome probabilities of a diagonal readout on a pure state, in the
     order of ``readout.outcome_values``."""
-    vec = _readout_vector(state, readout)
+    vec = _vector_in(state, readout.basis_tag)
     probs = np.bincount(
         readout.outcome, weights=vec.real**2 + vec.imag**2, minlength=len(readout)
     )
@@ -223,7 +215,7 @@ def povm_probabilities(state, readout: Readout) -> np.ndarray:
 def readout_moments(state, readout: Readout) -> tuple[float, float]:
     """Mean and variance of a readout's value on a pure state, with the
     round-off guards of `moments`; no matrix is built."""
-    vec = _readout_vector(state, readout)
+    vec = _vector_in(state, readout.basis_tag)
     return _moments(vec, readout.value * vec)
 
 

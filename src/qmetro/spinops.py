@@ -37,6 +37,18 @@ IMAG_TOL = 1e-12
 MEAN_SPIN_EPS = 1e-10
 
 
+def _check_hermitian(mat: np.ndarray, name: str) -> None:
+    if not np.abs(mat - mat.conj().T).max() <= HERMITICITY_TOL:  # NaN fails too
+        raise ValueError(f"{name} is not Hermitian")
+
+
+def _vector_in(state, tag: BasisTag) -> np.ndarray:
+    """The amplitude vector of a state, which must live in the basis `tag`."""
+    if state.basis_tag != tag:
+        raise ValueError(f"basis mismatch: state {state.basis_tag}, expected {tag}")
+    return np.asarray(state.vector, dtype=complex)
+
+
 def _readonly(a):
     """A read-only C-contiguous copy of a.  Always a copy, so the array
     frozen is never the one given, which may be the caller's."""
@@ -119,8 +131,7 @@ class CollectiveSpinOperators:
     def __post_init__(self):
         for name in ("jx", "jy", "jz"):
             mat = np.asarray(getattr(self, name), dtype=complex)
-            if not np.abs(mat - mat.conj().T).max() <= HERMITICITY_TOL:  # NaN fails too
-                raise ValueError(f"{name} is not Hermitian")
+            _check_hermitian(mat, name)
             object.__setattr__(self, name, _readonly(mat))
 
     def along(self, axis) -> np.ndarray:
@@ -144,8 +155,7 @@ class Observable:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("observable matrix must be square")
-        if not np.abs(mat - mat.conj().T).max() <= HERMITICITY_TOL:  # NaN fails too
-            raise ValueError("observable matrix is not Hermitian")
+        _check_hermitian(mat, "observable matrix")
         if self.basis_tag.dim != mat.shape[0]:
             raise ValueError(
                 f"matrix dimension {mat.shape[0]} does not match basis "
@@ -313,10 +323,6 @@ def rotate(state: CollectiveSpinState, axis, angle: float) -> CollectiveSpinStat
     return CollectiveSpinState(state.n_particles, _rotated(state.amplitudes, ax / norm, angle * norm))
 
 
-def _state_vector_and_tag(state):
-    return np.asarray(state.vector, dtype=complex), state.basis_tag
-
-
 def moments(state, obs: Observable) -> tuple[float, float]:
     """Mean and variance of an observable on a pure state.
 
@@ -324,9 +330,7 @@ def moments(state, obs: Observable) -> tuple[float, float]:
     observable's.  Variance is clamped to 0 when round-off drives it
     slightly negative (within 1e-12 of <O^2>).
     """
-    vec, tag = _state_vector_and_tag(state)
-    if tag != obs.basis_tag:
-        raise ValueError(f"basis mismatch: state {tag}, observable {obs.basis_tag}")
+    vec = _vector_in(state, obs.basis_tag)
     return _moments(vec, obs.matrix @ vec)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .spinops import BasisTag, CollectiveSpinState, _readonly
+from .spinops import NORM_TOL, BasisTag, CollectiveSpinState, _readonly
 
 __all__ = [
     "TwoModeFockState",
@@ -35,7 +35,8 @@ __all__ = [
 ]
 
 MAX_DEFICIT = 1e-10
-NORM_TOL = 1e-12
+ECS_TAIL_BOUND = 1e-13
+ECS_MAX_CUTOFF = 512
 
 
 class TruncationError(RuntimeError):
@@ -89,20 +90,14 @@ class EcsParams:
     """Coherent amplitude and normalization of an entangled coherent state."""
 
     alpha: complex
-    norm_factor: float
-
-    def __post_init__(self):
-        expected = 1.0 / math.sqrt(2.0 * (1.0 + math.exp(-abs(self.alpha) ** 2)))
-        if abs(self.norm_factor - expected) > 1e-14:
-            raise ValueError(
-                f"norm factor {self.norm_factor!r} inconsistent with alpha "
-                f"(expected {expected!r})"
-            )
 
     @classmethod
     def from_alpha(cls, alpha: complex) -> "EcsParams":
-        n = 1.0 / math.sqrt(2.0 * (1.0 + math.exp(-abs(alpha) ** 2)))
-        return cls(complex(alpha), n)
+        return cls(complex(alpha))
+
+    @property
+    def norm_factor(self) -> float:
+        return 1.0 / math.sqrt(2.0 * (1.0 + math.exp(-abs(self.alpha) ** 2)))
 
     @property
     def mean_total_number(self) -> float:
@@ -194,15 +189,12 @@ def ecs_branch_tail(alpha: complex, cutoff: int) -> float:
     return max(0.0, 1.0 - float(kept.sum()))
 
 
-def ecs(
-    alpha: complex,
-    tail_bound: float = 1e-13,
-    max_cutoff: int = 512,
-) -> TwoModeFockState:
+def ecs(alpha: complex) -> TwoModeFockState:
     """Entangled coherent state N_a (|alpha>_a |0>_b + |0>_a |alpha>_b).
 
     The per-mode cutoff is the smallest one whose Poisson tail per branch
-    stays below ``tail_bound``; the dropped weight is reported as the
+    stays below ``ECS_TAIL_BOUND`` (TruncationError if none up to
+    ``ECS_MAX_CUTOFF`` does); the dropped weight is reported as the
     state's truncation deficit.
     """
     alpha = complex(alpha)
@@ -212,11 +204,11 @@ def ecs(
     lam = abs(alpha) ** 2
 
     cutoff = 0
-    while ecs_branch_tail(alpha, cutoff) >= tail_bound:
+    while ecs_branch_tail(alpha, cutoff) >= ECS_TAIL_BOUND:
         cutoff += 1
-        if cutoff > max_cutoff:
+        if cutoff > ECS_MAX_CUTOFF:
             raise TruncationError(
-                f"no cutoff <= {max_cutoff} reaches branch tail < {tail_bound} "
+                f"no cutoff <= {ECS_MAX_CUTOFF} reaches branch tail < {ECS_TAIL_BOUND} "
                 f"for |alpha|^2 = {lam}"
             )
 

@@ -220,16 +220,16 @@ class TestEcs:
 
     def test_truncation_failure(self):
         with pytest.raises(TruncationError):
-            ecs(30.0, max_cutoff=512)
+            ecs(30.0)
 
     def test_non_finite_alpha_rejected(self):
         with pytest.raises(ValueError):
             ecs(float("inf"))
 
-    def test_params_invariant(self):
-        with pytest.raises(ValueError, match="norm factor"):
-            EcsParams(1.0, 0.5)
-        EcsParams.from_alpha(1.0)  # consistent pair constructs fine
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, 1.5 + 0.5j, -0.3j])
+    def test_norm_factor_closed_form(self, alpha):
+        expected = 1 / math.sqrt(2 * (1 + math.exp(-abs(alpha) ** 2)))
+        assert EcsParams.from_alpha(alpha).norm_factor == pytest.approx(expected, rel=1e-15)
 
 
 class TestNormAndPhaseConventions:
