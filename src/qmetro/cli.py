@@ -56,9 +56,9 @@ from .spinops import BasisTag, CollectiveSpinState, rotate
 from .squeeze import (
     BjjParams,
     OatParams,
+    _lowest_states,
     bjj_hamiltonian,
     classify_regime,
-    ground_state,
     oat_evolve,
     squeezing_parameters,
 )
@@ -362,7 +362,7 @@ def _run_bjj_ground(cfg: SimpleNamespace):
             imbalance=cfg.delta,
             charging_energy=cfg.ec,
         )
-        spectrum = ground_state(bjj_hamiltonian(params))
+        spectrum = _lowest_states(bjj_hamiltonian(params))
         reference = css(n, math.pi / 2.0, 0.0)
         overlap = abs(np.vdot(reference.amplitudes, spectrum.states[:, 0])) ** 2
         rows.append(

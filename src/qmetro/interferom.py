@@ -2,7 +2,8 @@
 
 Single-particle Mach-Zehnder and Ramsey pipelines use explicit 2x2
 matrices.  The collective Ramsey sequence composes the two pi/2 pulses
-about y with the phase accumulation about z (rightmost factor first).
+about y with the phase accumulation about z (rightmost factor first);
+each pulse is one real product with Wigner's d^J(pi/2), cached per N.
 The two-mode Mach-Zehnder acts sector-by-sector in total particle
 number n, where the Schwinger map (a^dag b -> J+, with J = n/2 and
 m = (n_a - n_b)/2) turns each beam splitter into a collective rotation
@@ -31,10 +32,10 @@ from .spinops import (
     CollectiveSpinState,
     _band_evolve,
     _dicke_ladder,
+    _jy_band,
     _jy_gauge,
     _mean_spin,
     _real_matvec,
-    _rotated,
     _spin_covariance,
     rotate,
 )
@@ -108,12 +109,16 @@ def ramsey(
     the uncertainty ellipse without moving the mean spin;
     `optimal_readout_rotation` gives the angle that turns the narrowest
     quadrature onto Jz, in closed form over the full period [0, 2 pi).
+    Each pulse is one real product with Wigner's d^J(pi/2), the cached
+    eigenvectors of `spinops._jy_band`, and the phase is e^{-i phi m}.
     The pulses act on the amplitude vector; only the state they end in
     is validated.
     """
-    vec = _rotated(initial.amplitudes, (0.0, 1.0, 0.0), math.pi / 2.0)
-    vec = _rotated(vec, (0.0, 0.0, 1.0), phi)
-    state = CollectiveSpinState(initial.n_particles, _rotated(vec, (0.0, 1.0, 0.0), math.pi / 2.0))
+    n = initial.n_particles
+    m, _ = _dicke_ladder(n)
+    (_, pulse), _ = _jy_band(n)
+    vec = np.exp(-1j * phi * m) * _real_matvec(pulse, initial.amplitudes)
+    state = CollectiveSpinState(n, _real_matvec(pulse, vec))
     if readout_rotation is not None:
         state = _rotate_about_mean_spin(state, readout_rotation)
     return state

@@ -257,14 +257,44 @@ def _jy_gauge(n: int) -> np.ndarray:
     return np.array([1.0, -1j, -1.0, 1j])[np.arange(n + 1) % 4]
 
 
+def _wigner_column_signs(w: np.ndarray, v: np.ndarray, gauge: np.ndarray) -> np.ndarray:
+    """The signs (+-1) that turn the columns of V, the eigenvectors of the
+    real Jx band (`_jy_band`), into the columns of Wigner's
+    d^J(pi/2) = exp(-i (pi/2) Jy) = D V e^{-i pi w / 2} V^T D^dag.
+
+    Each column of V is an eigenvector of Jx, and so is the matching
+    column of d^J(pi/2), which turns Jz into Jx: they differ by a sign
+    at most.  Column k reads that sign from its entry (r, k) of
+    d^J(pi/2), which no column sign of V changes, at the row r where
+    |V[:, k]| is largest (0.066 or more at N = 3001, so round-off cannot
+    flip it).  O(N^2) time.
+    """
+    rows = np.abs(v).argmax(axis=0)
+    products = v[rows]  # products[k, j] = V[r_k, j] V[k, j]
+    products *= v
+    half_turn = 0.5 * math.pi * w
+    sums = products @ np.cos(half_turn) - 1j * (products @ np.sin(half_turn))
+    entries = (gauge[rows] * gauge.conj() * sums).real
+    return np.where(entries * v[rows, np.arange(len(w))] < 0.0, -1.0, 1.0)
+
+
 @functools.lru_cache(maxsize=8)
 def _jy_band(n: int):
     """Jy in its real gauge form (`_jy_gauge`): the spectrum (w, V) of the
     real Jx band T and the gauge D.  V is (N+1)^2 doubles, 32 MB at
-    N = 2000, hence the small cache."""
+    N = 2000, hence the small cache.
+
+    The columns of V carry the signs of `_wigner_column_signs`, so V is
+    Wigner's d^J(pi/2) = exp(-i (pi/2) Jy) up to round-off, and a pi/2
+    pulse about y is one real product with it.  Every `_band_evolve`
+    product is unchanged bit for bit by those signs: a column's sign
+    enters it twice and cancels exactly.
+    """
     _, coupling = _dicke_ladder(n)
     w, v = _band_spectrum(np.zeros(n + 1), 0.5 * coupling)
-    return (_readonly(w), _readonly(v)), _readonly(_jy_gauge(n))
+    gauge = _jy_gauge(n)
+    v *= _wigner_column_signs(w, v, gauge)
+    return (_readonly(w), _readonly(v)), _readonly(gauge)
 
 
 def _euler_zyz(axis: np.ndarray, angle: float) -> tuple[float, float, float]:

@@ -235,7 +235,8 @@ def bjj_hamiltonian(params: BjjParams) -> TridiagonalHamiltonian:
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Full spectral decomposition with a ground-degeneracy flag."""
+    """Spectral decomposition, full or its lowest eigenpairs, with a
+    ground-degeneracy flag."""
 
     energies: np.ndarray
     states: np.ndarray  # eigenvectors as columns, matching energy order
@@ -256,6 +257,12 @@ class SpectralResult:
         return float(self.energies[1] - self.energies[0])
 
 
+def _ground_degenerate(ground: float, first_excited: float, top: float) -> bool:
+    """The ground state counts as degenerate when the first gap is at or
+    below 1e-10 of the spectral range [ground, top]."""
+    return bool(first_excited - ground <= DEGENERACY_REL_TOL * (top - ground))
+
+
 def ground_state(hamiltonian: TridiagonalHamiltonian) -> SpectralResult:
     """Diagonalize a tridiagonal Hamiltonian; energies ascend.
 
@@ -263,12 +270,28 @@ def ground_state(hamiltonian: TridiagonalHamiltonian) -> SpectralResult:
     when the first gap is below 1e-10 of the spectral range.
     """
     energies, states = _band_spectrum(hamiltonian.diagonal, hamiltonian.off_diagonal)
-    if len(energies) < 2:
-        degenerate = False
-    else:
-        spectral_range = float(energies[-1] - energies[0])
-        degenerate = bool(energies[1] - energies[0] <= DEGENERACY_REL_TOL * spectral_range)
+    degenerate = len(energies) >= 2 and _ground_degenerate(*energies[:2], energies[-1])
     return SpectralResult(energies, states, degenerate)
+
+
+def _lowest_states(hamiltonian: TridiagonalHamiltonian) -> SpectralResult:
+    """The two lowest eigenpairs of a tridiagonal Hamiltonian of dimension
+    2 or more, flagged as `ground_state` flags them, without the other
+    N - 1 eigenvectors.
+
+    Bisection finds the two lowest energies and the top one, which the
+    degeneracy rule reads; inverse iteration finds the two vectors.
+    """
+    # imported here: `import qmetro.cli` does not load scipy.linalg otherwise
+    from scipy.linalg import eigh_tridiagonal
+
+    diagonal, off_diagonal = hamiltonian.diagonal, hamiltonian.off_diagonal
+    top = len(diagonal) - 1
+    energies, states = eigh_tridiagonal(diagonal, off_diagonal, select="i", select_range=(0, 1))
+    (highest,) = eigh_tridiagonal(
+        diagonal, off_diagonal, eigvals_only=True, select="i", select_range=(top, top)
+    )
+    return SpectralResult(energies, states, _ground_degenerate(*energies, highest))
 
 
 def classify_regime(params: BjjParams) -> Regime:

@@ -338,6 +338,19 @@ class TestLargeN:
                 1.0, abs=1e-6
             )
 
+    def test_ramsey_css_n1000_sits_at_the_sql(self, tmp_path):
+        out = tmp_path / "css.csv"
+        args = ["run", "ramsey-css", "--n", "1000", "--phi", "0.1:3:3"]
+        assert run_cli(args + ["--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 3
+        for row in rows:
+            assert float(row["classical_fisher"]) / 1000 == pytest.approx(1.0, abs=1e-6)
+            assert float(row["qfi"]) / 1000 == pytest.approx(1.0, abs=1e-6)
+            assert math.sqrt(1000) * float(row["delta_theta_errorprop"]) == pytest.approx(
+                1.0, abs=1e-6
+            )
+
     def test_oat_squeeze_n2000_is_squeezed(self, tmp_path):
         out = tmp_path / "oat.csv"
         args = ["run", "oat-squeeze", "--n", "2000", "--chi", "0.01", "--t", "0.1:1:2"]
@@ -386,6 +399,9 @@ class TestOutputContracts:
             ["run", "ramsey-css", "--n", "2,10", "--phi", "0.1pi:0.9pi:5"],
             ["run", "oat-squeeze", "--n", "10,40", "--chi", "0.05", "--t", "0.1:1:3"],
             ["run", "ramsey-sss", "--n", "20", "--chi", "0.05", "--t", "1", "--phi", "0.1pi:0.9pi:5"],
+            # degenerate doublets: the ground vector comes from inverse iteration
+            ["run", "bjj-ground", "--n", "20,100", "--ec", "-1"],
+            ["run", "ramsey-css", "--n", "1000", "--phi", "0.1:3:3"],
         ],
     )
     def test_byte_identical_reruns(self, tmp_path, args):

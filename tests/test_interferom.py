@@ -113,10 +113,17 @@ def ramsey_matrix(n, phi):
     return np.stack(columns, axis=1)
 
 
+def pulse_phase_pulse(n, phi):
+    """The Ramsey propagator as the dense product pulse . phase . pulse."""
+    ops = collective_ops(n)
+    pulse = dense_unitary(ops.jy, math.pi / 2)
+    return pulse @ dense_unitary(ops.jz, phi) @ pulse
+
+
 def rotate_ramsey(initial, phi, readout_rotation=None):
     """The Ramsey sequence as three validated `rotate` calls, then the
     readout rotation about the mean spin: the oracle of `ramsey`, whose
-    pulses share one unchecked array kernel."""
+    pulses are products with the cached d^J(pi/2) instead."""
     state = rotate(initial, (0.0, 1.0, 0.0), math.pi / 2.0)
     state = rotate(state, (0.0, 0.0, 1.0), phi)
     state = rotate(state, (0.0, 1.0, 0.0), math.pi / 2.0)
@@ -240,25 +247,32 @@ class TestCollectiveRamsey:
         np.testing.assert_allclose(u.conj().T @ u, np.eye(7), atol=1e-12)
 
     def test_propagator_is_pulse_phase_pulse(self):
-        n, phi = 4, 1.2
-        ops = collective_ops(n)
-        pulse = dense_unitary(ops.jy, math.pi / 2)
-        expected = pulse @ dense_unitary(ops.jz, phi) @ pulse
-        np.testing.assert_allclose(ramsey_matrix(n, phi), expected, atol=1e-12)
+        np.testing.assert_allclose(ramsey_matrix(4, 1.2), pulse_phase_pulse(4, 1.2), atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 400])
     @pytest.mark.parametrize(
         "phi", [0.0, math.pi, -math.pi, float(np.random.default_rng(5).uniform(-4.0, 4.0))]
     )
-    def test_bit_identical_to_three_rotations(self, n, phi):
+    def test_agrees_with_three_rotations(self, n, phi):
         for probe in (css(n, 0.0, 0.0), random_spin_state(n, n)):
-            assert np.array_equal(ramsey(probe, phi).amplitudes, rotate_ramsey(probe, phi).amplitudes)
+            got = ramsey(probe, phi).amplitudes
+            np.testing.assert_allclose(got, rotate_ramsey(probe, phi).amplitudes, rtol=0, atol=1e-13)
+            if n <= 100:
+                np.testing.assert_allclose(
+                    got, pulse_phase_pulse(n, phi) @ probe.amplitudes, rtol=0, atol=1e-13
+                )
 
     @pytest.mark.parametrize("n", [8, 100])
-    def test_readout_rotation_bit_identical_to_three_rotations(self, n):
+    def test_readout_rotation_agrees_with_three_rotations(self, n):
         probe = oat_evolve(css(n, math.pi / 2, 0.0), OatParams(chi=0.1, t=1.0))
-        got = ramsey(probe, 0.7, readout_rotation=0.9)
-        assert np.array_equal(got.amplitudes, rotate_ramsey(probe, 0.7, 0.9).amplitudes)
+        got = ramsey(probe, 0.7, readout_rotation=0.9).amplitudes
+        np.testing.assert_allclose(
+            got, rotate_ramsey(probe, 0.7, 0.9).amplitudes, rtol=0, atol=1e-13
+        )
+        expected = pulse_phase_pulse(n, 0.7) @ probe.amplitudes
+        jvec = expectation_vector(CollectiveSpinState(n, expected))
+        expected = evolve(expected, collective_ops(n).along(jvec / np.linalg.norm(jvec)), 0.9)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
 
     def test_readout_rotation_preserves_mean_spin(self):
         probe = oat_evolve(css(8, math.pi / 2, 0.0), OatParams(chi=0.1, t=1.0))

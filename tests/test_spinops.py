@@ -19,7 +19,16 @@ from qmetro import (
     moments,
     rotate,
 )
-from qmetro.spinops import _dicke_ladder, _jy_gauge, _spin_covariance, evolve
+from qmetro.spinops import (
+    _band_evolve,
+    _band_spectrum,
+    _dicke_ladder,
+    _jy_band,
+    _jy_gauge,
+    _real_matvec,
+    _spin_covariance,
+    evolve,
+)
 
 # Pauli matrices written in the ascending-m ordering (|down>, |up>)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -226,6 +235,41 @@ class TestBandedRotation:
         vec = random_vector(n, 5)
         expected = collective_ops(n).along(axis) @ vec
         np.testing.assert_allclose(apply(axis, vec), expected, rtol=0, atol=1e-13 * n)
+
+
+class TestWignerPulse:
+    """The cached eigenvectors of Jy's real band are Wigner's d^J(pi/2)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 11, 20])
+    def test_cached_vectors_are_wigner_small_d(self, n):
+        (_, v), _ = _jy_band(n)
+        np.testing.assert_allclose(v, wigner_small_d(n, math.pi / 2), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 400])
+    def test_column_signs_leave_band_evolve_bit_identical(self, n):
+        spectrum, gauge = _jy_band(n)
+        _, coupling = _dicke_ladder(n)
+        w, v = _band_spectrum(np.zeros(n + 1), 0.5 * coupling)
+        raw = (w, np.ascontiguousarray(v))  # the layout the cache keeps
+        vec = random_vector(n, 11)
+        for beta in (0.3, math.pi / 2, 2.9, -1.7, 5.0):
+            assert np.array_equal(
+                _band_evolve(vec, spectrum, gauge, beta), _band_evolve(vec, raw, gauge, beta)
+            )
+
+    @pytest.mark.parametrize("n", [2000, 2001, 4000])
+    def test_large_n_pulse_matches_band_path(self, n):
+        try:
+            spectrum, gauge = _jy_band(n)
+            vec = random_vector(n, n)
+            np.testing.assert_allclose(
+                _real_matvec(spectrum[1], vec),
+                _band_evolve(vec, spectrum, gauge, math.pi / 2),
+                rtol=0,
+                atol=1e-12,
+            )
+        finally:
+            _jy_band.cache_clear()  # 128 MB at N = 4000
 
 
 class TestMoments:

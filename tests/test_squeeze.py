@@ -27,6 +27,7 @@ from qmetro import (
     squeezing_parameters,
 )
 from qmetro.spinops import _band_evolve, _band_spectrum, _dicke_ladder, evolve
+from qmetro.squeeze import _lowest_states
 
 
 def dicke(n, k):
@@ -335,6 +336,23 @@ class TestGroundState:
         assert spectrum.ground_degenerate == dense_degenerate
         if not dense_degenerate:
             overlap = abs(np.vdot(states[:, 0], spectrum.states[:, 0]))
+            assert overlap == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "params",
+        bjj_cases + [BjjParams(10, tunneling=0.0, charging_energy=-1.0)],  # A07a doublet
+    )
+    def test_lowest_states_match_full_spectrum(self, params):
+        h = bjj_hamiltonian(params)
+        full = ground_state(h)
+        low = _lowest_states(h)
+        spectral_range = full.energies[-1] - full.energies[0]
+        assert low.energies.shape == (2,) and low.states.shape == (params.n_particles + 1, 2)
+        assert abs(low.ground_energy - full.ground_energy) <= 1e-12 * spectral_range
+        assert abs(low.gap - full.gap) <= 1e-12 * spectral_range
+        assert low.ground_degenerate == full.ground_degenerate
+        if not full.ground_degenerate:
+            overlap = abs(np.vdot(full.states[:, 0], low.states[:, 0]))
             assert overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_hamiltonian_is_real_symmetric_tridiagonal(self):
