@@ -46,6 +46,7 @@ from .estimate import (
 )
 from .interferom import (
     _mode_numbers,
+    _parity_mean,
     mz_single_particle_state,
     mz_two_mode,
     parity_sector_povm,
@@ -244,8 +245,13 @@ def _min_summary(rows, column, swept="phi"):
     finite = [r for r in rows if math.isfinite(r[column])]
     if not finite:
         return f"no finite {column} in sweep"
-    best = min(finite, key=lambda r: r[column])
-    return f"min {column} = {best[column]:.6g} at {swept} = {best[swept]:.6g}"
+    best = min(r[column] for r in finite)
+    # rows within 1e-9 relative of the least value tie with it at round-off
+    ties = [r[swept] for r in finite if r[column] - best <= 1e-9 * abs(best)]
+    if len(ties) == 1:
+        return f"min {column} = {best:.6g} at {swept} = {ties[0]:.6g}"
+    span = f"{swept} = {min(ties):.6g} to {max(ties):.6g}"
+    return f"min {column} = {best:.6g}, flat over {len(ties)} points ({span})"
 
 
 def _squeezing_cells(report) -> dict:
@@ -342,13 +348,9 @@ def _run_twinfock_parity(cfg: SimpleNamespace):
     for n in cfg.n:
         probe = twin_fock(n)
         readout = parity_sector_povm("b", probe.cutoff)
-
-        def family(phi):
-            return mz_two_mode(probe, phi)
-
         rows += [
-            {**row, "parity": readout_moments(family(row["phi"]), readout)[0]}
-            for row in _sweep_rows(cfg, n, family, readout)
+            {**row, "parity": _parity_mean(mz_two_mode(probe, row["phi"]), readout)}
+            for row in _sweep_rows(cfg, n, lambda phi: mz_two_mode(probe, phi), readout)
         ]
     return rows, _min_summary(rows, "delta_theta_errorprop")
 

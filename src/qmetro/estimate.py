@@ -213,8 +213,8 @@ def povm_probabilities(state, readout: Readout) -> np.ndarray:
 
 
 def readout_moments(state, readout: Readout) -> tuple[float, float]:
-    """Mean and variance of a readout's value on a pure state, with the
-    round-off guards of `moments`; no matrix is built."""
+    """Mean and variance of a readout's value on a pure state, as in
+    `moments`; no matrix is built."""
     vec = _vector_in(state, readout.basis_tag)
     return _moments(vec, readout.value * vec)
 
@@ -250,16 +250,14 @@ def _family_vector(state_family, theta: float) -> np.ndarray:
 
 def qfi_from_family(state_family, theta: float) -> float:
     """Quantum Fisher information from the parameterized final state:
-
-    F_Q = 4 [ <psi'|psi'> - |<psi'|psi>|^2 ],
-
-    with psi' from central differences (one Richardson refinement).
+    F_Q = 4 ||psi' - <psi|psi'> psi||^2 (Braunstein & Caves, PRL 72, 3439,
+    1994), with psi' from central differences (one Richardson refinement).
     Agrees with ``qfi_generator`` whenever the family is exp(-iH theta) psi0.
     """
     psi = _family_vector(state_family, theta)
     dpsi = _central_diff(lambda t: _family_vector(state_family, t), theta, STATE_STEP)
-    fq = 4.0 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(dpsi, psi)) ** 2)
-    return max(0.0, float(fq))
+    centered = dpsi - np.vdot(psi, dpsi) * psi
+    return 4.0 * float(np.vdot(centered, centered).real)
 
 
 def cramer_rao(fisher: float, repetitions: int = 1) -> float:

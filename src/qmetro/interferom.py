@@ -1,9 +1,9 @@
 """Interferometer sequences and readouts.
 
-Single-particle Mach-Zehnder and Ramsey pipelines use explicit 2x2
-matrices.  The collective Ramsey sequence composes the two pi/2 pulses
-about y with the phase accumulation about z (rightmost factor first);
-each pulse is one real product with Wigner's d^J(pi/2), cached per N.
+The single-particle Mach-Zehnder and Ramsey share one 2x2 pipeline.
+The collective Ramsey sequence composes the two pi/2 pulses about y
+with the phase accumulation about z (rightmost factor first); each
+pulse is one real product with Wigner's d^J(pi/2), cached per N.
 The two-mode Mach-Zehnder acts sector-by-sector in total particle
 number n, where the Schwinger map (a^dag b -> J+, with J = n/2 and
 m = (n_a - n_b)/2) turns each beam splitter into a collective rotation
@@ -53,7 +53,7 @@ __all__ = [
     "phase_sweep",
 ]
 
-# 50:50 splitter of the single-particle pipelines (self-inverse Hadamard form)
+# 50:50 splitter of the single-particle Mach-Zehnder (self-inverse Hadamard form)
 SPLITTER_2X2 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
 
@@ -83,16 +83,11 @@ def ramsey_single_particle(phi: float) -> tuple[float, float]:
 
     Two self-inverse pi/2 pulses around a free evolution that advances
     the ground state by -phi/2 and the excited state by +phi/2; yields
-    p(down|phi) = (1 + cos phi)/2.
+    p(down|phi) = (1 + cos phi)/2.  H diag(e^{-i phi/2}, e^{i phi/2}) H is
+    e^{-i phi/2} times the Mach-Zehnder's H diag(1, e^{i phi}) H, a global
+    phase, so (p_down, p_up) = (p_a, p_b) of `mz_single_particle`.
     """
-    psi = np.array([1.0, 0.0], dtype=complex)  # start in the ground state
-    psi = SPLITTER_2X2 @ psi
-    psi = np.array(
-        [np.exp(-1j * phi / 2.0) * psi[0], np.exp(+1j * phi / 2.0) * psi[1]]
-    )
-    psi = SPLITTER_2X2 @ psi
-    p = np.abs(psi) ** 2
-    return float(p[0]), float(p[1])
+    return mz_single_particle(phi)
 
 
 def ramsey(
@@ -145,10 +140,9 @@ def _readout_variance_series(state: CollectiveSpinState) -> np.ndarray:
     after a rotation by theta about the mean-spin axis n.  The rotation
     turns Jz into u.J with u = R(n, -theta) z = c n + cos(theta) p +
     sin(theta) q, where c = n_z, p = z - c n and q = -n x z, so the
-    variance is u^T C u for the spin covariance C (`_spin_covariance`)
-    in the frame (n, p, q).  The perpendicular block comes from p.J and
-    q.J themselves, whose means vanish, so it does not cancel against
-    the mean spin.
+    variance is u^T C u for the spin covariance C in the frame (n, p, q):
+    the Gram matrix of the centered vectors (u_i.J - <u_i.J>) psi
+    (`_spin_covariance`), so every variance in it is a sum of squares.
     """
     axis = _mean_spin_axis(state)
     c = axis[2]
@@ -214,7 +208,7 @@ def mz_two_mode(state: TwoModeFockState, phi: float) -> TwoModeFockState:
         w, v = np.linalg.eigh(band + band.T)
         vec = _band_evolve(grid[na, nb], (w, v), _jy_gauge(n), -math.pi / 2.0)
         vec = np.exp(1j * phi * nb) * vec
-        out[na, nb] = _real_matvec(v, np.exp(-0.5j * math.pi * w) * _real_matvec(v.T, vec))
+        out[na, nb] = _band_evolve(vec, (w, v), np.ones(n + 1), math.pi / 2.0)
     return TwoModeFockState(state.cutoff, out, state.truncation_deficit)
 
 
@@ -234,7 +228,16 @@ def parity_sector_povm(mode: str, cutoff: int) -> Readout:
 
 def parity_expectation(state: TwoModeFockState, mode: str) -> float:
     """<exp(i pi n_mode)>, the mean of the mode's parity readout."""
-    return readout_moments(state, parity_sector_povm(mode, state.cutoff))[0]
+    return _parity_mean(state, parity_sector_povm(mode, state.cutoff))
+
+
+def _parity_mean(state: TwoModeFockState, readout: Readout) -> float:
+    """The mean of a parity readout, clamped to [-1, 1] when it lies within
+    1e-12 beyond +-1, which is round-off; further out it is an error."""
+    mean = readout_moments(state, readout)[0]
+    if not abs(mean) <= 1.0 + 1e-12:  # NaN fails too
+        raise ValueError(f"parity {mean!r} outside [-1, 1] beyond round-off")
+    return min(1.0, max(-1.0, mean))
 
 
 def phase_sweep(

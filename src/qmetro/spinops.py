@@ -30,7 +30,6 @@ __all__ = [
 NORM_TOL = 1e-12
 HERMITICITY_TOL = 1e-14
 AXIS_TOL = 1e-10
-VARIANCE_CLAMP = 1e-12
 IMAG_TOL = 1e-12
 # a mean spin counts as zero when |<J>| <= MEAN_SPIN_EPS * max(1, N/2),
 # relative to its largest possible length N/2
@@ -357,29 +356,21 @@ def moments(state, obs: Observable) -> tuple[float, float]:
     """Mean and variance of an observable on a pure state.
 
     The state may live in either basis; its tag must match the
-    observable's.  Variance is clamped to 0 when round-off drives it
-    slightly negative (within 1e-12 of <O^2>).
+    observable's.  The variance is the sum of squares ||(O - <O>) psi||^2.
     """
     vec = _vector_in(state, obs.basis_tag)
     return _moments(vec, obs.matrix @ vec)
 
 
 def _moments(vec: np.ndarray, applied: np.ndarray) -> tuple[float, float]:
-    """Mean and variance of O from psi and O psi, with the guards of `moments`."""
+    """Mean and variance of O from psi and O psi, as in `moments`."""
     mean_c = np.vdot(vec, applied)
     second = float(np.vdot(applied, applied).real)  # <O psi|O psi> = <O^2>
-    # round-off scale grows with <O^2> (e.g. Jx^2 or Jz eigenstates at large
-    # N), so both guards scale with the second moment: the imaginary part of
-    # <O> with |O psi| = sqrt(<O^2>), the variance with <O^2> itself
     if abs(mean_c.imag) > IMAG_TOL * max(1.0, math.sqrt(second)):
         raise ValueError(f"expectation has imaginary part {mean_c.imag!r}")
     mean = float(mean_c.real)
-    variance = second - mean * mean
-    if variance < 0.0:
-        if variance < -VARIANCE_CLAMP * max(1.0, abs(second)):
-            raise ValueError(f"variance {variance!r} negative beyond round-off")
-        variance = 0.0
-    return mean, variance
+    centered = applied - mean * vec
+    return mean, float(np.vdot(centered, centered).real)
 
 
 def _zero_spin(n_particles: int) -> float:
@@ -404,14 +395,16 @@ def _mean_spin(state: CollectiveSpinState) -> tuple[np.ndarray | None, float]:
 
 
 def _spin_covariance(vec: np.ndarray, axes) -> tuple[np.ndarray, np.ndarray]:
-    """The means <u_i.J> and the symmetrized covariance
-    Re<u_i.J u_j.J> - <u_i.J><u_j.J> of the spin components along the
-    3-vectors u_i, from one `apply` per axis.  Each entry on or above the
+    """The means <u_i.J> and the symmetrized covariance of the spin
+    components along the 3-vectors u_i: the Gram matrix
+    Re<(u_i.J - <u_i.J>) psi | (u_j.J - <u_j.J>) psi> of the centered
+    vectors, from one `apply` per axis.  Each entry on or above the
     diagonal is computed once and mirrored, so the matrix is symmetric."""
     applied = [apply(u, vec) for u in axes]
     means = np.array([np.vdot(vec, a).real for a in applied])
-    cov = np.empty((len(applied), len(applied)))
-    for i, a in enumerate(applied):
-        for j in range(i, len(applied)):
-            cov[i, j] = cov[j, i] = np.vdot(a, applied[j]).real - means[i] * means[j]
+    centered = [a - mean * vec for a, mean in zip(applied, means)]
+    cov = np.empty((len(centered), len(centered)))
+    for i, a in enumerate(centered):
+        for j in range(i, len(centered)):
+            cov[i, j] = cov[j, i] = np.vdot(a, centered[j]).real
     return means, cov

@@ -9,13 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import legendre
+from conftest import legendre, oat_closed_form
 
 from qmetro.cli import (
     _KEYS,
     ConfigError,
     EXPERIMENTS,
     _build_parser,
+    _min_summary,
     main,
     parse_grid,
     parse_scalar,
@@ -369,6 +370,82 @@ class TestLargeN:
         assert row["regime"] == "josephson"
         assert float(row["gap"]) > 0.0
         assert row["ground_degenerate"] == "false"
+
+
+class TestClosedForms:
+    """Records against exact forms at the points where they hold."""
+
+    @pytest.mark.parametrize("chi", ["0.01", "0.05"])
+    def test_ramsey_sss_at_half_pi_is_kitagawa_ueda_and_wineland(self, tmp_path, chi):
+        # rotations keep xi, so the probe's xi are those of the twisted CSS
+        # at chi t; at phi = pi/2 error propagation reaches
+        # sqrt(N) dphi = xi_R (Wineland et al., PRA 50, 67, 1994)
+        out = tmp_path / "sss.csv"
+        args = ["run", "ramsey-sss", "--n", "2,10,40,400,1000", "--chi", chi, "--phi", "pi/2"]
+        assert run_cli(args + ["--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 5
+        for row in rows:
+            n = int(row["n"])
+            closed = oat_closed_form(n, float(chi))
+            conditioning = max(1.0, n / (2.0 * closed["mean_spin"]))
+            assert float(row["xi_s_sq"]) == pytest.approx(closed["xi_s_sq"], rel=1e-12, abs=0)
+            for key in ("xi_r_sq", "xi_h_sq"):
+                assert float(row[key]) == pytest.approx(closed[key], rel=1e-12 * conditioning, abs=0)
+            ep = math.sqrt(n) * float(row["delta_theta_errorprop"])
+            assert ep == pytest.approx(math.sqrt(closed["xi_r_sq"]), abs=1e-9)
+
+    @pytest.mark.parametrize("jtun,delta", [(1, 0), (1, 0.5), (0.5, 2), (2, -1)])
+    def test_bjj_ground_without_charging_energy_is_a_rotated_css(self, tmp_path, jtun, delta):
+        # H = -J Jx + delta Jz is (J^2 + delta^2)^(1/2) times a spin component:
+        # evenly spaced levels, and a ground state that is the CSS along
+        # (J, 0, -delta), at alpha = atan(|delta| / J) from the x axis
+        out = tmp_path / "bjj.csv"
+        args = ["run", "bjj-ground", "--n", "10,100,1000,2000", "--ec", "0"]
+        assert run_cli(args + [f"--jtun={jtun}", f"--delta={delta}", "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert [int(r["n"]) for r in rows] == [10, 100, 1000, 2000]
+        omega = math.hypot(jtun, delta)
+        half_alpha = 0.5 * math.atan(abs(delta) / jtun)
+        for row in rows:
+            n = int(row["n"])
+            assert row["regime"] == "rabi"
+            assert row["ground_degenerate"] == "false"
+            assert float(row["ground_energy"]) == pytest.approx(-0.5 * n * omega, rel=1e-12, abs=0)
+            assert float(row["gap"]) == pytest.approx(omega, rel=1e-12, abs=0)
+            # absolute: a tiny overlap is the round-off floor of the eigenvector
+            assert float(row["css_overlap"]) == pytest.approx(math.cos(half_alpha) ** (2 * n), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [5, 40])
+    def test_twinfock_parity_at_the_fringe_extrema_stays_in_the_unit_interval(self, tmp_path, n):
+        out = tmp_path / "tf.csv"
+        args = ["run", "twinfock-parity", "--n", str(n), "--phi", "0:pi/2:2"]
+        assert run_cli(args + ["--out", str(out)]) == 0
+        parities = [float(r["parity"]) for r in read_csv(out)]
+        assert parities == [1.0, (-1.0) ** n]  # P_N(cos 2 phi) at phi = 0, pi/2
+
+
+class TestMinSummary:
+    @staticmethod
+    def rows(values):
+        return [{"phi": 0.1 * (k + 1), "x": v} for k, v in enumerate(values)]
+
+    def test_a_single_least_row_is_named(self):
+        summary = _min_summary(self.rows([2.0, 1.0, 1.0 + 2e-9, math.inf]), "x")
+        assert summary == "min x = 1 at phi = 0.2"
+
+    def test_rows_within_1e_9_relative_make_a_flat_minimum(self):
+        summary = _min_summary(self.rows([1.0 + 9e-10, 3.0, 1.0, math.inf, 1.0 + 5e-10]), "x")
+        assert summary == "min x = 1, flat over 3 points (phi = 0.1 to 0.5)"
+
+    def test_no_finite_row(self):
+        assert _min_summary(self.rows([math.inf]), "x") == "no finite x in sweep"
+
+    def test_ramsey_css_at_the_sql_is_flat(self, tmp_path, capsys):
+        # every row sits at 1/sqrt(N) to 1e-9, so no one phi is the best
+        out = tmp_path / "css.csv"
+        assert run_cli(["run", "ramsey-css", "--n", "1000", "--phi", "0.1:3:3", "--out", str(out)]) == 0
+        assert "min delta_theta_errorprop = 0.0316228, flat over 3 points (phi = 0.1 to 3)" in capsys.readouterr().out
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():

@@ -34,7 +34,7 @@ from qmetro import (
     rotate,
     twin_fock,
 )
-from qmetro.interferom import _mean_spin_axis, _readout_variance_series
+from qmetro.interferom import _mean_spin_axis, _parity_mean, _readout_variance_series
 from qmetro.spinops import _dicke_ladder, evolve
 from search_oracles import grid_then_golden
 
@@ -49,11 +49,13 @@ def jz_readout(state):
 
 
 def grid_parity(state, mode):
-    """(-1)^n_mode |c|^2 summed over the Fock grid: the oracle for the
-    parity readout's mean."""
+    """(-1)^n_mode |c|^2 summed over the Fock grid, kept inside [-1, 1]
+    where the mean of +-1 values lies: the oracle for the parity
+    readout's mean."""
     n = np.arange(state.cutoff + 1)
     occupation = n[:, None] if mode == "a" else n[None, :]
-    return float(np.sum((-1.0) ** occupation * np.abs(state.amplitudes) ** 2))
+    total = float(np.sum((-1.0) ** occupation * np.abs(state.amplitudes) ** 2))
+    return min(1.0, max(-1.0, total))
 
 
 def oat_probe(n, chi=None):
@@ -392,6 +394,20 @@ class TestParity:
         for phi in np.linspace(0.0, math.pi, 100):
             got = parity_expectation(mz_two_mode(probe, phi), "b")
             assert got == pytest.approx(legendre(n, math.cos(2 * phi)), abs=1e-8)
+
+    @pytest.mark.parametrize("n", [5, 40])
+    @pytest.mark.parametrize("phi", [0.0, math.pi / 2])
+    def test_parity_at_the_fringe_extrema_is_exactly_plus_or_minus_one(self, n, phi):
+        # the mean of the +-1 values summed to 1.0000000000000011 at N = 5,
+        # phi = 0 and -1.0000000000000027 at N = 5, phi = pi/2
+        got = parity_expectation(mz_two_mode(twin_fock(n), phi), "b")
+        assert got == (1.0 if phi == 0.0 else (-1.0) ** n)  # P_N(1), P_N(-1)
+
+    def test_parity_beyond_round_off_raises(self):
+        state = twin_fock(2)
+        doubled = Readout(2.0 * parity_sector_povm("b", state.cutoff).value, state.basis_tag)
+        with pytest.raises(ValueError, match="outside"):
+            _parity_mean(state, doubled)
 
     def test_parity_readout_outcomes(self):
         readout = parity_sector_povm("b", 3)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import align_phase
+from conftest import align_phase, oat_closed_form
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -125,6 +125,19 @@ class TestSqueezingParameters:
                 assert report.xi_s_sq == pytest.approx(4.0 * var / n, rel=5e-15, abs=0)
                 assert report.xi_r_sq == pytest.approx(n * var / jnorm**2, rel=5e-15, abs=0)
                 assert report.xi_h_sq == pytest.approx(2.0 * var / jnorm, rel=5e-15, abs=0)
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 101, 1000, 2000])
+    @pytest.mark.parametrize("chi_t", [1e-4, 3e-4, 1e-3, 3e-3, 0.01, 0.03, 0.1])
+    def test_one_axis_twisting_matches_kitagawa_ueda(self, n, chi_t):
+        # xi_R^2 and xi_H^2 divide by powers of |<J>|, so their error grows
+        # with the conditioning N / (2 |<J>|) of the mean spin: 2.1e-9 at
+        # N = 2000, chi t = 0.1, where |<J>| = 0.045
+        report = squeezing_parameters(oat_evolve(css(n, math.pi / 2, 0.0), OatParams(chi=chi_t, t=1.0)))
+        closed = oat_closed_form(n, chi_t)
+        conditioning = max(1.0, n / (2.0 * closed["mean_spin"]))
+        assert report.xi_s_sq == pytest.approx(closed["xi_s_sq"], rel=1e-12, abs=0)
+        for key in ("xi_r_sq", "xi_h_sq"):
+            assert getattr(report, key) == pytest.approx(closed[key], rel=1e-12 * conditioning, abs=0)
 
     @given(
         n=st.integers(min_value=1, max_value=2000),
