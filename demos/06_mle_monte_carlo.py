@@ -14,6 +14,8 @@ family = DistributionFamily(
     outcome_labels=("heads", "tails"),
     prob_at=lambda theta: np.array([theta, 1.0 - theta]),
     derivative=lambda theta: np.array([1.0, -1.0]),
+    # many thetas at once, one row per theta: the MLE's likelihood tables
+    table_at=lambda thetas: np.stack([thetas, 1.0 - thetas], axis=-1),
 )
 
 theta_true = 0.5

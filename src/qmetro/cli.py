@@ -24,6 +24,7 @@ Exit codes: 0 success, 2 configuration error, 3 computation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -394,24 +395,26 @@ def _run_oat_squeeze(cfg: SimpleNamespace):
 MONTE_CARLO_THETA_TRUE = 0.5
 MONTE_CARLO_TRIALS = 200
 MONTE_CARLO_INTERVAL = (0.01, 0.99)
+# the coin P = (theta, 1 - theta); a table row is its prob_at bit for bit
+_MONTE_CARLO_COIN = DistributionFamily(
+    outcome_labels=("success", "failure"),
+    prob_at=lambda theta: np.array([theta, 1.0 - theta]),
+    derivative=lambda theta: np.array([1.0, -1.0]),
+    table_at=lambda thetas: np.stack([thetas, 1.0 - thetas], axis=-1),
+)
 
 
 def _run_monte_carlo(cfg: SimpleNamespace):
-    family = DistributionFamily(
-        outcome_labels=("success", "failure"),
-        prob_at=lambda theta: np.array([theta, 1.0 - theta]),
-        derivative=lambda theta: np.array([1.0, -1.0]),
-    )
     v = cfg.v or 10_000
     run = run_monte_carlo(
-        family,
+        _MONTE_CARLO_COIN,
         MONTE_CARLO_THETA_TRUE,
         v,
         MONTE_CARLO_TRIALS,
         cfg.seed,
         MONTE_CARLO_INTERVAL,
     )
-    fisher = classical_fisher(family, MONTE_CARLO_THETA_TRUE)
+    fisher = classical_fisher(_MONTE_CARLO_COIN, MONTE_CARLO_THETA_TRUE)
     crb_variance = 1.0 / (v * fisher)
     row = {
         "theta_true": MONTE_CARLO_THETA_TRUE,
@@ -542,7 +545,9 @@ def run_sweep(cfg: SimpleNamespace) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qmetro",
         description="Deterministic quantum-metrology experiment sweeps.",

@@ -67,20 +67,35 @@ class DistributionFamily:
 
     ``derivative`` optionally supplies dP/dtheta analytically; otherwise
     Fisher information falls back to central differences.
+
+    ``table_at`` optionally evaluates many thetas in one call: it maps a
+    float64 array of M thetas to an (M, K) array whose row m equals
+    ``prob_at(thetas[m])``, one row per theta in the order given.  The
+    table paths (`run_monte_carlo`) use it when it is set; without it
+    they call ``prob_at`` once per theta.
     """
 
     outcome_labels: tuple
     prob_at: Callable[[float], np.ndarray]
     derivative: Optional[Callable[[float], np.ndarray]] = None
+    table_at: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def probabilities(self, theta: float) -> np.ndarray:
         return self._validated(self._evaluate(theta), theta)
 
     def _probability_table(self, thetas) -> np.ndarray:
         """The validated probabilities at every theta in thetas as one
-        (M, K) table: ``prob_at`` is called once per theta, with theta as
-        given, and the rows are checked together."""
-        return self._validated(np.array([self._evaluate(t) for t in thetas]), thetas)
+        (M, K) table, the rows checked together: one ``table_at`` call on
+        the float64 array of the thetas when the family has one, else one
+        ``prob_at`` call per theta, taken as a Python float."""
+        thetas = np.asarray(thetas, dtype=float)
+        if self.table_at is None:
+            return self._validated(np.array([self._evaluate(t) for t in thetas.tolist()]), thetas)
+        p = np.asarray(self.table_at(thetas), dtype=float)
+        expected = (thetas.size, len(self.outcome_labels))
+        if p.shape != expected:
+            raise InvalidDistributionError(f"table_at gave shape {p.shape}, expected {expected}")
+        return self._validated(p, thetas)
 
     def _evaluate(self, theta) -> np.ndarray:
         p = np.asarray(self.prob_at(theta), dtype=float)
@@ -296,10 +311,10 @@ def error_propagation(signal, noise, theta: float) -> ErrorPropagation:
 
 def _observed_patterns(counts):
     """The distinct patterns of observed outcomes (n_i > 0) among the rows
-    of a count table, as boolean rows, and the index of each row's
-    pattern."""
+    of a count table, each as the array of its observed outcome indices,
+    and the index of each row's pattern."""
     patterns, pattern = np.unique(counts > 0, axis=0, return_inverse=True)
-    return patterns, pattern.reshape(-1)  # numpy 2.0.0 returns a column
+    return [np.flatnonzero(p) for p in patterns], pattern.reshape(-1)  # numpy 2.0.0: a column
 
 
 def _minus_log_likelihoods(counts, log_p, patterns, pattern) -> np.ndarray:
@@ -308,24 +323,25 @@ def _minus_log_likelihoods(counts, log_p, patterns, pattern) -> np.ndarray:
 
     ``counts`` is (R, K), one row of outcome counts per trial; ``log_p``
     is (R, M, K), trial r's ln P at its own M points, or (1, M, K), one
-    table shared by every trial; ``patterns[pattern[r]]`` marks the
-    outcomes trial r observed.  Returns (R, M).  Only observed outcomes
-    enter a sum, as one C-ordered row: numpy sums each row of such a
-    table as it sums a 1-D array (pairwise above 8 terms), so the trials
-    are taken one observed pattern at a time and no zero count is padded
-    in.  An observed outcome with P = 0 has ln P = -inf, so the value is
-    +inf.
+    table shared by every trial; ``patterns[pattern[r]]`` lists the
+    outcomes trial r observed (`_observed_patterns`, found once per run).
+    Returns (R, M).  Only observed outcomes enter a sum, as one C-ordered
+    row: numpy sums each row of such a table as it sums a 1-D array
+    (pairwise above 8 terms), so the trials are taken one observed
+    pattern at a time and no zero count is padded in.  A pattern's trials
+    are split into blocks only when their terms exceed LIKELIHOOD_BLOCK.
+    An observed outcome with P = 0 has ln P = -inf, so the value is +inf.
     """
     values = np.empty((counts.shape[0], log_p.shape[1]))
-    for g in np.unique(pattern):
-        observed = patterns[g]
+    for g, observed in enumerate(patterns):
         rows = np.flatnonzero(pattern == g)
-        terms_per_row = log_p.shape[1] * np.count_nonzero(observed)
-        blocks = np.clip(rows.size * terms_per_row // LIKELIHOOD_BLOCK, 1, rows.size)
-        for block in np.array_split(rows, blocks):
+        if not rows.size:
+            continue
+        blocks = min(rows.size, rows.size * log_p.shape[1] * observed.size // LIKELIHOOD_BLOCK)
+        for block in np.array_split(rows, blocks) if blocks > 1 else (rows,):
             lp = log_p[:, :, observed] if log_p.shape[0] == 1 else log_p[block][:, :, observed]
-            # order="C": a boolean index on the last axis comes out F-ordered,
-            # and numpy would then sum across the rows instead of along each
+            # order="C": an index on the last axis comes out F-ordered, and
+            # numpy would then sum across the rows instead of along each
             terms = np.multiply(counts[block][:, None, observed], lp, order="C")
             values[block] = -np.sum(terms, axis=2)
     return values
@@ -349,11 +365,14 @@ def run_monte_carlo(
     come from that one log-probability table.  The trials are then
     refined in lockstep (`_search.golden_sections`): each step evaluates
     and validates the family once, as one table with a row per trial
-    still refining.  The likelihoods are summed with the float operations
-    of a per-point evaluation, so the estimates are bit-identical to
-    searching each trial on its own with a scalar golden section.  Trial
-    streams are derived from (seed, trial index), so runs are
-    reproducible bit-exactly and trials are independent.
+    still refining.  Each table is one ``table_at`` call when the family
+    has one (its rows must equal ``prob_at`` at their thetas), else one
+    ``prob_at`` call per theta; the trials are grouped by the outcomes
+    they observed once per run.  The likelihoods are summed with the
+    float operations of a per-point evaluation, so the estimates are
+    bit-identical to searching each trial on its own with a scalar golden
+    section.  Trial streams are derived from (seed, trial index), so runs
+    are reproducible bit-exactly and trials are independent.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -375,9 +394,8 @@ def run_monte_carlo(
     grid_values = _minus_log_likelihoods(counts, grid_log_p[None], patterns, pattern)
 
     def minus_log_likelihood(which, thetas):
-        # thetas as Python floats, the points the scalar search would pass
         with np.errstate(divide="ignore"):
-            log_p = np.log(family._probability_table(thetas.tolist()))
+            log_p = np.log(family._probability_table(thetas))
         return _minus_log_likelihoods(counts[which], log_p[:, None], patterns, pattern[which])[:, 0]
 
     estimates = grid_then_golden_many(

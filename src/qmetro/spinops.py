@@ -365,12 +365,14 @@ def moments(state, obs: Observable) -> tuple[float, float]:
 def _moments(vec: np.ndarray, applied: np.ndarray) -> tuple[float, float]:
     """Mean and variance of O from psi and O psi, as in `moments`."""
     mean_c = np.vdot(vec, applied)
-    second = float(np.vdot(applied, applied).real)  # <O psi|O psi> = <O^2>
-    if abs(mean_c.imag) > IMAG_TOL * max(1.0, math.sqrt(second)):
-        raise ValueError(f"expectation has imaginary part {mean_c.imag!r}")
     mean = float(mean_c.real)
     centered = applied - mean * vec
-    return mean, float(np.vdot(centered, centered).real)
+    variance = float(np.vdot(centered, centered).real)
+    # the guard's scale ||O psi|| equals sqrt(mean^2 + variance) for a unit
+    # psi, so psi is not read a third time for it
+    if abs(mean_c.imag) > IMAG_TOL * max(1.0, math.sqrt(mean * mean + variance)):
+        raise ValueError(f"expectation has imaginary part {mean_c.imag!r}")
+    return mean, variance
 
 
 def _zero_spin(n_particles: int) -> float:

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -586,6 +587,33 @@ class TestUnusedFlags:
         args = ["run", "monte-carlo", "--v", "100", "--config", str(cfg), "--out", str(out)]
         assert run_cli(args) == 0
         assert json.loads(out.read_text())[0]["v"] == 100
+
+
+class TestParserReuse:
+    """main builds its parser once per process, so every call after the
+    first reuses it: no call may see another's values."""
+
+    @staticmethod
+    def records(capsys):
+        return list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_flag_values_do_not_leak_into_the_next_call(self, capsys):
+        assert run_cli(["run", "monte-carlo", "--seed", "3"]) == 0
+        assert self.records(capsys)[0]["seed"] == "3"
+        assert run_cli(["run", "monte-carlo"]) == 0
+        assert self.records(capsys)[0]["seed"] == "0"
+
+    def test_bad_flag_does_not_break_the_next_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "monte-carlo", "--seed", "3", "--no-such-flag", "1"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run_cli(["run", "monte-carlo", "--v", "50"]) == 0
+        (row,) = self.records(capsys)
+        assert (row["v"], row["seed"]) == ("50", "0")
 
 
 def test_run_flags_are_the_key_table():

@@ -41,6 +41,7 @@ from qmetro import (
 )
 from qmetro import estimate
 from qmetro._search import grid_then_golden_many
+from qmetro.cli import _MONTE_CARLO_COIN
 from qmetro.estimate import _minus_log_likelihoods, _observed_patterns
 from qmetro.spinops import evolve
 from search_oracles import _log_likelihood, grid_then_golden
@@ -632,6 +633,62 @@ class TestLockstepRefinement:
             family._probability_table([0.1, 0.7, 0.8])
         with pytest.raises(InvalidDistributionError, match="expected 2 probabilities"):
             DistributionFamily(("a", "b"), lambda t: np.ones(3) / 3)._probability_table([0.1])
+
+
+class TestTableAt:
+    """A family's ``table_at`` evaluates many thetas in one call; each row
+    must be its ``prob_at`` at that theta, and it is checked as such."""
+
+    def test_cli_coin_rows_equal_per_theta_rows(self):
+        coin = _MONTE_CARLO_COIN
+        thetas = np.concatenate(
+            [np.linspace(*CLI_INTERVAL, 512), np.random.default_rng(3).uniform(*CLI_INTERVAL, 100)]
+        )
+        per_theta = np.array([coin.prob_at(t) for t in thetas.tolist()])
+        assert np.array_equal(coin.table_at(thetas), per_theta)
+        assert np.array_equal(coin._probability_table(thetas), per_theta)
+
+    @pytest.mark.parametrize(
+        "table_at",
+        [lambda th: np.stack([th, 1.0 - th]), lambda th: np.ones((th.size, 3)) / 3, lambda th: 0.5],
+        ids=["transposed", "three-outcomes", "scalar"],
+    )
+    def test_wrong_shape_raises(self, table_at):
+        family = DistributionFamily(("a", "b"), lambda t: np.array([t, 1.0 - t]), table_at=table_at)
+        with pytest.raises(InvalidDistributionError, match=r"table_at gave shape .*expected \(3, 2\)"):
+            family._probability_table([0.1, 0.2, 0.3])
+
+    def test_negative_row_names_its_theta(self):
+        family = DistributionFamily(
+            ("a", "b"),
+            lambda t: np.array([t, 1.0 - t]),
+            table_at=lambda th: np.stack([th - 0.5, 1.5 - th], axis=-1),
+        )
+        with pytest.raises(InvalidDistributionError, match="negative .* at theta=0.25"):
+            family._probability_table([0.75, 0.25, 0.125])
+
+    def test_unnormalized_row_names_its_theta(self):
+        family = DistributionFamily(
+            ("a", "b"),
+            lambda t: np.array([t, 1.0 - t]),
+            table_at=lambda th: np.stack([th, np.where(th < 0.5, 1.0 - th, 0.9 - th)], axis=-1),
+        )
+        with pytest.raises(InvalidDistributionError, match="sum to .* at theta=0.75"):
+            family._probability_table([0.25, 0.75, 0.875])
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("repetitions", [1, 3, 50, 10_000])
+    def test_run_is_bit_identical_without_table_at(self, repetitions, seed):
+        coin = _MONTE_CARLO_COIN
+        per_theta = DistributionFamily(coin.outcome_labels, coin.prob_at, coin.derivative)
+        args = (0.5, repetitions, CLI_TRIALS, seed, CLI_INTERVAL)
+        table, loop = run_monte_carlo(coin, *args), run_monte_carlo(per_theta, *args)
+        assert np.array_equal(table.estimates, loop.estimates)
+        assert (table.bias, table.mse) == (loop.bias, loop.mse)
+        if repetitions == 1:
+            # one draw per trial: two observed patterns, one likelihood group each
+            counts = trial_counts(coin, *args[:2], CLI_TRIALS, seed)
+            assert len(_observed_patterns(counts)[0]) == 2
 
 
 class TestMonteCarlo:

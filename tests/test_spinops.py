@@ -25,6 +25,7 @@ from qmetro.spinops import (
     _dicke_ladder,
     _jy_band,
     _jy_gauge,
+    _moments,
     _real_matvec,
     _spin_covariance,
     evolve,
@@ -296,6 +297,22 @@ class TestMoments:
     def test_basis_mismatch_rejected(self):
         with pytest.raises(ValueError, match="basis"):
             moments(css(3, 0.5, 0.0), jz_observable(4))
+
+    @pytest.mark.parametrize("imag, raises", [(1e-10, False), (1e-8, True)])
+    def test_imaginary_part_guard_scales_with_the_applied_norm(self, imag, raises):
+        # O = Jx + i*imag on the equator CSS: <O> = N/2 + i*imag and
+        # ||O psi|| = sqrt(mean^2 + Var Jx) ~ 500, so the guard sits at
+        # 5e-10: non-Hermitian O with a larger imaginary part still raises
+        n = 1000
+        vec = css(n, math.pi / 2, 0.0).amplitudes
+        applied = collective_ops(n).jx @ vec + 1j * imag * vec
+        if raises:
+            with pytest.raises(ValueError, match="imaginary part"):
+                _moments(vec, applied)
+        else:
+            mean, var = _moments(vec, applied)
+            assert mean == pytest.approx(n / 2, rel=1e-12)
+            assert var == pytest.approx(0.0, abs=1e-9)
 
     def test_variance_non_negative(self):
         for theta in np.linspace(0, math.pi, 17):
