@@ -191,25 +191,31 @@ def mz_two_mode(state: TwoModeFockState, phi: float) -> TwoModeFockState:
     exp(+i pi/2 Jy) is D V e^(+i pi/2 w) V^T D^dag.  The vacuum takes
     only the phase, which is 1.  Every occupied sector must fit under the
     cutoff (otherwise the splitter would leak amplitude off the grid).
+
+    With c the cutoff, sector n is the strided slice flat[n : n(c+1)+1 : c]
+    of the flattened grid, which runs over (n_a, n - n_a) with n_a
+    ascending for every n <= c.  The sector spectrum is recomputed on
+    every call, not cached: a cache would fail perfbench's pin on
+    `linalg.eigh` calls (ROADMAP item 1).
     """
+    c = state.cutoff
     support = state.total_number_support()
-    if support.size and int(support.max()) > state.cutoff:
-        raise ValueError(
-            f"cutoff {state.cutoff} cannot hold total number {int(support.max())}"
-        )
-    grid = state.amplitudes
+    if support.size and int(support[-1]) > c:
+        raise ValueError(f"cutoff {c} cannot hold total number {int(support[-1])}")
+    grid = state.vector
     out = np.zeros_like(grid)
-    out[0, 0] = grid[0, 0]
+    out[0] = grid[0]
     for n in support[support > 0].tolist():
-        na = np.arange(n + 1)
-        nb = n - na
-        _, coupling = _dicke_ladder(n)
-        band = np.diag(0.5 * coupling, 1)
-        w, v = np.linalg.eigh(band + band.T)
-        vec = _band_evolve(grid[na, nb], (w, v), _jy_gauge(n), -math.pi / 2.0)
-        vec = np.exp(1j * phi * nb) * vec
-        out[na, nb] = _band_evolve(vec, (w, v), np.ones(n + 1), math.pi / 2.0)
-    return TwoModeFockState(state.cutoff, out, state.truncation_deficit)
+        sector = slice(n, n * (c + 1) + 1, c)
+        half_coupling = 0.5 * _dicke_ladder(n)[1]
+        band = np.zeros((n + 1, n + 1))
+        band.flat[1 :: n + 2] = half_coupling
+        band.flat[n + 1 :: n + 2] = half_coupling
+        w, v = np.linalg.eigh(band)
+        vec = _band_evolve(grid[sector], (w, v), _jy_gauge(n), -math.pi / 2.0)
+        vec = np.exp(1j * phi * np.arange(n, -1, -1)) * vec  # n_b = n - n_a
+        out[sector] = _real_matvec(v, np.exp(-1j * (math.pi / 2.0) * w) * _real_matvec(v.T, vec))
+    return TwoModeFockState(c, out.reshape(c + 1, c + 1), state.truncation_deficit)
 
 
 def _mode_numbers(cutoff: int, mode: str) -> np.ndarray:

@@ -96,8 +96,8 @@ class CollectiveSpinState:
             raise ValueError(
                 f"amplitude vector must have length {n + 1}, got {amp.shape}"
             )
-        norm_sq = float(np.sum(np.abs(amp) ** 2))
-        if not abs(norm_sq - 1.0) <= NORM_TOL:  # NaN fails too
+        norm_sq = float(np.vdot(amp, amp).real)
+        if not abs(norm_sq - 1.0) <= NORM_TOL:  # NaN and inf fail too
             raise ValueError(f"state not normalized: sum |c|^2 = {norm_sq!r}")
         object.__setattr__(self, "amplitudes", _readonly(amp))
 
@@ -250,10 +250,12 @@ def _band_evolve(vector, spectrum, gauge, t: float) -> np.ndarray:
     return gauge * _real_matvec(v, np.exp(-1j * t * w) * rotated)
 
 
+@functools.lru_cache(maxsize=64)
 def _jy_gauge(n: int) -> np.ndarray:
     """D = diag((-i)^k), k = 0..N, as a vector: Jy = D T D^dag with T the
-    real Jx band (off-diagonal sqrt(J(J+1) - m(m+1)) / 2)."""
-    return np.array([1.0, -1j, -1.0, 1j])[np.arange(n + 1) % 4]
+    real Jx band (off-diagonal sqrt(J(J+1) - m(m+1)) / 2).  Cached per N,
+    so it is read-only."""
+    return _readonly(np.array([1.0, -1j, -1.0, 1j])[np.arange(n + 1) % 4])
 
 
 def _wigner_column_signs(w: np.ndarray, v: np.ndarray, gauge: np.ndarray) -> np.ndarray:
@@ -293,7 +295,7 @@ def _jy_band(n: int):
     w, v = _band_spectrum(np.zeros(n + 1), 0.5 * coupling)
     gauge = _jy_gauge(n)
     v *= _wigner_column_signs(w, v, gauge)
-    return (_readonly(w), _readonly(v)), _readonly(gauge)
+    return (_readonly(w), _readonly(v)), gauge
 
 
 def _euler_zyz(axis: np.ndarray, angle: float) -> tuple[float, float, float]:

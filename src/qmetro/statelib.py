@@ -15,6 +15,7 @@ state |J,-J>, hence <Jz> = -J cos(theta) (and <Jx> = J sin(theta) cos(phi)).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,7 +67,7 @@ class TwoModeFockState:
             raise ValueError(
                 f"truncation deficit {self.truncation_deficit!r} out of range"
             )
-        norm_sq = float(np.sum(np.abs(amp) ** 2))
+        norm_sq = float(np.vdot(amp, amp).real)
         if not abs(norm_sq - (1.0 - self.truncation_deficit)) <= NORM_TOL:  # NaN fails too
             raise ValueError(f"state not normalized: sum |c|^2 = {norm_sq!r}")
         object.__setattr__(self, "amplitudes", _readonly(amp))
@@ -80,9 +81,16 @@ class TwoModeFockState:
         return BasisTag("fock", self.cutoff)
 
     def total_number_support(self) -> np.ndarray:
-        """Sorted total particle numbers n_a + n_b carrying any amplitude."""
+        """Sorted total particle numbers n_a + n_b carrying any amplitude,
+        read-only and computed once per state."""
+        return self._support
+
+    @functools.cached_property
+    def _support(self) -> np.ndarray:
         na, nb = np.nonzero(self.amplitudes)
-        return np.unique(na + nb)
+        support = np.flatnonzero(np.bincount(na + nb))
+        support.setflags(write=False)
+        return support
 
 
 @dataclass(frozen=True)

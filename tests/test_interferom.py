@@ -35,7 +35,7 @@ from qmetro import (
     twin_fock,
 )
 from qmetro.interferom import _mean_spin_axis, _parity_mean, _readout_variance_series
-from qmetro.spinops import _dicke_ladder, evolve
+from qmetro.spinops import _band_evolve, _dicke_ladder, evolve
 from search_oracles import grid_then_golden
 
 
@@ -167,6 +167,28 @@ def dense_mz_two_mode(state, phi):
         vec = evolve(grid[na, nb], ops.jy, -math.pi / 2)
         vec = np.exp(1j * phi * nb) * vec
         out[na, nb] = evolve(vec, ops.jx, math.pi / 2)
+    return out
+
+
+def gathered_mz_two_mode(state, phi):
+    """mz_two_mode's float operations in their plain form: each sector
+    gathered and scattered by fancy indexing, Jx's band as band + band.T,
+    and the second splitter as `_band_evolve` with a unit gauge.
+    mz_two_mode must equal it bit for bit."""
+    support = state.total_number_support()
+    grid = state.amplitudes
+    out = np.zeros_like(grid)
+    out[0, 0] = grid[0, 0]
+    for n in support[support > 0].tolist():
+        na = np.arange(n + 1)
+        nb = n - na
+        _, coupling = _dicke_ladder(n)
+        band = np.diag(0.5 * coupling, 1)
+        w, v = np.linalg.eigh(band + band.T)
+        gauge = np.array([1.0, -1j, -1.0, 1j])[na % 4]
+        vec = _band_evolve(grid[na, nb], (w, v), gauge, -math.pi / 2.0)
+        vec = np.exp(1j * phi * nb) * vec
+        out[na, nb] = _band_evolve(vec, (w, v), np.ones(n + 1), math.pi / 2.0)
     return out
 
 
@@ -356,6 +378,30 @@ class TestTwoModeMz:
         assert list(probe.total_number_support()) == list(range(probe.cutoff + 1))
         out = mz_two_mode(probe, phi).amplitudes
         assert np.abs(out - dense_mz_two_mode(probe, phi)).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "probe",
+        [twin_fock(n) for n in (1, 2, 5, 14)]
+        + [twin_fock(3, cutoff=9)]
+        + [random_fock_state(c, c) for c in (1, 2, 5, 14)]
+        + [ecs(a) for a in (0.5, 1.0, 2.0)]
+        + [TwoModeFockState(0, np.ones((1, 1), dtype=complex))],
+        ids=["twin-1", "twin-2", "twin-5", "twin-14", "twin-3-cutoff-9", "random-1",
+             "random-2", "random-5", "random-14", "ecs-0.5", "ecs-1", "ecs-2", "vacuum"],
+    )
+    @pytest.mark.parametrize("phi", [0.0, 0.8, math.pi, -2.3])
+    def test_sector_slices_equal_the_gathered_form_bit_for_bit(self, probe, phi):
+        assert np.array_equal(mz_two_mode(probe, phi).amplitudes, gathered_mz_two_mode(probe, phi))
+
+    def test_over_full_sector_raises_before_any_eigh(self, monkeypatch):
+        grid = np.zeros((4, 4), dtype=complex)
+        grid[1, 0] = grid[3, 3] = 1.0 / math.sqrt(2)  # sectors 1 and 6 > cutoff 3
+        state = TwoModeFockState(3, grid)
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="cutoff 3 cannot hold total number 6"):
+            mz_two_mode(state, 0.1)
+        assert calls == []
 
     def test_vacuum_takes_only_the_phase(self):
         grid = np.zeros((3, 3), dtype=complex)

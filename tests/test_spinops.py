@@ -100,6 +100,12 @@ class TestCollectiveOps:
         np.testing.assert_allclose(gauge, (-1j) ** np.arange(n + 1), rtol=0, atol=1e-15)
         assert np.abs(gauge[:, None] * ops.jx * gauge.conj() - ops.jy).max() <= 1e-15
 
+    def test_jy_gauge_is_cached_read_only(self):
+        gauge = _jy_gauge(6)
+        assert _jy_gauge(6) is gauge
+        with pytest.raises(ValueError):
+            gauge[0] = 2.0
+
     @pytest.mark.parametrize("n", [0, -1, -10])
     def test_invalid_particle_number(self, n):
         with pytest.raises(ValueError):
@@ -412,6 +418,28 @@ class TestValidation:
     def test_state_rejects_nan_amplitudes(self):
         with pytest.raises(ValueError, match="normalized"):
             CollectiveSpinState(2, np.array([np.nan, 0.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "amp",
+        [
+            [np.inf, 0.0, 0.0],
+            [1.0, complex(0.0, -np.inf), 0.0],
+            [complex(np.inf, np.nan), 0.0, 0.0],
+            [1.0, np.nan, 0.0],
+        ],
+    )
+    def test_state_rejects_non_finite_amplitudes(self, amp):
+        with pytest.raises(ValueError, match="normalized"):
+            CollectiveSpinState(2, np.array(amp, dtype=complex))
+
+    @pytest.mark.parametrize("excess, ok", [(5e-13, True), (-5e-13, True), (2e-12, False)])
+    def test_state_norm_tolerance(self, excess, ok):
+        amp = np.array([math.sqrt(0.5), 0.0, math.sqrt(0.5 + excess)])
+        if ok:
+            CollectiveSpinState(2, amp)
+        else:
+            with pytest.raises(ValueError, match="normalized"):
+                CollectiveSpinState(2, amp)
 
     def test_state_requires_correct_length(self):
         with pytest.raises(ValueError, match="length"):

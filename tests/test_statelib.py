@@ -275,8 +275,60 @@ class TestNormAndPhaseConventions:
         with pytest.raises(ValueError, match="normalized"):
             TwoModeFockState(2, np.full((3, 3), np.nan, dtype=complex))
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            np.full((3, 3), np.inf, dtype=complex),
+            np.array([[1.0, 0.0], [complex(np.inf, np.nan), 0.0]]),
+            np.array([[1.0, 0.0], [0.0, complex(0.0, -np.inf)]]),
+        ],
+    )
+    def test_two_mode_state_rejects_inf_grid(self, grid):
+        with pytest.raises(ValueError, match="normalized"):
+            TwoModeFockState(grid.shape[0] - 1, grid)
+
     def test_two_mode_state_validates_norm(self):
         grid = np.zeros((3, 3), dtype=complex)
         grid[0, 0] = 0.5
         with pytest.raises(ValueError, match="normalized"):
             TwoModeFockState(2, grid)
+
+
+def sparse_grid(cutoff, entries):
+    grid = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    for (na, nb), amp in entries.items():
+        grid[na, nb] = amp
+    return TwoModeFockState(cutoff, grid / np.linalg.norm(grid))
+
+
+class TestTotalNumberSupport:
+    @pytest.mark.parametrize(
+        "state",
+        [
+            twin_fock(0),
+            twin_fock(3),
+            twin_fock(2, cutoff=7),
+            ecs(1.0),
+            sparse_grid(4, {(0, 0): 1.0}),  # only the vacuum
+            sparse_grid(5, {(4, 1): 1j, (0, 2): -0.5, (2, 0): 0.5, (1, 1): 0.25}),
+        ],
+        ids=["vacuum-twin", "twin-3", "twin-2-cutoff-7", "ecs-1", "vacuum-only", "sparse"],
+    )
+    def test_equals_unique_total_numbers_of_nonzero_entries(self, state):
+        na, nb = np.nonzero(state.amplitudes)
+        support = state.total_number_support()
+        assert support.dtype == np.unique(na + nb).dtype
+        assert np.array_equal(support, np.unique(na + nb))
+
+    def test_amplitude_whose_square_underflows_counts(self):
+        grid = np.zeros((4, 4), dtype=complex)
+        grid[0, 0], grid[1, 2] = 1.0, 1e-170j
+        assert np.abs(grid[1, 2]) ** 2 == 0.0
+        assert list(TwoModeFockState(3, grid).total_number_support()) == [0, 3]
+
+    def test_read_only_and_computed_once(self):
+        state = ecs(0.5)
+        support = state.total_number_support()
+        assert state.total_number_support() is support
+        with pytest.raises(ValueError):
+            support[0] = 7
