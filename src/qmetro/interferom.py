@@ -8,7 +8,10 @@ The two-mode Mach-Zehnder acts sector-by-sector in total particle
 number n, where the Schwinger map (a^dag b -> J+, with J = n/2 and
 m = (n_a - n_b)/2) turns each beam splitter into a collective rotation
 (Yurke, McCall & Klauder, PRA 33, 4033, 1986); this keeps each splitter
-exactly unitary on the truncated space.
+exactly unitary on the truncated space.  Its phi-independent half, each
+sector's spectrum and the first splitter's output, is computed once per
+probe state and kept with it (`_first_splitter`); a call applies the
+phase and the second splitter.
 """
 
 from __future__ import annotations
@@ -194,17 +197,38 @@ def mz_two_mode(state: TwoModeFockState, phi: float) -> TwoModeFockState:
 
     With c the cutoff, sector n is the strided slice flat[n : n(c+1)+1 : c]
     of the flattened grid, which runs over (n_a, n - n_a) with n_a
-    ascending for every n <= c.  The sector spectrum is recomputed on
-    every call, not cached: a cache would fail perfbench's pin on
-    `linalg.eigh` calls (ROADMAP item 1).
+    ascending for every n <= c.  Everything but the phase is independent
+    of phi: the first call on a probe state keeps, with that state, each
+    occupied sector's slice, V, e^(-i pi/2 w), n_b and the first
+    splitter's output (`_first_splitter`), so a call costs one phase and
+    one splitter per sector, and a probe pays its `eigh` calls once.
     """
+    c = state.cutoff
+    grid = state.vector
+    out = np.zeros_like(grid)
+    out[0] = grid[0]
+    for sector, v, half_turn, n_b, split in _first_splitter(state):
+        vec = np.exp(1j * phi * n_b) * split
+        out[sector] = _real_matvec(v, half_turn * _real_matvec(v.T, vec))
+    return TwoModeFockState(c, out.reshape(c + 1, c + 1), state.truncation_deficit)
+
+
+def _first_splitter(state: TwoModeFockState) -> tuple:
+    """The phi-independent half of `mz_two_mode`: for each occupied sector
+    n > 0, (slice, V, e^(-i pi/2 w), n_b, D V e^(i pi/2 w) V^T D^dag psi_n),
+    every array read-only.  Computed on the state's first call and kept
+    as its private attribute `_mz_first_splitter`, which goes with it; a
+    state that fails the cutoff check raises before any `eigh` and keeps
+    nothing, so it raises again on the next call."""
+    kept = vars(state).get("_mz_first_splitter")
+    if kept is not None:
+        return kept
     c = state.cutoff
     support = state.total_number_support()
     if support.size and int(support[-1]) > c:
         raise ValueError(f"cutoff {c} cannot hold total number {int(support[-1])}")
     grid = state.vector
-    out = np.zeros_like(grid)
-    out[0] = grid[0]
+    kept = []
     for n in support[support > 0].tolist():
         sector = slice(n, n * (c + 1) + 1, c)
         half_coupling = 0.5 * _dicke_ladder(n)[1]
@@ -212,10 +236,14 @@ def mz_two_mode(state: TwoModeFockState, phi: float) -> TwoModeFockState:
         band.flat[1 :: n + 2] = half_coupling
         band.flat[n + 1 :: n + 2] = half_coupling
         w, v = np.linalg.eigh(band)
-        vec = _band_evolve(grid[sector], (w, v), _jy_gauge(n), -math.pi / 2.0)
-        vec = np.exp(1j * phi * np.arange(n, -1, -1)) * vec  # n_b = n - n_a
-        out[sector] = _real_matvec(v, np.exp(-1j * (math.pi / 2.0) * w) * _real_matvec(v.T, vec))
-    return TwoModeFockState(c, out.reshape(c + 1, c + 1), state.truncation_deficit)
+        split = _band_evolve(grid[sector], (w, v), _jy_gauge(n), -math.pi / 2.0)
+        arrays = (v, np.exp(-1j * (math.pi / 2.0) * w), np.arange(n, -1, -1), split)
+        for a in arrays:  # frozen in place: a copy could change V's layout
+            a.setflags(write=False)
+        kept.append((sector, *arrays))
+    kept = tuple(kept)
+    object.__setattr__(state, "_mz_first_splitter", kept)
+    return kept
 
 
 def _mode_numbers(cutoff: int, mode: str) -> np.ndarray:

@@ -188,13 +188,45 @@ def twin_fock(n_per_mode: int, cutoff: int | None = None) -> TwoModeFockState:
 
 
 def ecs_branch_tail(alpha: complex, cutoff: int) -> float:
-    """Poisson weight e^(-|a|^2) sum_{n > cutoff} |a|^(2n) / n! of one branch."""
+    """Poisson weight e^(-|a|^2) sum_{n > cutoff} |a|^(2n) / n! of one branch,
+    the dropped terms summed smallest first (`_branch_tails`), in time and
+    memory O(max(cutoff, |a|^2))."""
     lam = abs(alpha) ** 2
     if lam == 0.0:
         return 0.0
-    n = np.arange(cutoff + 1)
-    kept = np.exp(-lam + n * math.log(lam) - gammaln(n + 1))
-    return max(0.0, 1.0 - float(kept.sum()))
+    return float(_branch_tails(lam, cutoff)[cutoff])
+
+
+def _branch_tails(lam: float, top: int) -> np.ndarray:
+    """tails[c] = e^(-lam) sum_{n > c} lam^n / n! for c = 0..top, lam > 0,
+    from one reverse cumulative sum of the terms, so each tail is a sum
+    of the dropped terms, smallest first, and never 1 - sum(kept).
+
+    The sum stops 64 terms past M = max(top, ECS_MAX_CUTOFF, 2 lam).  Past
+    M each term is at most half the one before, so what it leaves out is
+    below 2^-63 p_(M+1), which is below 2^-63 of every tail it returns;
+    and for every top <= ECS_MAX_CUTOFF it is the same sum."""
+    last = max(top, ECS_MAX_CUTOFF, math.ceil(2.0 * lam)) + 64
+    n = np.arange(last + 1)
+    terms = np.exp(-lam + n * math.log(lam) - gammaln(n + 1))
+    return np.cumsum(terms[:0:-1])[::-1][: top + 1]
+
+
+def _ecs_cutoff(lam: float) -> int:
+    """The smallest per-mode cutoff whose branch tail at |alpha|^2 = lam is
+    below ``ECS_TAIL_BOUND``; TruncationError if none up to
+    ``ECS_MAX_CUTOFF`` is.  Past a mean lam of ``ECS_MAX_CUTOFF`` about
+    half the weight lies above the cap, so no tail is summed there."""
+    if lam == 0.0:
+        return 0
+    if lam <= ECS_MAX_CUTOFF:
+        below = np.flatnonzero(_branch_tails(lam, ECS_MAX_CUTOFF) < ECS_TAIL_BOUND)
+        if below.size:
+            return int(below[0])
+    raise TruncationError(
+        f"no cutoff <= {ECS_MAX_CUTOFF} reaches branch tail < {ECS_TAIL_BOUND} "
+        f"for |alpha|^2 = {lam}"
+    )
 
 
 def ecs(alpha: complex) -> TwoModeFockState:
@@ -210,15 +242,7 @@ def ecs(alpha: complex) -> TwoModeFockState:
         raise ValueError("alpha must be finite")
     params = EcsParams.from_alpha(alpha)
     lam = abs(alpha) ** 2
-
-    cutoff = 0
-    while ecs_branch_tail(alpha, cutoff) >= ECS_TAIL_BOUND:
-        cutoff += 1
-        if cutoff > ECS_MAX_CUTOFF:
-            raise TruncationError(
-                f"no cutoff <= {ECS_MAX_CUTOFF} reaches branch tail < {ECS_TAIL_BOUND} "
-                f"for |alpha|^2 = {lam}"
-            )
+    cutoff = _ecs_cutoff(lam)
 
     n = np.arange(cutoff + 1)
     # coherent branch: N_a e^(-|a|^2 / 2) a^n / sqrt(n!)

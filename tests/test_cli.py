@@ -33,6 +33,22 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def check_twinfock_closed_forms(tmp_path, n, phi):
+    """twinfock-parity at N per mode on five phases: QFI = 2N(N+1) to 1e-6
+    relative, parity = P_N(cos 2 phi) to 1e-8 and F <= F_Q."""
+    out = tmp_path / f"tf{n}.csv"
+    code = run_cli(["run", "twinfock-parity", "--n", str(n), "--phi", phi, "--out", str(out)])
+    assert code == 0
+    rows = read_csv(out)
+    assert len(rows) == 5
+    for row in rows:
+        qfi = float(row["qfi"])
+        assert qfi == pytest.approx(2 * n * (n + 1), rel=1e-6)
+        expected = legendre(n, math.cos(2 * float(row["phi"])))
+        assert float(row["parity"]) == pytest.approx(expected, abs=1e-8)
+        assert float(row["classical_fisher"]) <= qfi * (1 + 1e-6)
+
+
 class TestScalarAndGridParsing:
     @pytest.mark.parametrize(
         "text,value",
@@ -227,19 +243,11 @@ class TestRecords:
     def test_twinfock_parity_closed_forms_at_n40(self, tmp_path):
         # QFI = 2N(N+1), parity = P_N(cos 2 phi) and F <= F_Q well past the
         # N <= 20 of the other twin-Fock checks
-        n, out = 40, tmp_path / "tf40.csv"
-        code = run_cli(
-            ["run", "twinfock-parity", "--n", str(n), "--phi", "0.01:pi/2:5", "--out", str(out)]
-        )
-        assert code == 0
-        rows = read_csv(out)
-        assert len(rows) == 5
-        for row in rows:
-            qfi = float(row["qfi"])
-            assert qfi == pytest.approx(2 * n * (n + 1), rel=1e-6)
-            expected = legendre(n, math.cos(2 * float(row["phi"])))
-            assert float(row["parity"]) == pytest.approx(expected, abs=1e-8)
-            assert float(row["classical_fisher"]) <= qfi * (1 + 1e-6)
+        check_twinfock_closed_forms(tmp_path, 40, "0.01:pi/2:5")
+
+    def test_twinfock_parity_closed_forms_at_n100(self, tmp_path):
+        # one 201-dim sector, the grid of the console-script check
+        check_twinfock_closed_forms(tmp_path, 100, "0.1:1.5:5")
 
     def test_ecs_qfi_matches_closed_form(self, tmp_path):
         out = tmp_path / "ecs.json"

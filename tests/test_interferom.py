@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -415,6 +419,83 @@ class TestTwoModeMz:
         state = TwoModeFockState(3, grid)
         with pytest.raises(ValueError, match="cutoff"):
             mz_two_mode(state, 0.1)
+
+    @pytest.mark.parametrize(
+        "make,sectors",
+        [(lambda: twin_fock(5), 1), (lambda: random_fock_state(6, 3), 6), (lambda: ecs(1.0), 15)],
+        ids=["twin-5", "random-6", "ecs-1"],
+    )
+    def test_eigh_runs_once_per_sector_per_probe(self, monkeypatch, make, sectors):
+        calls = []
+        real_eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real_eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        probe = make()
+        for phi in np.linspace(0.0, math.pi, 10):
+            mz_two_mode(probe, phi)
+        assert len(calls) == sectors
+        mz_two_mode(make(), 0.3)  # an equal but fresh probe pays again
+        assert len(calls) == 2 * sectors
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: twin_fock(4), lambda: random_fock_state(5, 7), lambda: ecs(2.0)],
+        ids=["twin-4", "random-5", "ecs-2"],
+    )
+    def test_one_probe_at_shuffled_phases_equals_fresh_probes_bit_for_bit(self, make):
+        phis = np.random.default_rng(3).permutation(np.linspace(-4.0, 4.0, 12))
+        probe = make()
+        for phi in phis:
+            kept = mz_two_mode(probe, phi).amplitudes
+            assert np.array_equal(kept, mz_two_mode(make(), phi).amplitudes)
+            assert np.array_equal(kept, gathered_mz_two_mode(probe, phi))
+
+    def test_kept_first_splitter_is_read_only(self):
+        probe = random_fock_state(4, 11)
+        mz_two_mode(probe, 0.2)
+        kept = vars(probe)["_mz_first_splitter"]
+        assert len(kept) == 4  # sectors 1..4; the vacuum keeps nothing
+        for _, *arrays in kept:
+            for a in arrays:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0
+
+    def test_failed_cutoff_check_keeps_nothing_and_raises_again(self):
+        grid = np.zeros((4, 4), dtype=complex)
+        grid[1, 0] = grid[3, 3] = 1.0 / math.sqrt(2)  # sector 6 > cutoff 3
+        state = TwoModeFockState(3, grid)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="cutoff 3 cannot hold total number 6"):
+                mz_two_mode(state, 0.1)
+            assert "_mz_first_splitter" not in vars(state)
+
+    def test_two_mode_experiments_leave_scipy_linalg_unloaded(self):
+        # the kept splitters come from numpy's eigh: a two-mode run pays no
+        # scipy.linalg import in its first pass
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import contextlib, io, sys\n"
+            "from qmetro.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "    codes = [main(['run', 'twinfock-parity', '--n', '2,5', '--phi', '0.1:1.5:3']),\n"
+            "             main(['run', 'ecs-qfi', '--alpha', '0.5,2'])]\n"
+            "print(codes, 'scipy.linalg' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[0, 0] False"
 
 
 class TestParity:

@@ -22,7 +22,21 @@ from qmetro import (
     rotate,
     twin_fock,
 )
-from qmetro.statelib import _phase_normalized
+from qmetro.statelib import ECS_MAX_CUTOFF, ECS_TAIL_BOUND, _ecs_cutoff, _phase_normalized
+
+# the largest |alpha| whose cutoff fits under ECS_MAX_CUTOFF is 19.0729
+ECS_EDGE_ALPHA = 19.07
+
+
+def fsum_branch_tail(lam, cutoff):
+    """e^(-lam) sum_{n > cutoff} lam^n / n!, correctly rounded over terms
+    taken until they fall below 1e-40 of the largest one after cutoff."""
+    terms, n = [], cutoff + 1
+    while True:
+        terms.append(math.exp(-lam + n * math.log(lam) - math.lgamma(n + 1)))
+        if n > lam and terms[-1] < 1e-40 * max(terms):
+            return math.fsum(terms)
+        n += 1
 
 
 def mode_numbers(cutoff, sign):
@@ -221,6 +235,43 @@ class TestEcs:
     def test_truncation_failure(self):
         with pytest.raises(TruncationError):
             ecs(30.0)
+
+    def test_truncation_failure_far_past_the_cap_sums_no_tail(self):
+        # a Poisson mean of 1e12 would need a 2e12-term sum; none is formed
+        with pytest.raises(TruncationError):
+            ecs(1e6)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 4.0, 6.0, 10.0, 12.2579, 15.0, 19.0])
+    def test_branch_tail_matches_fsum_oracle(self, alpha):
+        lam = alpha**2
+        chosen = _ecs_cutoff(lam)
+        for cutoff in sorted({0, int(lam), chosen - 5, chosen - 1, chosen, chosen + 3}):
+            assert ecs_branch_tail(alpha, cutoff) == pytest.approx(
+                fsum_branch_tail(lam, cutoff), rel=1e-12
+            )
+
+    @pytest.mark.parametrize("alpha,cutoff", [(0.5, 10), (1.0, 15), (2.0, 26), (4.0, 53)])
+    def test_cutoffs_of_the_cli_defaults(self, alpha, cutoff):
+        assert ecs(alpha).cutoff == cutoff
+
+    def test_cutoff_is_monotone_in_alpha_up_to_the_cap(self):
+        # 1 - sum(kept) gave alpha = 12.038 the cutoff 243 but alpha = 12.056
+        # the cutoff 242, and alpha = 10 the cutoff 181, whose true tail of
+        # 1.23e-13 is above the bound
+        alphas = np.linspace(0.001, ECS_EDGE_ALPHA, 3000)
+        cutoffs = [_ecs_cutoff(a * a) for a in alphas]
+        assert all(a <= b for a, b in zip(cutoffs, cutoffs[1:]))
+        assert cutoffs[-1] <= ECS_MAX_CUTOFF
+        assert _ecs_cutoff(10.0**2) == 182
+        with pytest.raises(TruncationError):
+            _ecs_cutoff(19.08**2)
+
+    @pytest.mark.parametrize("alpha", np.linspace(0.3, ECS_EDGE_ALPHA, 40))
+    def test_true_tail_at_the_cutoff_is_below_the_bound(self, alpha):
+        lam = alpha**2
+        cutoff = _ecs_cutoff(lam)
+        assert fsum_branch_tail(lam, cutoff) < ECS_TAIL_BOUND
+        assert ecs_branch_tail(alpha, cutoff - 1) >= ECS_TAIL_BOUND
 
     def test_non_finite_alpha_rejected(self):
         with pytest.raises(ValueError):
