@@ -55,20 +55,20 @@ def golden_sections(f, lo, hi, tol: float = 1e-10) -> np.ndarray:
         fc, fd = np.where(left, values, fd), np.where(left, fc, values)
 
 
-def grid_then_golden_many(
-    f, lo: float, hi: float, grid_values, n_grid: int = 512, tol: float = 1e-10
-) -> np.ndarray:
+def grid_then_golden_many(f, lo: float, hi: float, grid_values, tol: float = 1e-10) -> np.ndarray:
     """The minima of many objectives: each is bracketed by the cell
     [x(k-1), x(k+1)] around its first grid minimum k, cut at the grid
     ends, and refined by `golden_sections`.
 
     ``grid_values[j, g]``, supplied by the caller, is objective j at
-    ``x[g] = np.linspace(lo, hi, n_grid)[g]``; ``f`` is as in
-    `golden_sections` and is called only by the refinement.
+    ``x[g] = np.linspace(lo, hi, n_grid)[g]``, n_grid being its number of
+    columns; ``f`` is as in `golden_sections` and is called only by the
+    refinement.
     """
     vals = np.asarray(grid_values, dtype=float)
-    if vals.ndim != 2 or vals.shape[1] != n_grid:
-        raise ValueError(f"grid_values has shape {vals.shape}, expected (objectives, {n_grid})")
+    if vals.ndim != 2:
+        raise ValueError(f"grid_values has shape {vals.shape}, expected (objectives, grid points)")
+    n_grid = vals.shape[1]
     xs = np.linspace(lo, hi, n_grid)
     k = np.argmin(vals, axis=1)
     # a one-point grid gives a == b, where the refinement returns a as is

@@ -398,9 +398,7 @@ def run_monte_carlo(
             log_p = np.log(family._probability_table(thetas))
         return _minus_log_likelihoods(counts[which], log_p[:, None], patterns, pattern[which])[:, 0]
 
-    estimates = grid_then_golden_many(
-        minus_log_likelihood, lo, hi, grid_values, n_grid=MLE_GRID, tol=1e-10
-    )
+    estimates = grid_then_golden_many(minus_log_likelihood, lo, hi, grid_values, tol=1e-10)
     bias = float(estimates.mean() - theta_true)
     mse = float(np.mean((estimates - theta_true) ** 2))
     return MonteCarloRun(int(seed), repetitions, theta_true, estimates, bias, mse)

@@ -2,16 +2,21 @@
 
 The single-particle Mach-Zehnder and Ramsey share one 2x2 pipeline.
 The collective Ramsey sequence composes the two pi/2 pulses about y
-with the phase accumulation about z (rightmost factor first); each
-pulse is one real product with Wigner's d^J(pi/2), cached per N.
-The two-mode Mach-Zehnder acts sector-by-sector in total particle
-number n, where the Schwinger map (a^dag b -> J+, with J = n/2 and
+with the phase accumulation about z (rightmost factor first).  The
+two-mode Mach-Zehnder acts sector-by-sector in total particle number n,
+where the Schwinger map (a^dag b -> J+, with J = n/2 and
 m = (n_a - n_b)/2) turns each beam splitter into a collective rotation
 (Yurke, McCall & Klauder, PRA 33, 4033, 1986); this keeps each splitter
-exactly unitary on the truncated space.  Its phi-independent half, each
-sector's spectrum and the first splitter's output, is computed once per
-probe state and kept with it (`_first_splitter`); a call applies the
-phase and the second splitter.
+exactly unitary on the truncated space.
+
+Both are one form, V (g . V^T x) between diagonal gauges, with V the
+real eigenvectors of Jx's band (Jx = V diag(m) V^T) and g a diagonal
+phase: each column of V enters once as V and once as V^T, so the
+signs the solver gives the columns cancel exactly.  For Ramsey, g is
+e^(-i phi m) and x = e^(-i pi Jy) psi, a signed reversal; for the
+Mach-Zehnder, g is e^(i phi n_b) between the z gauges R = e^(-i pi m/2)
+and R^dag, and the phi-independent half, R V^T psi_n, is computed once
+per probe state and kept with it (`_first_splitter`).
 """
 
 from __future__ import annotations
@@ -33,10 +38,9 @@ from .estimate import (
 from .spinops import (
     BasisTag,
     CollectiveSpinState,
-    _band_evolve,
     _dicke_ladder,
+    _half_turn_signs,
     _jy_band,
-    _jy_gauge,
     _mean_spin,
     _real_matvec,
     _spin_covariance,
@@ -107,16 +111,19 @@ def ramsey(
     the uncertainty ellipse without moving the mean spin;
     `optimal_readout_rotation` gives the angle that turns the narrowest
     quadrature onto Jz, in closed form over the full period [0, 2 pi).
-    Each pulse is one real product with Wigner's d^J(pi/2), the cached
-    eigenvectors of `spinops._jy_band`, and the phase is e^{-i phi m}.
-    The pulses act on the amplitude vector; only the state they end in
-    is validated.
+    With d = d^J(pi/2) = exp(-i pi/2 Jy), d psi = d^T F psi for the
+    half turn F = exp(-i pi Jy), (F psi)_k = (-1)^k psi_{N-k}, and d is
+    the cached eigenvectors V of `spinops._jy_band` up to column signs,
+    so the sequence d e^{-i phi m} d psi is V (e^{-i phi m} V^T F psi):
+    two real products, in which those signs cancel.  The pulses act on
+    the amplitude vector; only the state they end in is validated.
     """
     n = initial.n_particles
     m, _ = _dicke_ladder(n)
-    (_, pulse), _ = _jy_band(n)
-    vec = np.exp(-1j * phi * m) * _real_matvec(pulse, initial.amplitudes)
-    state = CollectiveSpinState(n, _real_matvec(pulse, vec))
+    (_, v), _ = _jy_band(n)
+    flipped = _half_turn_signs(n) * initial.amplitudes[::-1]
+    vec = np.exp(-1j * phi * m) * _real_matvec(v.T, flipped)
+    state = CollectiveSpinState(n, _real_matvec(v, vec))
     if readout_rotation is not None:
         state = _rotate_about_mean_spin(state, readout_rotation)
     return state
@@ -187,37 +194,37 @@ def mz_two_mode(state: TwoModeFockState, phi: float) -> TwoModeFockState:
     number n (basis ascending in n_a) the first splitter
     exp[(pi/4)(a^dag b - b^dag a)] is exp(+i pi/2 Jy), the phase is
     e^(i phi n_b), and the second splitter exp[-i(pi/4)(a^dag b + b^dag a)]
-    is exp(-i pi/2 Jx), with J the collective spin of n particles.  Both
-    splitters come from one real `numpy.linalg.eigh` per occupied sector,
-    of Jx's real tridiagonal band T = V diag(w) V^T: exp(-i pi/2 Jx) is
-    V e^(-i pi/2 w) V^T, and since Jy = D T D^dag with D = diag((-i)^k),
-    exp(+i pi/2 Jy) is D V e^(+i pi/2 w) V^T D^dag.  The vacuum takes
-    only the phase, which is 1.  Every occupied sector must fit under the
-    cutoff (otherwise the splitter would leak amplitude off the grid).
+    is exp(-i pi/2 Jx), with J the collective spin of n particles.  With
+    V the eigenvectors of Jx's real tridiagonal band, from one real
+    `numpy.linalg.eigh` per occupied sector, and R = e^(-i pi m/2) =
+    exp(-i pi/2 Jz), the sequence is R^dag V R e^(i phi n_b) V^T psi_n:
+    V's columns are Wigner's d^J(pi/2) up to signs, which cancel, and
+    the second splitter is R^dag d R.  The vacuum takes only the phase,
+    which is 1.  Every occupied sector must fit under the cutoff
+    (otherwise the splitter would leak amplitude off the grid).
 
     With c the cutoff, sector n is the strided slice flat[n : n(c+1)+1 : c]
     of the flattened grid, which runs over (n_a, n - n_a) with n_a
     ascending for every n <= c.  Everything but the phase is independent
     of phi: the first call on a probe state keeps, with that state, each
-    occupied sector's slice, V, e^(-i pi/2 w), n_b and the first
-    splitter's output (`_first_splitter`), so a call costs one phase and
-    one splitter per sector, and a probe pays its `eigh` calls once.
+    occupied sector's slice, V, R^dag, n_b and R V^T psi_n
+    (`_first_splitter`), so a call costs one phase, one real product and
+    one gauge per sector, and a probe pays its `eigh` calls once.
     """
     c = state.cutoff
     grid = state.vector
     out = np.zeros_like(grid)
     out[0] = grid[0]
-    for sector, v, half_turn, n_b, split in _first_splitter(state):
-        vec = np.exp(1j * phi * n_b) * split
-        out[sector] = _real_matvec(v, half_turn * _real_matvec(v.T, vec))
+    for sector, v, r_dag, n_b, split in _first_splitter(state):
+        out[sector] = r_dag * _real_matvec(v, np.exp(1j * phi * n_b) * split)
     return TwoModeFockState(c, out.reshape(c + 1, c + 1), state.truncation_deficit)
 
 
 def _first_splitter(state: TwoModeFockState) -> tuple:
     """The phi-independent half of `mz_two_mode`: for each occupied sector
-    n > 0, (slice, V, e^(-i pi/2 w), n_b, D V e^(i pi/2 w) V^T D^dag psi_n),
-    every array read-only.  Computed on the state's first call and kept
-    as its private attribute `_mz_first_splitter`, which goes with it; a
+    n > 0, (slice, V, R^dag = e^(i pi m/2), n_b, R V^T psi_n), every array
+    read-only.  Computed on the state's first call and kept as its
+    private attribute `_mz_first_splitter`, which goes with it; a
     state that fails the cutoff check raises before any `eigh` and keeps
     nothing, so it raises again on the next call."""
     kept = vars(state).get("_mz_first_splitter")
@@ -235,9 +242,10 @@ def _first_splitter(state: TwoModeFockState) -> tuple:
         band = np.zeros((n + 1, n + 1))
         band.flat[1 :: n + 2] = half_coupling
         band.flat[n + 1 :: n + 2] = half_coupling
-        w, v = np.linalg.eigh(band)
-        split = _band_evolve(grid[sector], (w, v), _jy_gauge(n), -math.pi / 2.0)
-        arrays = (v, np.exp(-1j * (math.pi / 2.0) * w), np.arange(n, -1, -1), split)
+        v = np.linalg.eigh(band)[1]
+        r_dag = np.exp(1j * (math.pi / 2.0) * _dicke_ladder(n)[0])
+        split = r_dag.conj() * _real_matvec(v.T, grid[sector])
+        arrays = (v, r_dag, np.arange(n, -1, -1), split)
         for a in arrays:  # frozen in place: a copy could change V's layout
             a.setflags(write=False)
         kept.append((sector, *arrays))

@@ -226,13 +226,15 @@ def evolve(state_vector: np.ndarray, generator: np.ndarray, angle: float) -> np.
     return v @ (phases * (v.conj().T @ state_vector))
 
 
-def _band_spectrum(diagonal, off_diagonal) -> tuple[np.ndarray, np.ndarray]:
+def _band_spectrum(diagonal, off_diagonal, **select):
     """Eigenvalues (ascending) and real orthonormal eigenvectors, as
-    columns, of a real symmetric tridiagonal matrix."""
+    columns, of a real symmetric tridiagonal matrix.  The keywords of
+    `scipy.linalg.eigh_tridiagonal` (``select``, ``select_range``,
+    ``eigvals_only``) pass through, for part of the spectrum."""
     # imported here: `import qmetro.cli` does not load scipy.linalg otherwise
     from scipy.linalg import eigh_tridiagonal
 
-    return eigh_tridiagonal(diagonal, off_diagonal)
+    return eigh_tridiagonal(diagonal, off_diagonal, **select)
 
 
 def _real_matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
@@ -258,25 +260,12 @@ def _jy_gauge(n: int) -> np.ndarray:
     return _readonly(np.array([1.0, -1j, -1.0, 1j])[np.arange(n + 1) % 4])
 
 
-def _wigner_column_signs(w: np.ndarray, v: np.ndarray, gauge: np.ndarray) -> np.ndarray:
-    """The signs (+-1) that turn the columns of V, the eigenvectors of the
-    real Jx band (`_jy_band`), into the columns of Wigner's
-    d^J(pi/2) = exp(-i (pi/2) Jy) = D V e^{-i pi w / 2} V^T D^dag.
-
-    Each column of V is an eigenvector of Jx, and so is the matching
-    column of d^J(pi/2), which turns Jz into Jx: they differ by a sign
-    at most.  Column k reads that sign from its entry (r, k) of
-    d^J(pi/2), which no column sign of V changes, at the row r where
-    |V[:, k]| is largest (0.066 or more at N = 3001, so round-off cannot
-    flip it).  O(N^2) time.
-    """
-    rows = np.abs(v).argmax(axis=0)
-    products = v[rows]  # products[k, j] = V[r_k, j] V[k, j]
-    products *= v
-    half_turn = 0.5 * math.pi * w
-    sums = products @ np.cos(half_turn) - 1j * (products @ np.sin(half_turn))
-    entries = (gauge[rows] * gauge.conj() * sums).real
-    return np.where(entries * v[rows, np.arange(len(w))] < 0.0, -1.0, 1.0)
+@functools.lru_cache(maxsize=64)
+def _half_turn_signs(n: int) -> np.ndarray:
+    """(-1)^k, k = 0..N: exp(-i pi Jy) psi is these signs times psi
+    reversed, (F psi)_k = (-1)^k psi_{N-k} (Wigner's d^J(pi)).  Cached
+    per N, so it is read-only."""
+    return _readonly((-1.0) ** np.arange(n + 1))
 
 
 @functools.lru_cache(maxsize=8)
@@ -285,17 +274,14 @@ def _jy_band(n: int):
     real Jx band T and the gauge D.  V is (N+1)^2 doubles, 32 MB at
     N = 2000, hence the small cache.
 
-    The columns of V carry the signs of `_wigner_column_signs`, so V is
-    Wigner's d^J(pi/2) = exp(-i (pi/2) Jy) up to round-off, and a pi/2
-    pulse about y is one real product with it.  Every `_band_evolve`
-    product is unchanged bit for bit by those signs: a column's sign
-    enters it twice and cancels exactly.
+    The columns of V are the eigenvectors of Jx as the solver returns
+    them, with whatever signs it gives: every product built on V here
+    takes each column once as V and once as V^T, so a column's sign
+    cancels exactly.
     """
     _, coupling = _dicke_ladder(n)
     w, v = _band_spectrum(np.zeros(n + 1), 0.5 * coupling)
-    gauge = _jy_gauge(n)
-    v *= _wigner_column_signs(w, v, gauge)
-    return (_readonly(w), _readonly(v)), gauge
+    return (_readonly(w), _readonly(v)), _jy_gauge(n)
 
 
 def _euler_zyz(axis: np.ndarray, angle: float) -> tuple[float, float, float]:

@@ -282,13 +282,10 @@ def _lowest_states(hamiltonian: TridiagonalHamiltonian) -> SpectralResult:
     Bisection finds the two lowest energies and the top one, which the
     degeneracy rule reads; inverse iteration finds the two vectors.
     """
-    # imported here: `import qmetro.cli` does not load scipy.linalg otherwise
-    from scipy.linalg import eigh_tridiagonal
-
     diagonal, off_diagonal = hamiltonian.diagonal, hamiltonian.off_diagonal
     top = len(diagonal) - 1
-    energies, states = eigh_tridiagonal(diagonal, off_diagonal, select="i", select_range=(0, 1))
-    (highest,) = eigh_tridiagonal(
+    energies, states = _band_spectrum(diagonal, off_diagonal, select="i", select_range=(0, 1))
+    (highest,) = _band_spectrum(
         diagonal, off_diagonal, eigvals_only=True, select="i", select_range=(top, top)
     )
     return SpectralResult(energies, states, _ground_degenerate(*energies, highest))

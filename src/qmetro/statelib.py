@@ -212,17 +212,19 @@ def _branch_tails(lam: float, top: int) -> np.ndarray:
     return np.cumsum(terms[:0:-1])[::-1][: top + 1]
 
 
-def _ecs_cutoff(lam: float) -> int:
+def _ecs_cutoff(lam: float) -> tuple[int, float]:
     """The smallest per-mode cutoff whose branch tail at |alpha|^2 = lam is
-    below ``ECS_TAIL_BOUND``; TruncationError if none up to
-    ``ECS_MAX_CUTOFF`` is.  Past a mean lam of ``ECS_MAX_CUTOFF`` about
-    half the weight lies above the cap, so no tail is summed there."""
+    below ``ECS_TAIL_BOUND``, and that tail (`ecs_branch_tail`'s value, bit
+    for bit); TruncationError if none up to ``ECS_MAX_CUTOFF`` is.  Past a
+    mean lam of ``ECS_MAX_CUTOFF`` about half the weight lies above the
+    cap, so no tail is summed there."""
     if lam == 0.0:
-        return 0
+        return 0, 0.0
     if lam <= ECS_MAX_CUTOFF:
-        below = np.flatnonzero(_branch_tails(lam, ECS_MAX_CUTOFF) < ECS_TAIL_BOUND)
+        tails = _branch_tails(lam, ECS_MAX_CUTOFF)
+        below = np.flatnonzero(tails < ECS_TAIL_BOUND)
         if below.size:
-            return int(below[0])
+            return int(below[0]), float(tails[below[0]])
     raise TruncationError(
         f"no cutoff <= {ECS_MAX_CUTOFF} reaches branch tail < {ECS_TAIL_BOUND} "
         f"for |alpha|^2 = {lam}"
@@ -242,7 +244,7 @@ def ecs(alpha: complex) -> TwoModeFockState:
         raise ValueError("alpha must be finite")
     params = EcsParams.from_alpha(alpha)
     lam = abs(alpha) ** 2
-    cutoff = _ecs_cutoff(lam)
+    cutoff, tail = _ecs_cutoff(lam)
 
     n = np.arange(cutoff + 1)
     # coherent branch: N_a e^(-|a|^2 / 2) a^n / sqrt(n!)
@@ -258,5 +260,5 @@ def ecs(alpha: complex) -> TwoModeFockState:
     amp = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
     amp[:, 0] += branch  # |alpha>_a |0>_b
     amp[0, :] += branch  # |0>_a |alpha>_b (shared vacuum term doubles)
-    deficit = 2.0 * params.norm_factor**2 * ecs_branch_tail(alpha, cutoff)
+    deficit = 2.0 * params.norm_factor**2 * tail
     return TwoModeFockState(cutoff, _phase_normalized(amp), deficit)

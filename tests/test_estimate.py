@@ -567,9 +567,7 @@ class TestSharedLikelihoodGrid:
 
     def test_grid_values_must_fit_the_grid(self):
         with pytest.raises(ValueError, match="grid_values"):
-            grid_then_golden_many(None, -1.0, 1.0, np.zeros((3, 4)), n_grid=5)
-        with pytest.raises(ValueError, match="grid_values"):
-            grid_then_golden_many(None, -1.0, 1.0, np.zeros(5), n_grid=5)
+            grid_then_golden_many(None, -1.0, 1.0, np.zeros(5))
 
 
 class TestLockstepRefinement:

@@ -39,7 +39,7 @@ from qmetro import (
     twin_fock,
 )
 from qmetro.interferom import _mean_spin_axis, _parity_mean, _readout_variance_series
-from qmetro.spinops import _band_evolve, _dicke_ladder, evolve
+from qmetro.spinops import _dicke_ladder, _real_matvec, evolve
 from search_oracles import grid_then_golden
 
 
@@ -128,8 +128,9 @@ def pulse_phase_pulse(n, phi):
 
 def rotate_ramsey(initial, phi, readout_rotation=None):
     """The Ramsey sequence as three validated `rotate` calls, then the
-    readout rotation about the mean spin: the oracle of `ramsey`, whose
-    pulses are products with the cached d^J(pi/2) instead."""
+    readout rotation about the mean spin: the oracle of `ramsey`, which
+    runs the sequence as two real products with Jx's cached eigenvectors
+    instead."""
     state = rotate(initial, (0.0, 1.0, 0.0), math.pi / 2.0)
     state = rotate(state, (0.0, 0.0, 1.0), phi)
     state = rotate(state, (0.0, 1.0, 0.0), math.pi / 2.0)
@@ -177,8 +178,8 @@ def dense_mz_two_mode(state, phi):
 def gathered_mz_two_mode(state, phi):
     """mz_two_mode's float operations in their plain form: each sector
     gathered and scattered by fancy indexing, Jx's band as band + band.T,
-    and the second splitter as `_band_evolve` with a unit gauge.
-    mz_two_mode must equal it bit for bit."""
+    and the sector map R^dag V (e^(i phi n_b) R V^T psi_n) with the gauge
+    R = e^(-i pi m/2) written out.  mz_two_mode must equal it bit for bit."""
     support = state.total_number_support()
     grid = state.amplitudes
     out = np.zeros_like(grid)
@@ -188,11 +189,11 @@ def gathered_mz_two_mode(state, phi):
         nb = n - na
         _, coupling = _dicke_ladder(n)
         band = np.diag(0.5 * coupling, 1)
-        w, v = np.linalg.eigh(band + band.T)
-        gauge = np.array([1.0, -1j, -1.0, 1j])[na % 4]
-        vec = _band_evolve(grid[na, nb], (w, v), gauge, -math.pi / 2.0)
+        _, v = np.linalg.eigh(band + band.T)
+        r_dag = np.exp(1j * (math.pi / 2.0) * (na - n / 2.0))
+        vec = r_dag.conj() * _real_matvec(v.T, grid[na, nb])
         vec = np.exp(1j * phi * nb) * vec
-        out[na, nb] = _band_evolve(vec, (w, v), np.ones(n + 1), math.pi / 2.0)
+        out[na, nb] = r_dag * _real_matvec(v, vec)
     return out
 
 

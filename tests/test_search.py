@@ -63,6 +63,6 @@ class TestLockstepGoldenSection:
         objectives = [wavy(0.5, c, 0.4, 9.0) for c in (-0.7, 0.1, 0.9)]
         xs = np.linspace(-1.0, 1.0, 64)
         table = [[f(x) for x in xs] for f in objectives]
-        found = grid_then_golden_many(lockstep(objectives), -1.0, 1.0, table, n_grid=64)
+        found = grid_then_golden_many(lockstep(objectives), -1.0, 1.0, table)
         expected = [grid_then_golden(f, -1.0, 1.0, n_grid=64) for f in objectives]
         assert np.array_equal(found, expected)

@@ -17,16 +17,18 @@ from qmetro import (
     css,
     ghz,
     moments,
+    mz_two_mode,
+    ramsey,
     rotate,
+    TwoModeFockState,
 )
+from qmetro import spinops
 from qmetro.spinops import (
     _band_evolve,
-    _band_spectrum,
     _dicke_ladder,
     _jy_band,
     _jy_gauge,
     _moments,
-    _real_matvec,
     _spin_covariance,
     evolve,
 )
@@ -94,7 +96,7 @@ class TestCollectiveOps:
     @pytest.mark.parametrize("n", [1, 2, 5, 28])
     def test_jy_is_jx_in_the_gauge(self, n):
         # Jy = D Jx D^dag with D = diag((-i)^k): the real gauge form in which
-        # `rotate` and `mz_two_mode` diagonalise Jy through Jx's real band
+        # `rotate` diagonalises Jy through Jx's real band
         ops = collective_ops(n)
         gauge = _jy_gauge(n)
         np.testing.assert_allclose(gauge, (-1j) ** np.arange(n + 1), rtol=0, atol=1e-15)
@@ -245,36 +247,69 @@ class TestBandedRotation:
 
 
 class TestWignerPulse:
-    """The cached eigenvectors of Jy's real band are Wigner's d^J(pi/2)."""
+    """The Ramsey pulses, built on the eigenvectors of Jx's real band with
+    whatever column signs the solver gives them, are Wigner's d^J(pi/2)."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 11, 20])
-    def test_cached_vectors_are_wigner_small_d(self, n):
-        (_, v), _ = _jy_band(n)
-        np.testing.assert_allclose(v, wigner_small_d(n, math.pi / 2), rtol=0, atol=1e-12)
+    def test_ramsey_is_wigner_pulse_phase_pulse(self, n):
+        d = wigner_small_d(n, math.pi / 2)
+        m, _ = _dicke_ladder(n)
+        for phi in (0.0, 0.4, math.pi / 2, 2.9, -1.7):
+            got = np.column_stack([ramsey(dicke(n, k), phi).amplitudes for k in range(n + 1)])
+            expected = d @ np.diag(np.exp(-1j * phi * m)) @ d
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 400])
-    def test_column_signs_leave_band_evolve_bit_identical(self, n):
-        spectrum, gauge = _jy_band(n)
-        _, coupling = _dicke_ladder(n)
-        w, v = _band_spectrum(np.zeros(n + 1), 0.5 * coupling)
-        raw = (w, np.ascontiguousarray(v))  # the layout the cache keeps
+    def test_column_signs_leave_every_pulse_bit_identical(self, n, monkeypatch):
         vec = random_vector(n, 11)
-        for beta in (0.3, math.pi / 2, 2.9, -1.7, 5.0):
-            assert np.array_equal(
-                _band_evolve(vec, spectrum, gauge, beta), _band_evolve(vec, raw, gauge, beta)
+        state = CollectiveSpinState(n, vec)
+        nb = np.arange(n, -1, -1)
+        grid = np.zeros((n + 1, n + 1), dtype=complex)
+        grid[np.arange(n + 1), nb] = vec  # one occupied sector, of total number n
+        axis = np.array([0.36, -0.48, 0.8])
+        phis = (0.3, math.pi / 2, -1.7)
+
+        def run():
+            probe = TwoModeFockState(n, grid)  # fresh: no kept first splitter
+            return (
+                [ramsey(state, phi).amplitudes for phi in phis]
+                + [rotate(state, axis, angle).amplitudes for angle in (0.3, 2.9, 5.0)]
+                + [mz_two_mode(probe, phi).amplitudes for phi in phis]
             )
 
+        def flipping(solve):
+            def solve_and_flip(*args, **kwargs):
+                w, v = solve(*args, **kwargs)
+                signs = np.random.default_rng(v.shape[1]).choice([-1.0, 1.0], v.shape[1])
+                signs[0] = -1.0
+                v *= signs  # in place, so V keeps the layout the solver gave it
+                return w, v
+
+            return solve_and_flip
+
+        _jy_band.cache_clear()
+        try:
+            unflipped = run()
+            _jy_band.cache_clear()
+            monkeypatch.setattr(spinops, "_band_spectrum", flipping(spinops._band_spectrum))
+            monkeypatch.setattr(np.linalg, "eigh", flipping(np.linalg.eigh))
+            flipped = run()
+        finally:
+            _jy_band.cache_clear()
+        for a, b in zip(unflipped, flipped, strict=True):
+            assert np.array_equal(a, b)
+
     @pytest.mark.parametrize("n", [2000, 2001, 4000])
-    def test_large_n_pulse_matches_band_path(self, n):
+    def test_large_n_ramsey_matches_band_path(self, n):
         try:
             spectrum, gauge = _jy_band(n)
+            m, _ = _dicke_ladder(n)
             vec = random_vector(n, n)
-            np.testing.assert_allclose(
-                _real_matvec(spectrum[1], vec),
-                _band_evolve(vec, spectrum, gauge, math.pi / 2),
-                rtol=0,
-                atol=1e-12,
-            )
+            phi = 0.7
+            pulse = _band_evolve(vec, spectrum, gauge, math.pi / 2)
+            expected = _band_evolve(np.exp(-1j * phi * m) * pulse, spectrum, gauge, math.pi / 2)
+            got = ramsey(CollectiveSpinState(n, vec), phi).amplitudes
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
         finally:
             _jy_band.cache_clear()  # 128 MB at N = 4000
 

@@ -244,7 +244,7 @@ class TestEcs:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 4.0, 6.0, 10.0, 12.2579, 15.0, 19.0])
     def test_branch_tail_matches_fsum_oracle(self, alpha):
         lam = alpha**2
-        chosen = _ecs_cutoff(lam)
+        chosen, _ = _ecs_cutoff(lam)
         for cutoff in sorted({0, int(lam), chosen - 5, chosen - 1, chosen, chosen + 3}):
             assert ecs_branch_tail(alpha, cutoff) == pytest.approx(
                 fsum_branch_tail(lam, cutoff), rel=1e-12
@@ -259,17 +259,18 @@ class TestEcs:
         # the cutoff 242, and alpha = 10 the cutoff 181, whose true tail of
         # 1.23e-13 is above the bound
         alphas = np.linspace(0.001, ECS_EDGE_ALPHA, 3000)
-        cutoffs = [_ecs_cutoff(a * a) for a in alphas]
+        cutoffs = [_ecs_cutoff(a * a)[0] for a in alphas]
         assert all(a <= b for a, b in zip(cutoffs, cutoffs[1:]))
         assert cutoffs[-1] <= ECS_MAX_CUTOFF
-        assert _ecs_cutoff(10.0**2) == 182
+        assert _ecs_cutoff(10.0**2)[0] == 182
         with pytest.raises(TruncationError):
             _ecs_cutoff(19.08**2)
 
     @pytest.mark.parametrize("alpha", np.linspace(0.3, ECS_EDGE_ALPHA, 40))
     def test_true_tail_at_the_cutoff_is_below_the_bound(self, alpha):
         lam = alpha**2
-        cutoff = _ecs_cutoff(lam)
+        cutoff, tail = _ecs_cutoff(lam)
+        assert tail == ecs_branch_tail(alpha, cutoff)  # the same sum, bit for bit
         assert fsum_branch_tail(lam, cutoff) < ECS_TAIL_BOUND
         assert ecs_branch_tail(alpha, cutoff - 1) >= ECS_TAIL_BOUND
 
