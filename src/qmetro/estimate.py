@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from ._search import grid_then_golden_many
-from .spinops import BasisTag, Observable, _moments, _readonly, _vector_in, moments
+from .spinops import ALL, BasisTag, Observable, _moments, _occupied, _occupied_in, _readonly, moments
 
 __all__ = [
     "InvalidDistributionError",
@@ -216,10 +216,11 @@ def classical_fisher(family: DistributionFamily, theta: float) -> float:
 
 def povm_probabilities(state, readout: Readout) -> np.ndarray:
     """Outcome probabilities of a diagonal readout on a pure state, in the
-    order of ``readout.outcome_values``."""
-    vec = _vector_in(state, readout.basis_tag)
+    order of ``readout.outcome_values``, summed over the state's occupied
+    entries only (`spinops._occupied`)."""
+    index, vec = _occupied_in(state, readout.basis_tag)
     probs = np.bincount(
-        readout.outcome, weights=vec.real**2 + vec.imag**2, minlength=len(readout)
+        readout.outcome[index], weights=vec.real**2 + vec.imag**2, minlength=len(readout)
     )
     total = probs.sum()
     if not abs(total - 1.0) <= 1e-10:  # NaN fails too
@@ -229,9 +230,9 @@ def povm_probabilities(state, readout: Readout) -> np.ndarray:
 
 def readout_moments(state, readout: Readout) -> tuple[float, float]:
     """Mean and variance of a readout's value on a pure state, as in
-    `moments`; no matrix is built."""
-    vec = _vector_in(state, readout.basis_tag)
-    return _moments(vec, readout.value * vec)
+    `moments`, over the state's occupied entries; no matrix is built."""
+    index, vec = _occupied_in(state, readout.basis_tag)
+    return _moments(vec, readout.value[index] * vec)
 
 
 def povm_family(state_family, readout: Readout) -> DistributionFamily:
@@ -254,23 +255,47 @@ def qfi_generator(initial_state, generator: Observable) -> float:
     return 4.0 * variance
 
 
-def _family_vector(state_family, theta: float) -> np.ndarray:
-    state = state_family(theta)
-    vec = np.asarray(getattr(state, "vector", state), dtype=complex)
-    norm = float(np.linalg.norm(vec))
-    if not abs(norm - 1.0) <= 1e-8:  # NaN fails too
-        raise InvalidFamilyError(f"state norm {norm!r} at theta={theta}")
-    return vec
+def _family_vectors(state_family, thetas) -> list:
+    """The family's states at thetas, each checked for unit norm, as
+    amplitude vectors over the union of their occupied entries
+    (`spinops._occupied`): over the shared index itself when every state
+    has it, as every phase of one probe does."""
+    states = [state_family(theta) for theta in thetas]
+    occupied = []
+    for theta, state in zip(thetas, states):
+        index, vec = _occupied(state)
+        norm = float(np.linalg.norm(vec))
+        if not abs(norm - 1.0) <= 1e-8:  # NaN fails too
+            raise InvalidFamilyError(f"state norm {norm!r} at theta={theta}")
+        occupied.append((index, vec))
+    first = occupied[0][0]
+    if all(index is first for index, _ in occupied):
+        return [vec for _, vec in occupied]
+    if len({getattr(state, "basis_tag", None) for state in states}) > 1:
+        raise InvalidFamilyError(f"state family changed basis near theta={thetas[0]}")
+    positions = [np.arange(vec.size) if index is ALL else index for index, vec in occupied]
+    union = np.unique(np.concatenate(positions))
+    vectors = []
+    for where, (_, vec) in zip(positions, occupied):
+        spread = np.zeros(union.size, dtype=complex)
+        spread[np.searchsorted(union, where)] = vec
+        vectors.append(spread)
+    return vectors
 
 
 def qfi_from_family(state_family, theta: float) -> float:
     """Quantum Fisher information from the parameterized final state:
     F_Q = 4 ||psi' - <psi|psi'> psi||^2 (Braunstein & Caves, PRL 72, 3439,
-    1994), with psi' from central differences (one Richardson refinement).
-    Agrees with ``qfi_generator`` whenever the family is exp(-iH theta) psi0.
+    1994), with psi' from central differences (one Richardson refinement)
+    of the five states taken on the union of their occupied entries
+    (`_family_vectors`).  Agrees with ``qfi_generator`` whenever the
+    family is exp(-iH theta) psi0.
     """
-    psi = _family_vector(state_family, theta)
-    dpsi = _central_diff(lambda t: _family_vector(state_family, t), theta, STATE_STEP)
+    half = 0.5 * STATE_STEP
+    thetas = (theta, theta + half, theta - half, theta + STATE_STEP, theta - STATE_STEP)
+    at = dict(zip(thetas, _family_vectors(state_family, thetas)))
+    psi = at[theta]
+    dpsi = _central_diff(at.__getitem__, theta, STATE_STEP)
     centered = dpsi - np.vdot(psi, dpsi) * psi
     return 4.0 * float(np.vdot(centered, centered).real)
 

@@ -15,8 +15,9 @@ phase: each column of V enters once as V and once as V^T, so the
 signs the solver gives the columns cancel exactly.  For Ramsey, g is
 e^(-i phi m) and x = e^(-i pi Jy) psi, a signed reversal; for the
 Mach-Zehnder, g is e^(i phi n_b) between the z gauges R = e^(-i pi m/2)
-and R^dag, and the phi-independent half, R V^T psi_n, is computed once
-per probe state and kept with it (`_first_splitter`).
+and R^dag.  The phi-independent half is computed once per probe state
+and kept with it: V^T x for Ramsey (`_first_pulse`), and R V^T psi_n
+with R^dag V for the Mach-Zehnder (`_first_splitter`).
 """
 
 from __future__ import annotations
@@ -115,18 +116,37 @@ def ramsey(
     half turn F = exp(-i pi Jy), (F psi)_k = (-1)^k psi_{N-k}, and d is
     the cached eigenvectors V of `spinops._jy_band` up to column signs,
     so the sequence d e^{-i phi m} d psi is V (e^{-i phi m} V^T F psi):
-    two real products, in which those signs cancel.  The pulses act on
-    the amplitude vector; only the state they end in is validated.
+    two real products, in which those signs cancel.  The first, V^T F psi,
+    is independent of phi and kept with the probe (`_first_pulse`), so a
+    call costs one phase and one real product.  The pulses act on the
+    amplitude vector; only the state they end in is validated.
     """
     n = initial.n_particles
     m, _ = _dicke_ladder(n)
-    (_, v), _ = _jy_band(n)
-    flipped = _half_turn_signs(n) * initial.amplitudes[::-1]
-    vec = np.exp(-1j * phi * m) * _real_matvec(v.T, flipped)
-    state = CollectiveSpinState(n, _real_matvec(v, vec))
+    v, pulsed = _first_pulse(initial)
+    state = CollectiveSpinState(n, _real_matvec(v, np.exp(-1j * phi * m) * pulsed))
     if readout_rotation is not None:
         state = _rotate_about_mean_spin(state, readout_rotation)
     return state
+
+
+def _first_pulse(state: CollectiveSpinState) -> tuple:
+    """The phi-independent half of `ramsey`: (V, V^T F psi), read-only,
+    with V the eigenvectors `spinops._jy_band` holds for N.  Kept as the
+    state's private attribute `_ramsey_first_pulse` and used while that
+    cache still returns the same V; a V solved again (after the cache
+    let it go) gets its own V^T F psi, so both products always take one
+    V and its signs cancel."""
+    n = state.n_particles
+    (_, v), _ = _jy_band(n)
+    kept = vars(state).get("_ramsey_first_pulse")
+    if kept is not None and kept[0] is v:
+        return kept
+    pulsed = _real_matvec(v.T, _half_turn_signs(n) * state.amplitudes[::-1])
+    pulsed.setflags(write=False)
+    kept = (v, pulsed)
+    object.__setattr__(state, "_ramsey_first_pulse", kept)
+    return kept
 
 
 def _mean_spin_axis(state: CollectiveSpinState) -> np.ndarray:
@@ -203,50 +223,53 @@ def mz_two_mode(state: TwoModeFockState, phi: float) -> TwoModeFockState:
     which is 1.  Every occupied sector must fit under the cutoff
     (otherwise the splitter would leak amplitude off the grid).
 
-    With c the cutoff, sector n is the strided slice flat[n : n(c+1)+1 : c]
-    of the flattened grid, which runs over (n_a, n - n_a) with n_a
-    ascending for every n <= c.  Everything but the phase is independent
-    of phi: the first call on a probe state keeps, with that state, each
-    occupied sector's slice, V, R^dag, n_b and R V^T psi_n
-    (`_first_splitter`), so a call costs one phase, one real product and
-    one gauge per sector, and a probe pays its `eigh` calls once.
+    The state holds its occupied sectors as one vector
+    (`statelib.TwoModeFockState`), and the output holds the same sectors
+    at the same index; no grid is built.  Everything but the phase is
+    independent of phi: the first call on a probe state keeps, with that
+    state, each occupied sector's place in the vector, R^dag V, n_b and
+    R V^T psi_n (`_first_splitter`), so a call costs one phase and one
+    complex product per sector and a norm check over the occupied
+    entries, and a probe pays its `eigh` calls once.
     """
-    c = state.cutoff
-    grid = state.vector
-    out = np.zeros_like(grid)
-    out[0] = grid[0]
-    for sector, v, r_dag, n_b, split in _first_splitter(state):
-        out[sector] = r_dag * _real_matvec(v, np.exp(1j * phi * n_b) * split)
-    return TwoModeFockState(c, out.reshape(c + 1, c + 1), state.truncation_deficit)
+    kept = _first_splitter(state)
+    _, values = state._occupied
+    out = values.copy()  # the vacuum keeps its amplitude; every other sector is written
+    for sector, r_dag_v, n_b, split in kept:
+        out[sector] = r_dag_v @ (np.exp(1j * phi * n_b) * split)
+    return state._with_values(out)
 
 
 def _first_splitter(state: TwoModeFockState) -> tuple:
     """The phi-independent half of `mz_two_mode`: for each occupied sector
-    n > 0, (slice, V, R^dag = e^(i pi m/2), n_b, R V^T psi_n), every array
-    read-only.  Computed on the state's first call and kept as its
-    private attribute `_mz_first_splitter`, which goes with it; a
-    state that fails the cutoff check raises before any `eigh` and keeps
-    nothing, so it raises again on the next call."""
+    n > 0, (its slice of the state's vector, R^dag V with
+    R^dag = e^(i pi m/2), n_b, R V^T psi_n), every array read-only.
+    Computed on the state's first call and kept as its private attribute
+    `_mz_first_splitter`, which goes with it; a state that fails the
+    cutoff check raises before any `eigh` and keeps nothing, so it raises
+    again on the next call."""
     kept = vars(state).get("_mz_first_splitter")
     if kept is not None:
         return kept
     c = state.cutoff
-    support = state.total_number_support()
+    support, _, sectors = state._layout
     if support.size and int(support[-1]) > c:
         raise ValueError(f"cutoff {c} cannot hold total number {int(support[-1])}")
-    grid = state.vector
+    _, values = state._occupied
     kept = []
-    for n in support[support > 0].tolist():
-        sector = slice(n, n * (c + 1) + 1, c)
+    for n, sector in zip(support.tolist(), sectors):
+        if n == 0:
+            continue
         half_coupling = 0.5 * _dicke_ladder(n)[1]
         band = np.zeros((n + 1, n + 1))
         band.flat[1 :: n + 2] = half_coupling
         band.flat[n + 1 :: n + 2] = half_coupling
         v = np.linalg.eigh(band)[1]
         r_dag = np.exp(1j * (math.pi / 2.0) * _dicke_ladder(n)[0])
-        split = r_dag.conj() * _real_matvec(v.T, grid[sector])
-        arrays = (v, r_dag, np.arange(n, -1, -1), split)
-        for a in arrays:  # frozen in place: a copy could change V's layout
+        split = r_dag.conj() * _real_matvec(v.T, values[sector])
+        # n_b as complex: the phase then skips a cast, with the same floats
+        arrays = (r_dag[:, None] * v, np.arange(n, -1, -1, dtype=complex), split)
+        for a in arrays:
             a.setflags(write=False)
         kept.append((sector, *arrays))
     kept = tuple(kept)

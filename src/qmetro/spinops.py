@@ -34,6 +34,7 @@ IMAG_TOL = 1e-12
 # a mean spin counts as zero when |<J>| <= MEAN_SPIN_EPS * max(1, N/2),
 # relative to its largest possible length N/2
 MEAN_SPIN_EPS = 1e-10
+ALL = slice(None)  # the index of a state that keeps every amplitude (`_occupied`)
 
 
 def _check_hermitian(mat: np.ndarray, name: str) -> None:
@@ -46,6 +47,24 @@ def _vector_in(state, tag: BasisTag) -> np.ndarray:
     if state.basis_tag != tag:
         raise ValueError(f"basis mismatch: state {state.basis_tag}, expected {tag}")
     return np.asarray(state.vector, dtype=complex)
+
+
+def _occupied(state) -> tuple:
+    """(index, amplitudes): a state's amplitudes at the flat basis
+    positions ``index``, every other amplitude being zero.  A two-mode
+    state keeps its occupied sectors so (``_occupied``); for any other
+    state, a spin state among them, the index is all of it."""
+    occupied = getattr(state, "_occupied", None)
+    if occupied is None:
+        return ALL, np.asarray(getattr(state, "vector", state), dtype=complex)
+    return occupied
+
+
+def _occupied_in(state, tag: BasisTag) -> tuple:
+    """`_occupied` of a state, which must live in the basis `tag`."""
+    if state.basis_tag != tag:
+        raise ValueError(f"basis mismatch: state {state.basis_tag}, expected {tag}")
+    return _occupied(state)
 
 
 def _readonly(a):

@@ -1,9 +1,10 @@
 """Probe-state constructors: coherent spin, GHZ/NOON, twin Fock, entangled coherent.
 
 Collective-spin states use the ascending-m Dicke convention from
-``spinops``.  Two-mode states are dense amplitude grids over occupation
-pairs (n_a, n_b) up to a per-mode cutoff, flattened in lexicographic
-(n_a, n_b) order.
+``spinops``.  Two-mode states are amplitudes over occupation pairs
+(n_a, n_b) up to a per-mode cutoff, flattened in lexicographic (n_a, n_b)
+order; a state keeps only its occupied sectors of total number
+n_a + n_b, and builds the dense grid when it is read.
 
 Phase convention: every constructor returns the global-phase
 representative whose first nonzero amplitude is real and positive, so
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .spinops import NORM_TOL, BasisTag, CollectiveSpinState, _readonly
+from .spinops import NORM_TOL, BasisTag, CollectiveSpinState
 
 __all__ = [
     "TwoModeFockState",
@@ -44,53 +45,111 @@ class TruncationError(RuntimeError):
     """Raised when no cutoff under the hard cap meets the tail bound."""
 
 
-@dataclass(frozen=True)
+@functools.lru_cache(maxsize=16)
+def _sector_layout(cutoff: int, support: tuple) -> tuple:
+    """Where the occupied sectors of a state with this cutoff lie, for
+    the total numbers ``support`` (ascending): (support, index, sectors),
+    with index the flat grid positions n_a (cutoff + 1) + n_b of those
+    sectors, sector by sector and n_a ascending in each, and sectors[i]
+    the slice of index that holds sector support[i].  Sector n runs over
+    n_a = max(0, n - cutoff)..min(n, cutoff), at flat positions
+    n + n_a cutoff; for n <= cutoff that is flat[n : n(cutoff+1)+1 : cutoff].
+    Cached, so every state of one cutoff and support shares the read-only
+    arrays."""
+    positions, sectors, start = [], [], 0
+    for n in support:
+        n_a = np.arange(max(0, n - cutoff), min(n, cutoff) + 1)
+        positions.append(n + n_a * cutoff)
+        sectors.append(slice(start, start + n_a.size))
+        start += n_a.size
+    index = np.concatenate(positions) if positions else np.zeros(0, dtype=np.intp)
+    support = np.array(support, dtype=np.intp)
+    for a in (support, index):
+        a.setflags(write=False)
+    return support, index, tuple(sectors)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class TwoModeFockState:
-    """Amplitudes over |n_a, n_b> with 0 <= n_a, n_b <= cutoff.
+    """Amplitudes over |n_a, n_b> with 0 <= n_a, n_b <= cutoff, given as
+    the (cutoff + 1)^2 grid indexed [n_a, n_b].
+
+    The state keeps only its occupied sectors, the total numbers
+    n_a + n_b that carry any amplitude: one complex vector over a
+    read-only index of flat grid positions (`_sector_layout`), shared by
+    every state of the same cutoff and support.  ``amplitudes`` and
+    ``vector`` are the grid derived from them, read-only and built when
+    first read.  ``basis_tag`` is the Fock space of the cutoff.
 
     ``truncation_deficit`` is the probability weight dropped by the
     cutoff; amplitudes are NOT renormalized to hide it.
     """
 
     cutoff: int
-    amplitudes: np.ndarray
-    truncation_deficit: float = 0.0
+    truncation_deficit: float
 
-    def __post_init__(self):
-        if self.cutoff < 0:
+    def __init__(self, cutoff: int, amplitudes, truncation_deficit: float = 0.0):
+        if cutoff < 0:
             raise ValueError("cutoff must be >= 0")
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        d = self.cutoff + 1
+        amp = np.asarray(amplitudes, dtype=complex)
+        d = cutoff + 1
         if amp.shape != (d, d):
             raise ValueError(f"amplitude grid must be {d}x{d}, got {amp.shape}")
-        if not 0.0 <= self.truncation_deficit < MAX_DEFICIT:
-            raise ValueError(
-                f"truncation deficit {self.truncation_deficit!r} out of range"
-            )
-        norm_sq = float(np.vdot(amp, amp).real)
+        if not 0.0 <= truncation_deficit < MAX_DEFICIT:
+            raise ValueError(f"truncation deficit {truncation_deficit!r} out of range")
+        na, nb = np.nonzero(amp)
+        layout = _sector_layout(cutoff, tuple(np.flatnonzero(np.bincount(na + nb)).tolist()))
+        vars(self).update(
+            cutoff=cutoff,
+            truncation_deficit=truncation_deficit,
+            basis_tag=BasisTag("fock", cutoff),
+            _layout=layout,
+        )
+        self._take(amp.reshape(-1)[layout[1]])
+
+    def _take(self, values: np.ndarray) -> None:
+        """Keep ``values`` as the amplitudes at the layout's index, every
+        other amplitude being zero: frozen in place after the norm check
+        over them, not copied."""
+        norm_sq = float(np.vdot(values, values).real)
         if not abs(norm_sq - (1.0 - self.truncation_deficit)) <= NORM_TOL:  # NaN fails too
             raise ValueError(f"state not normalized: sum |c|^2 = {norm_sq!r}")
-        object.__setattr__(self, "amplitudes", _readonly(amp))
+        values.setflags(write=False)
+        vars(self)["_occupied"] = (self._layout[1], values)
+
+    def _with_values(self, values: np.ndarray) -> "TwoModeFockState":
+        """The state of this cutoff, deficit and support whose amplitudes
+        at the shared index are ``values`` (`_take`); only their norm is
+        checked."""
+        state = object.__new__(TwoModeFockState)
+        shared = vars(self)
+        vars(state).update(
+            cutoff=shared["cutoff"],
+            truncation_deficit=shared["truncation_deficit"],
+            basis_tag=shared["basis_tag"],
+            _layout=shared["_layout"],
+        )
+        state._take(values)
+        return state
+
+    @functools.cached_property
+    def amplitudes(self) -> np.ndarray:
+        """The (cutoff + 1)^2 grid, zero off the occupied sectors."""
+        d = self.cutoff + 1
+        index, values = self._occupied
+        grid = np.zeros(d * d, dtype=complex)
+        grid[index] = values
+        grid.setflags(write=False)
+        return grid.reshape(d, d)
 
     @property
     def vector(self) -> np.ndarray:
         return self.amplitudes.reshape(-1)
 
-    @property
-    def basis_tag(self) -> BasisTag:
-        return BasisTag("fock", self.cutoff)
-
     def total_number_support(self) -> np.ndarray:
         """Sorted total particle numbers n_a + n_b carrying any amplitude,
-        read-only and computed once per state."""
-        return self._support
-
-    @functools.cached_property
-    def _support(self) -> np.ndarray:
-        na, nb = np.nonzero(self.amplitudes)
-        support = np.flatnonzero(np.bincount(na + nb))
-        support.setflags(write=False)
-        return support
+        read-only and shared like the index."""
+        return self._layout[0]
 
 
 @dataclass(frozen=True)

@@ -321,6 +321,29 @@ class TestQfi:
         with pytest.raises(InvalidFamilyError):
             qfi_from_family(family, 0.5)
 
+    @staticmethod
+    def two_sector_family(theta):
+        """cos(theta) |2,0> + sin(theta) |0,1>: at theta = 0 exactly the
+        state occupies sector 2 only, beside it sectors 1 and 2."""
+        grid = np.zeros((3, 3), dtype=complex)
+        grid[2, 0], grid[0, 1] = math.cos(theta), math.sin(theta)
+        return TwoModeFockState(2, grid)
+
+    def test_stencil_states_on_different_sectors_use_their_union(self):
+        # F_Q = 4 (<psi'|psi'> - |<psi|psi'>|^2) = 4 for a rotation between two
+        # orthogonal states, also where one of them has no amplitude
+        dense = qfi_from_family(lambda t: self.two_sector_family(t).vector, 0.0)
+        got = qfi_from_family(self.two_sector_family, 0.0)
+        assert got == pytest.approx(4.0, abs=1e-8)
+        assert got == pytest.approx(dense, rel=1e-12)
+
+    def test_stencil_states_in_different_bases_rejected(self):
+        def family(theta):
+            return twin_fock(1, cutoff=2 if theta < 0.5 else 3)
+
+        with pytest.raises(InvalidFamilyError, match="basis"):
+            qfi_from_family(family, 0.5)
+
 
 class TestNanGuards:
     """A NaN compares false to every tolerance, so each guard must reject

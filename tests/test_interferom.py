@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -9,6 +11,7 @@ import pytest
 from conftest import legendre
 
 from qmetro import (
+    BasisTag,
     DistributionFamily,
     CollectiveSpinState,
     Readout,
@@ -30,6 +33,7 @@ from qmetro import (
     parity_sector_povm,
     phase_sweep,
     povm_family,
+    povm_probabilities,
     projective_povm,
     qfi_from_family,
     ramsey,
@@ -38,8 +42,8 @@ from qmetro import (
     rotate,
     twin_fock,
 )
-from qmetro.interferom import _mean_spin_axis, _parity_mean, _readout_variance_series
-from qmetro.spinops import _dicke_ladder, _real_matvec, evolve
+from qmetro.interferom import _mean_spin_axis, _mode_numbers, _parity_mean, _readout_variance_series
+from qmetro.spinops import _dicke_ladder, _jy_band, _real_matvec, evolve
 from search_oracles import grid_then_golden
 
 
@@ -140,6 +144,17 @@ def rotate_ramsey(initial, phi, readout_rotation=None):
     return state
 
 
+def plain_ramsey(state, phi):
+    """ramsey's float operations in their plain form, both real products
+    taken on every call: V (e^(-i phi m) V^T F psi) with the half turn
+    (F psi)_k = (-1)^k psi_{N-k}.  ramsey must equal it bit for bit."""
+    n = state.n_particles
+    m, _ = _dicke_ladder(n)
+    (_, v), _ = _jy_band(n)
+    flipped = (-1.0) ** np.arange(n + 1) * state.amplitudes[::-1]
+    return _real_matvec(v, np.exp(-1j * phi * m) * _real_matvec(v.T, flipped))
+
+
 def random_spin_state(n, seed):
     rng = np.random.default_rng(seed)
     amp = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
@@ -177,9 +192,11 @@ def dense_mz_two_mode(state, phi):
 
 def gathered_mz_two_mode(state, phi):
     """mz_two_mode's float operations in their plain form: each sector
-    gathered and scattered by fancy indexing, Jx's band as band + band.T,
-    and the sector map R^dag V (e^(i phi n_b) R V^T psi_n) with the gauge
-    R = e^(-i pi m/2) written out.  mz_two_mode must equal it bit for bit."""
+    gathered from and scattered into the dense grid by fancy indexing,
+    Jx's band as band + band.T, and the sector map
+    (R^dag V) (e^(i phi n_b) R V^T psi_n) with the gauge R = e^(-i pi m/2)
+    written out and R^dag taken into V's rows.  mz_two_mode must equal it
+    bit for bit."""
     support = state.total_number_support()
     grid = state.amplitudes
     out = np.zeros_like(grid)
@@ -193,7 +210,7 @@ def gathered_mz_two_mode(state, phi):
         r_dag = np.exp(1j * (math.pi / 2.0) * (na - n / 2.0))
         vec = r_dag.conj() * _real_matvec(v.T, grid[na, nb])
         vec = np.exp(1j * phi * nb) * vec
-        out[na, nb] = r_dag * _real_matvec(v, vec)
+        out[na, nb] = (r_dag[:, None] * v) @ vec
     return out
 
 
@@ -310,6 +327,38 @@ class TestCollectiveRamsey:
         np.testing.assert_allclose(
             expectation_vector(rotated), expectation_vector(final), atol=1e-10
         )
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: css(10, 0.0, 0.0), lambda: random_spin_state(7, 9), lambda: oat_probe(40)],
+        ids=["css-10", "random-7", "oat-40"],
+    )
+    def test_one_probe_at_shuffled_phases_equals_fresh_probes_bit_for_bit(self, make):
+        phis = np.random.default_rng(4).permutation(np.linspace(-4.0, 4.0, 12))
+        probe = make()
+        for phi in phis:
+            kept = ramsey(probe, phi).amplitudes
+            assert np.array_equal(kept, ramsey(make(), phi).amplitudes)
+            assert np.array_equal(kept, plain_ramsey(probe, phi))
+
+    def test_kept_first_pulse_is_read_only(self):
+        probe = random_spin_state(6, 5)
+        ramsey(probe, 0.2)
+        kept = vars(probe)["_ramsey_first_pulse"]
+        assert len(kept) == 2  # V and V^T F psi
+        for a in kept:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+    def test_first_pulse_follows_the_cached_v(self):
+        probe = random_spin_state(9, 2)
+        before = ramsey(probe, 0.6).amplitudes
+        _jy_band.cache_clear()  # V is solved again, as a new array
+        after = ramsey(probe, 0.6).amplitudes
+        v, _ = vars(probe)["_ramsey_first_pulse"]
+        assert v is _jy_band(9)[0][1]
+        assert np.array_equal(before, after)
 
 
 class TestTwoModeMz:
@@ -497,6 +546,157 @@ class TestTwoModeMz:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[0, 0] False"
+
+
+def random_full_grid(cutoff, seed):
+    """Random normalized grid over every |n_a, n_b>: every sector from 0
+    to 2 cutoff occupied, those above the cutoff cut short by it."""
+    rng = np.random.default_rng(seed)
+    shape = (cutoff + 1, cutoff + 1)
+    amp = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return TwoModeFockState(cutoff, amp / np.linalg.norm(amp))
+
+
+def fock_readouts(cutoff, seed):
+    """Diagonal readouts of the Fock grid: both parities, n_b, the flat
+    position itself, and random values drawn from five."""
+    tag = BasisTag("fock", cutoff)
+    values = np.random.default_rng(seed).normal(size=5)
+    return [
+        parity_sector_povm("a", cutoff),
+        parity_sector_povm("b", cutoff),
+        Readout(_mode_numbers(cutoff, "b").reshape(-1), tag),
+        projective_povm(tag),
+        Readout(values[np.random.default_rng(seed + 1).integers(0, 5, size=tag.dim)], tag),
+    ]
+
+
+def dense_readout(state, readout):
+    """Probabilities, mean and variance of a readout from the whole dense
+    grid: the oracle of the readouts over the occupied sectors."""
+    vec = state.vector
+    probs = np.bincount(readout.outcome, weights=np.abs(vec) ** 2, minlength=len(readout))
+    applied = readout.value * vec
+    mean = float(np.vdot(vec, applied).real)
+    centered = applied - mean * vec
+    return probs, mean, float(np.vdot(centered, centered).real)
+
+
+SECTOR_PROBES = {
+    **{f"twin-{n}": (lambda n=n: twin_fock(n)) for n in (0, 1, 5, 14)},
+    **{f"random-{c}": (lambda c=c: random_fock_state(c, 40 + c)) for c in (2, 6)},
+    **{f"full-{c}": (lambda c=c: random_full_grid(c, 50 + c)) for c in (1, 3, 6)},
+    "gapped-5": lambda: sector_sum(5, {0: 0.3, 2: 0.5, 5: -0.6}),
+    "gapped-above-5": lambda: sector_sum(5, {0: 0.3, 2: 0.5, 7: 0.4j, 9: -0.2}),
+    **{f"ecs-{a}": (lambda a=a: ecs(a)) for a in (0.5, 1.0, 2.0)},
+}
+# the probes whose every sector fits under the cutoff, which mz_two_mode takes
+MZ_PROBES = {k: m for k, m in SECTOR_PROBES.items() if not k.startswith(("full", "gapped-above"))}
+
+
+def sector_sum(cutoff, weights):
+    """A grid occupying only the sectors n in weights, each with random
+    amplitudes, normalized; sectors above the cutoff are cut short by it."""
+    rng = np.random.default_rng(cutoff)
+    na, nb = np.indices((cutoff + 1, cutoff + 1))
+    amp = np.zeros(na.shape, dtype=complex)
+    for n, w in weights.items():
+        mask = na + nb == n
+        amp[mask] = w * (rng.normal(size=mask.sum()) + 1j * rng.normal(size=mask.sum()))
+    return TwoModeFockState(cutoff, amp / np.linalg.norm(amp))
+
+
+class TestSectorStorage:
+    @pytest.mark.parametrize("make", SECTOR_PROBES.values(), ids=SECTOR_PROBES.keys())
+    def test_readouts_equal_the_dense_grid(self, make):
+        probe = make()
+        states = [probe]
+        if make in MZ_PROBES.values():
+            states += [mz_two_mode(probe, phi) for phi in (0.3, -2.1, math.pi)]
+            states.append(mz_two_mode(states[1], 1.1))
+        else:
+            with pytest.raises(ValueError, match="cannot hold"):
+                mz_two_mode(probe, 0.3)
+        for state in states:
+            for readout in fock_readouts(state.cutoff, state.cutoff):
+                probs, mean, variance = dense_readout(state, readout)
+                got_mean, got_variance = readout_moments(state, readout)
+                np.testing.assert_allclose(povm_probabilities(state, readout), probs, rtol=0, atol=1e-14)
+                assert abs(got_mean - mean) <= 1e-14 * max(1.0, abs(mean))
+                assert abs(got_variance - variance) <= 1e-14 * max(1.0, variance)
+
+    @pytest.mark.parametrize("make", SECTOR_PROBES.values(), ids=SECTOR_PROBES.keys())
+    def test_layout_covers_each_occupied_sector_once(self, make):
+        state = make()
+        c = state.cutoff
+        support, index, sectors = state._layout
+        assert np.array_equal(np.sort(index), np.flatnonzero(np.isin(np.add.outer(
+            np.arange(c + 1), np.arange(c + 1)), support)))
+        for n, sector in zip(support.tolist(), sectors):
+            na, nb = np.divmod(index[sector], c + 1)
+            assert np.all(na + nb == n)
+            assert np.array_equal(na, np.arange(max(0, n - c), min(n, c) + 1))
+        assert np.array_equal(state.vector[index], state._occupied[1])
+
+    @pytest.mark.parametrize("make", MZ_PROBES.values(), ids=MZ_PROBES.keys())
+    def test_two_calls_match_the_dense_composition(self, make):
+        probe = make()
+        once = TwoModeFockState(probe.cutoff, dense_mz_two_mode(probe, 0.7), probe.truncation_deficit)
+        twice = mz_two_mode(mz_two_mode(probe, 0.7), -1.9).amplitudes
+        assert np.abs(twice - dense_mz_two_mode(once, -1.9)).max() <= 1e-12
+
+    def test_outputs_share_the_probes_index(self):
+        probe = twin_fock(5)
+        out = mz_two_mode(probe, 0.4)
+        assert out._occupied[0] is probe._occupied[0]
+        assert out.total_number_support() is probe.total_number_support()
+        assert twin_fock(5)._occupied[0] is probe._occupied[0]  # one index per (cutoff, support)
+        assert not probe._occupied[0].flags.writeable
+
+    def test_derived_grid_is_read_only_and_built_once(self):
+        out = mz_two_mode(random_fock_state(4, 8), 0.4)
+        assert "amplitudes" not in vars(out)  # not built until read
+        grid = out.amplitudes
+        assert out.amplitudes is grid
+        for a in (grid, out.vector, out._occupied[1]):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+    def test_norm_drift_in_the_kept_matrix_raises(self):
+        probe = twin_fock(5)
+        mz_two_mode(probe, 0.1)
+        drifted = tuple(
+            (sector, r_dag_v * (1.0 + 1e-9), n_b, split)
+            for sector, r_dag_v, n_b, split in vars(probe)["_mz_first_splitter"]
+        )
+        object.__setattr__(probe, "_mz_first_splitter", drifted)
+        with pytest.raises(ValueError, match="normalized"):
+            mz_two_mode(probe, 0.1)
+
+    def test_twinfock_parity_sweep_builds_no_grid(self, monkeypatch):
+        from qmetro import cli
+
+        def no_grid(state):
+            raise AssertionError("dense grid built inside phase_sweep")
+
+        real_sweep = cli.phase_sweep
+        sweeps = []
+
+        def guarded_sweep(*args, **kwargs):
+            with monkeypatch.context() as m:
+                m.setattr(TwoModeFockState, "amplitudes", property(no_grid))
+                with pytest.raises(AssertionError, match="dense grid"):
+                    twin_fock(1).vector  # the guard holds
+                sweeps.append(real_sweep(*args, **kwargs))
+                return sweeps[-1]
+
+        monkeypatch.setattr(cli, "phase_sweep", guarded_sweep)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["run", "twinfock-parity", "--n", "2,5", "--phi", "0.1:1.5:3"]) == 0
+        assert [len(reports) for reports in sweeps] == [3, 3]
+        assert len(out.getvalue().splitlines()) == 7
 
 
 class TestParity:
