@@ -42,6 +42,8 @@ STATE_STEP = 1e-4  # central-difference step for state families
 PSD_TOL = 1e-10
 MLE_GRID = 512  # grid points of the maximum-likelihood search
 LIKELIHOOD_BLOCK = 1 << 13  # most float terms summed in one likelihood block (64 kB)
+SWEEP_BLOCK = 1 << 16  # most amplitudes in one phase-sweep block's stencil states (1 MB)
+SWEEP_STATES = 15  # stencil states per phase point: five for each of F, F_Q and error propagation
 
 
 class InvalidDistributionError(ValueError):
@@ -52,13 +54,21 @@ class InvalidFamilyError(ValueError):
     """A state family drifted off unit norm or changed dimension."""
 
 
-def _central_diff(f, x: float, h: float):
-    """Central difference with one Richardson refinement: O(h^4) accurate."""
+def _stencil(thetas: np.ndarray, h: float) -> np.ndarray:
+    """The points of `_central_diff` at each of M thetas, as a (5, M) array
+    whose rows are theta, theta + h/2, theta - h/2, theta + h and theta - h."""
+    s = 0.5 * h
+    return np.stack([thetas, thetas + s, thetas - s, thetas + h, thetas - h])
 
-    def d(s):
-        return (f(x + s) - f(x - s)) / (2.0 * s)
 
-    return (4.0 * d(0.5 * h) - d(h)) / 3.0
+def _central_diff(values: np.ndarray, h: float) -> np.ndarray:
+    """Central difference with one Richardson refinement, O(h^4) accurate,
+    from the values at the five `_stencil` rows (values[i] at row i)."""
+
+    def d(plus, minus, s):
+        return (values[plus] - values[minus]) / (2.0 * s)
+
+    return (4.0 * d(1, 2, 0.5 * h) - d(3, 4, h)) / 3.0
 
 
 @dataclass(frozen=True)
@@ -71,8 +81,8 @@ class DistributionFamily:
     ``table_at`` optionally evaluates many thetas in one call: it maps a
     float64 array of M thetas to an (M, K) array whose row m equals
     ``prob_at(thetas[m])``, one row per theta in the order given.  The
-    table paths (`run_monte_carlo`) use it when it is set; without it
-    they call ``prob_at`` once per theta.
+    table paths (`classical_fisher`'s stencil, `run_monte_carlo`) use it
+    when it is set; without it they call ``prob_at`` once per theta.
     """
 
     outcome_labels: tuple
@@ -203,15 +213,29 @@ def classical_fisher(family: DistributionFamily, theta: float) -> float:
     """Fisher information F(theta) = sum_i P_i (d ln P_i / d theta)^2.
 
     Outcomes with P < 1e-12 are excluded: their contribution vanishes
-    analytically and keeping them would divide by ~0.
+    analytically and keeping them would divide by ~0.  Without
+    ``derivative``, dP/dtheta is a central difference with one Richardson
+    refinement (step PROB_STEP).  This is `_classical_fishers` at one theta.
     """
-    p = family.probabilities(theta)
+    return _classical_fishers(family, np.array([theta], dtype=float))[0]
+
+
+def _classical_fishers(family: DistributionFamily, thetas: np.ndarray) -> list[float]:
+    """`classical_fisher` at each of M thetas.  Without ``derivative`` the
+    family is read at theta, theta +- PROB_STEP/2 and theta +- PROB_STEP
+    (`_stencil`) of every theta as one `_probability_table`: one family
+    call per point, one validation, and an error that names the first
+    bad theta.  Each theta's F is its own masked sum."""
     if family.derivative is not None:
-        dp = np.asarray(family.derivative(theta), dtype=float)
+        p = family._probability_table(thetas)
+        dp = np.array([family.derivative(theta) for theta in thetas.tolist()], dtype=float)
     else:
-        dp = _central_diff(lambda t: family.probabilities(t), theta, PROB_STEP)
+        table = family._probability_table(_stencil(thetas, PROB_STEP).reshape(-1))
+        table = table.reshape(5, thetas.size, -1)
+        p, dp = table[0], _central_diff(table, PROB_STEP)
     keep = p >= ZERO_PROB_CUTOFF
-    return float(np.sum(dp[keep] ** 2 / p[keep]))
+    terms = np.divide(dp**2, p, out=np.zeros_like(p), where=keep)
+    return [float(np.sum(t[k])) for t, k in zip(terms, keep)]
 
 
 def povm_probabilities(state, readout: Readout) -> np.ndarray:
@@ -236,11 +260,39 @@ def readout_moments(state, readout: Readout) -> tuple[float, float]:
 
 
 def povm_family(state_family, readout: Readout) -> DistributionFamily:
-    """Distribution family theta -> readout outcome probabilities on psi(theta)."""
+    """Distribution family theta -> readout outcome probabilities on psi(theta).
+
+    ``table_at`` reads the states at M thetas together (`_readout_table`)
+    and ``prob_at`` is its one-row table, so the family's validation is
+    the only check a probability vector gets."""
+
+    def table_at(thetas):
+        return _readout_table([state_family(theta) for theta in thetas], readout)
+
     return DistributionFamily(
         outcome_labels=tuple(readout.outcome_values.tolist()),
-        prob_at=lambda theta: povm_probabilities(state_family(theta), readout),
+        prob_at=lambda theta: table_at((theta,))[0],
+        table_at=table_at,
     )
+
+
+def _readout_table(states, readout: Readout) -> np.ndarray:
+    """A readout's outcome probabilities on each of M states as an (M, K)
+    table, row m summed as `povm_probabilities` sums state m but not
+    checked.  When the states share one index, as every phase of one
+    probe does, their stacked amplitudes are read with one `np.bincount`,
+    row m's outcomes offset by K m; otherwise each row is one
+    `povm_probabilities` call."""
+    occupied = [_occupied_in(state, readout.basis_tag) for state in states]
+    index = occupied[0][0]
+    if any(where is not index for where, _ in occupied):
+        return np.array([povm_probabilities(state, readout) for state in states])
+    vectors = np.stack([vec for _, vec in occupied])
+    rows, k = len(states), len(readout)
+    labels = readout.outcome[index] + k * np.arange(rows)[:, None]
+    weights = vectors.real**2 + vectors.imag**2
+    table = np.bincount(labels.reshape(-1), weights=weights.reshape(-1), minlength=rows * k)
+    return table.reshape(rows, k)
 
 
 def projective_povm(basis_tag: BasisTag) -> Readout:
@@ -255,31 +307,30 @@ def qfi_generator(initial_state, generator: Observable) -> float:
     return 4.0 * variance
 
 
-def _family_vectors(state_family, thetas) -> list:
-    """The family's states at thetas, each checked for unit norm, as
-    amplitude vectors over the union of their occupied entries
-    (`spinops._occupied`): over the shared index itself when every state
-    has it, as every phase of one probe does."""
+def _family_vectors(state_family, thetas: np.ndarray) -> np.ndarray:
+    """The family's states at thetas as the rows of one array, over the
+    union of their occupied entries (`spinops._occupied`): over the shared
+    index itself when every state has it, as every phase of one probe
+    does.  Every row is checked for unit norm, and an error names the
+    first theta off it."""
     states = [state_family(theta) for theta in thetas]
-    occupied = []
-    for theta, state in zip(thetas, states):
-        index, vec = _occupied(state)
-        norm = float(np.linalg.norm(vec))
-        if not abs(norm - 1.0) <= 1e-8:  # NaN fails too
-            raise InvalidFamilyError(f"state norm {norm!r} at theta={theta}")
-        occupied.append((index, vec))
+    occupied = [_occupied(state) for state in states]
     first = occupied[0][0]
     if all(index is first for index, _ in occupied):
-        return [vec for _, vec in occupied]
-    if len({getattr(state, "basis_tag", None) for state in states}) > 1:
-        raise InvalidFamilyError(f"state family changed basis near theta={thetas[0]}")
-    positions = [np.arange(vec.size) if index is ALL else index for index, vec in occupied]
-    union = np.unique(np.concatenate(positions))
-    vectors = []
-    for where, (_, vec) in zip(positions, occupied):
-        spread = np.zeros(union.size, dtype=complex)
-        spread[np.searchsorted(union, where)] = vec
-        vectors.append(spread)
+        vectors = np.stack([vec for _, vec in occupied])
+    else:
+        if len({getattr(state, "basis_tag", None) for state in states}) > 1:
+            raise InvalidFamilyError(f"state family changed basis near theta={thetas[0]}")
+        positions = [np.arange(vec.size) if index is ALL else index for index, vec in occupied]
+        union = np.unique(np.concatenate(positions))
+        vectors = np.zeros((len(states), union.size), dtype=complex)
+        for row, where, (_, vec) in zip(vectors, positions, occupied):
+            row[np.searchsorted(union, where)] = vec
+    norms = np.linalg.norm(vectors, axis=1)
+    off = ~(abs(norms - 1.0) <= 1e-8)  # NaN is off too
+    if off.any():
+        m = int(np.argmax(off))
+        raise InvalidFamilyError(f"state norm {float(norms[m])!r} at theta={thetas[m]}")
     return vectors
 
 
@@ -288,16 +339,24 @@ def qfi_from_family(state_family, theta: float) -> float:
     F_Q = 4 ||psi' - <psi|psi'> psi||^2 (Braunstein & Caves, PRL 72, 3439,
     1994), with psi' from central differences (one Richardson refinement)
     of the five states taken on the union of their occupied entries
-    (`_family_vectors`).  Agrees with ``qfi_generator`` whenever the
-    family is exp(-iH theta) psi0.
+    (`_family_vectors`), step STATE_STEP.  Agrees with ``qfi_generator``
+    whenever the family is exp(-iH theta) psi0.  This is
+    `_quantum_fishers` at one theta.
     """
-    half = 0.5 * STATE_STEP
-    thetas = (theta, theta + half, theta - half, theta + STATE_STEP, theta - STATE_STEP)
-    at = dict(zip(thetas, _family_vectors(state_family, thetas)))
-    psi = at[theta]
-    dpsi = _central_diff(at.__getitem__, theta, STATE_STEP)
-    centered = dpsi - np.vdot(psi, dpsi) * psi
-    return 4.0 * float(np.vdot(centered, centered).real)
+    return _quantum_fishers(state_family, np.array([theta], dtype=float))[0]
+
+
+def _quantum_fishers(state_family, thetas: np.ndarray) -> list[float]:
+    """`qfi_from_family` at each of M thetas, from the family's states at
+    the five `_stencil` points of every theta taken together by
+    `_family_vectors`; each theta's F_Q is its own two `np.vdot`s."""
+    vectors = _family_vectors(state_family, _stencil(thetas, STATE_STEP).reshape(-1))
+    vectors = vectors.reshape(5, thetas.size, -1)
+    qfis = []
+    for psi, dpsi in zip(vectors[0], _central_diff(vectors, STATE_STEP)):
+        centered = dpsi - np.vdot(psi, dpsi) * psi
+        qfis.append(4.0 * float(np.vdot(centered, centered).real))
+    return qfis
 
 
 def cramer_rao(fisher: float, repetitions: int = 1) -> float:
@@ -319,19 +378,43 @@ def error_propagation(signal, noise, theta: float) -> ErrorPropagation:
     slope is below 1e-12 scaled by the sampled signal magnitude, or
     when it is indistinguishable from its own finite-difference error
     (the discrepancy between the two central-difference estimates that
-    enter the Richardson refinement).
+    enter the Richardson refinement).  The signal is sampled at the
+    points of `_signal_stencil`, then the noise at theta; this is
+    `_error_propagations` at one theta.
     """
+    points = _signal_stencil(np.array([theta], dtype=float))
+    samples = np.array([[float(signal(t)) for t in row] for row in points])
+    return _error_propagations(samples, np.array([float(noise(theta))]))[0]
+
+
+def _signal_stencil(thetas: np.ndarray) -> np.ndarray:
+    """The points at which `error_propagation` samples the signal for each
+    of M thetas, as an (M, 4) array: theta + PROB_STEP, theta - PROB_STEP,
+    theta + PROB_STEP/2 and theta - PROB_STEP/2."""
     step = PROB_STEP
-    samples = [float(signal(theta + s)) for s in (step, -step, 0.5 * step, -0.5 * step)]
-    d_full = (samples[0] - samples[1]) / (2.0 * step)
-    d_half = (samples[2] - samples[3]) / step
-    slope = (4.0 * d_half - d_full) / 3.0
-    scale = max(1.0, *(abs(x) for x in samples))
-    fd_error = abs(d_half - d_full)
-    sigma = float(noise(theta))
-    if abs(slope) < 1e-12 * scale or abs(slope) <= 4.0 * fd_error:
-        return ErrorPropagation(math.inf, True)
-    return ErrorPropagation(sigma / abs(slope), False)
+    return thetas[:, None] + np.array([step, -step, 0.5 * step, -0.5 * step])
+
+
+def _error_propagations(samples: np.ndarray, sigma: np.ndarray) -> list[ErrorPropagation]:
+    """`error_propagation` at each of M thetas, from the (M, 4) signal
+    samples at the `_signal_stencil` points and the (M,) noise at each
+    theta."""
+    step = PROB_STEP
+    d_full = (samples[:, 0] - samples[:, 1]) / (2.0 * step)
+    d_half = (samples[:, 2] - samples[:, 3]) / step
+    slope = abs((4.0 * d_half - d_full) / 3.0)
+    scale = np.maximum(1.0, abs(samples).max(axis=1))
+    stationary = (slope < 1e-12 * scale) | (slope <= 4.0 * abs(d_half - d_full))
+    value = np.divide(sigma, slope, out=np.full_like(sigma, math.inf), where=~stationary)
+    return [ErrorPropagation(v, s) for v, s in zip(value.tolist(), stationary.tolist())]
+
+
+def _sweep_blocks(grid: np.ndarray, dim: int) -> list[np.ndarray]:
+    """The grid cut into consecutive blocks of points whose SWEEP_STATES
+    stencil states each, of dimension ``dim``, hold at most SWEEP_BLOCK
+    amplitudes; a block has at least one point."""
+    points = max(1, SWEEP_BLOCK // (SWEEP_STATES * dim))
+    return [grid[i : i + points] for i in range(0, grid.size, points)]
 
 
 def _observed_patterns(counts):

@@ -101,7 +101,11 @@ class BasisTag:
 
 @dataclass(frozen=True)
 class CollectiveSpinState:
-    """Unit-norm amplitude vector over |J,m>, m ascending, J = N/2."""
+    """Unit-norm amplitude vector over |J,m>, m ascending, J = N/2.
+
+    ``basis_tag`` is the spin space of N, built once per state and shared
+    by the states derived from it (`_with_values`).
+    """
 
     n_particles: int
     amplitudes: np.ndarray
@@ -115,10 +119,26 @@ class CollectiveSpinState:
             raise ValueError(
                 f"amplitude vector must have length {n + 1}, got {amp.shape}"
             )
-        norm_sq = float(np.vdot(amp, amp).real)
+        object.__setattr__(self, "basis_tag", BasisTag("spin", n))
+        self._take(np.array(amp, order="C"))  # a copy: the caller's array stays writable
+
+    def _take(self, values: np.ndarray) -> None:
+        """Keep ``values`` as the amplitudes: frozen in place after the
+        norm check, not copied."""
+        norm_sq = float(np.vdot(values, values).real)
         if not abs(norm_sq - 1.0) <= NORM_TOL:  # NaN and inf fail too
             raise ValueError(f"state not normalized: sum |c|^2 = {norm_sq!r}")
-        object.__setattr__(self, "amplitudes", _readonly(amp))
+        values.setflags(write=False)
+        object.__setattr__(self, "amplitudes", values)
+
+    def _with_values(self, values: np.ndarray) -> "CollectiveSpinState":
+        """The state of this N whose amplitudes are ``values``, a
+        C-contiguous complex vector of length N + 1 (`_take`); only their
+        norm is checked."""
+        state = object.__new__(CollectiveSpinState)
+        vars(state).update(n_particles=self.n_particles, basis_tag=self.basis_tag)
+        state._take(values)
+        return state
 
     @property
     def j(self) -> float:
@@ -131,10 +151,6 @@ class CollectiveSpinState:
     @property
     def vector(self) -> np.ndarray:
         return self.amplitudes
-
-    @property
-    def basis_tag(self) -> BasisTag:
-        return BasisTag("spin", self.n_particles)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@ import contextlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,16 +16,21 @@ from qmetro import (
     BasisTag,
     DistributionFamily,
     CollectiveSpinState,
+    InvalidDistributionError,
+    InvalidFamilyError,
     Readout,
     TwoModeFockState,
     classical_fisher,
     collective_ops,
+    cramer_rao,
     css,
     ecs,
     error_propagation,
     expectation_vector,
+    ghz,
     moments,
     mz_single_particle,
+    mz_single_particle_state,
     mz_two_mode,
     oat_evolve,
     OatParams,
@@ -42,8 +49,10 @@ from qmetro import (
     rotate,
     twin_fock,
 )
+from qmetro import estimate
+from qmetro.estimate import PROB_STEP, STATE_STEP
 from qmetro.interferom import _mean_spin_axis, _mode_numbers, _parity_mean, _readout_variance_series
-from qmetro.spinops import _dicke_ladder, _jy_band, _real_matvec, evolve
+from qmetro.spinops import _dicke_ladder, _jy_band, _occupied, _real_matvec, evolve
 from search_oracles import grid_then_golden
 
 
@@ -350,6 +359,23 @@ class TestCollectiveRamsey:
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
+
+    def test_norm_drift_in_the_kept_first_pulse_raises(self):
+        probe = random_spin_state(6, 3)
+        ramsey(probe, 0.2)
+        v, pulsed = vars(probe)["_ramsey_first_pulse"]
+        object.__setattr__(probe, "_ramsey_first_pulse", (v, pulsed * (1.0 + 1e-9)))
+        with pytest.raises(ValueError, match="normalized"):
+            ramsey(probe, 0.2)
+
+    def test_output_is_frozen_and_shares_the_probes_basis_tag(self):
+        probe = css(5, 0.3, 0.2)
+        out = ramsey(probe, 0.7)
+        assert out.basis_tag is probe.basis_tag
+        assert out.amplitudes.shape == (6,) and out.amplitudes.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            out.amplitudes[0] = 0
+        assert "_ramsey_first_pulse" not in vars(out)
 
     def test_first_pulse_follows_the_cached_v(self):
         probe = random_spin_state(9, 2)
@@ -986,3 +1012,210 @@ class TestPhaseSweep:
             assert r.classical_fisher == fisher
             assert r.quantum_fisher == qfi_from_family(family, phi)
             assert (r.error_prop, r.stationary) == (prop.value, prop.stationary)
+
+
+def css_ramsey_family(n):
+    probe = css(n, 0.0, 0.0)
+    return (lambda phi: ramsey(probe, phi)), jz_readout(probe)
+
+
+def mz_single_family():
+    # the N = 1 spin of the command line's mz-single: path b is m = -1/2
+    return (
+        lambda phi: CollectiveSpinState(1, mz_single_particle_state(phi)[::-1]),
+        Readout(np.array([-1.0, 1.0]), BasisTag("spin", 1)),
+    )
+
+
+def ghz_evolve_family(n):
+    probe = ghz(n)
+    jz = jz_obs(n)
+    return (
+        lambda phi: CollectiveSpinState(n, evolve(probe.amplitudes, jz.matrix, phi)),
+        jz_readout(probe),
+    )
+
+
+def two_mode_family(probe):
+    return (lambda phi: mz_two_mode(probe, phi)), parity_sector_povm("b", probe.cutoff)
+
+
+SWEPT_FAMILIES = {
+    "css-1": lambda: css_ramsey_family(1),
+    "css-2": lambda: css_ramsey_family(2),
+    "css-10": lambda: css_ramsey_family(10),
+    "css-100": lambda: css_ramsey_family(100),
+    "mz-single": mz_single_family,
+    "ghz-evolve-6": lambda: ghz_evolve_family(6),
+    "twin-fock-1": lambda: two_mode_family(twin_fock(1)),
+    "twin-fock-5": lambda: two_mode_family(twin_fock(5)),
+    "twin-fock-14": lambda: two_mode_family(twin_fock(14)),
+    "mz-ecs-1": lambda: two_mode_family(ecs(1.0)),
+}
+
+
+def one_point_oracle(family, readout, phi):
+    """(F, F_Q, error propagation) at one phase point, state by state: every
+    stencil state read on its own by `povm_probabilities`, `readout_moments`
+    and its occupied amplitudes, and each central difference with one
+    Richardson refinement written out."""
+
+    def derivative(f, h):
+        half = (f(phi + 0.5 * h) - f(phi - 0.5 * h)) / (2.0 * (0.5 * h))
+        full = (f(phi + h) - f(phi - h)) / (2.0 * h)
+        return (4.0 * half - full) / 3.0
+
+    def probabilities(theta):
+        return povm_probabilities(family(theta), readout).clip(0.0)
+
+    p, dp = probabilities(phi), derivative(probabilities, PROB_STEP)
+    keep = p >= 1e-12
+    fisher = float(np.sum(dp[keep] ** 2 / p[keep]))
+
+    def amplitudes(theta):
+        return _occupied(family(theta))[1]
+
+    psi, dpsi = amplitudes(phi), derivative(amplitudes, STATE_STEP)
+    centered = dpsi - np.vdot(psi, dpsi) * psi
+    qfi = 4.0 * float(np.vdot(centered, centered).real)
+
+    step = PROB_STEP
+    samples = [readout_moments(family(phi + s), readout)[0] for s in (step, -step, 0.5 * step, -0.5 * step)]
+    d_full = (samples[0] - samples[1]) / (2.0 * step)
+    d_half = (samples[2] - samples[3]) / step
+    slope = (4.0 * d_half - d_full) / 3.0
+    scale = max(1.0, *(abs(x) for x in samples))
+    sigma = math.sqrt(readout_moments(family(phi), readout)[1])
+    if abs(slope) < 1e-12 * scale or abs(slope) <= 4.0 * abs(d_half - d_full):
+        return fisher, qfi, (math.inf, True)
+    return fisher, qfi, (sigma / abs(slope), False)
+
+
+def stencil_thetas(phi):
+    """The 15 thetas one phase point reads the family at: F's and F_Q's five
+    central-difference points, the signal's four and the noise's one."""
+    thetas = []
+    for h in (PROB_STEP, STATE_STEP):
+        thetas += [phi, phi + 0.5 * h, phi - 0.5 * h, phi + h, phi - h]
+    step = PROB_STEP
+    return thetas + [phi + step, phi - step, phi + 0.5 * step, phi - 0.5 * step, phi]
+
+
+def two_sector_family(theta):
+    """cos(theta) |2,0> + sin(theta) |0,1>: at theta = 0 exactly the state
+    occupies sector 2 only, elsewhere sectors 1 and 2."""
+    grid = np.zeros((3, 3), dtype=complex)
+    grid[2, 0], grid[0, 1] = math.cos(theta), math.sin(theta)
+    return TwoModeFockState(2, grid)
+
+
+class TestSweepBlocks:
+    """`phase_sweep` reads each estimator's stencils over a block of phase
+    points at once; every figure stays the scalar functions' bit for bit."""
+
+    GRID = np.array([0.05, 0.4, math.pi / 2, 2.2, 3.0])
+
+    @pytest.mark.parametrize("name", list(SWEPT_FAMILIES))
+    def test_multi_point_sweep_equals_the_scalar_functions_bit_for_bit(self, name):
+        family, readout = SWEPT_FAMILIES[name]()
+        reports = phase_sweep(family, readout, self.GRID, repetitions=3)
+        probabilities = povm_family(family, readout)
+
+        def signal(theta):
+            return readout_moments(family(theta), readout)[0]
+
+        def noise(theta):
+            return math.sqrt(readout_moments(family(theta), readout)[1])
+
+        assert len(reports) == self.GRID.size
+        for phi, r in zip(self.GRID, reports):
+            fisher = classical_fisher(probabilities, phi)
+            qfi = qfi_from_family(family, phi)
+            prop = error_propagation(signal, noise, phi)
+            assert (r.theta, r.classical_fisher, r.quantum_fisher) == (phi, fisher, qfi)
+            assert (r.error_prop, r.stationary) == (prop.value, prop.stationary)
+            assert (r.crb, r.qcrb) == (cramer_rao(fisher, 3), cramer_rao(qfi, 3))
+            assert one_point_oracle(family, readout, phi) == (fisher, qfi, tuple(prop))
+
+    def test_each_point_costs_fifteen_family_calls_at_the_scalar_thetas(self):
+        ramsey_family, readout = css_ramsey_family(6)
+        calls = []
+
+        def family(phi):
+            calls.append(float(phi))
+            return ramsey_family(phi)
+
+        grid = np.linspace(0.2, 2.9, 4)
+        phase_sweep(family, readout, grid)
+        swept = sorted(calls)
+        calls.clear()
+        for phi in grid:
+            classical_fisher(povm_family(family, readout), phi)
+            qfi_from_family(family, phi)
+            error_propagation(
+                lambda t: readout_moments(family(t), readout)[0],
+                lambda t: math.sqrt(readout_moments(family(t), readout)[1]),
+                phi,
+            )
+        assert len(swept) == 15 * grid.size
+        assert swept == sorted(calls)
+        assert swept == sorted(t for phi in grid for t in stencil_thetas(phi))
+
+    @pytest.mark.parametrize("name", ["css-10", "twin-fock-5"])
+    @pytest.mark.parametrize("points, sizes", [(1, [1] * 7), (3, [3, 3, 1])])
+    def test_blocks_of_any_size_give_the_reports_of_one_block(self, monkeypatch, name, points, sizes):
+        family, readout = SWEPT_FAMILIES[name]()
+        dim = readout.basis_tag.dim
+        grid = np.linspace(0.05, 1.5, 7)
+        assert len(estimate._sweep_blocks(grid, dim)) == 1
+        whole = phase_sweep(family, readout, grid)
+        monkeypatch.setattr(estimate, "SWEEP_BLOCK", points * estimate.SWEEP_STATES * dim)
+        assert [block.size for block in estimate._sweep_blocks(grid, dim)] == sizes
+        assert phase_sweep(family, readout, grid) == whole
+
+    def test_a_block_holds_at_least_one_point(self, monkeypatch):
+        monkeypatch.setattr(estimate, "SWEEP_BLOCK", 1)
+        blocks = estimate._sweep_blocks(np.arange(3.0), 1001)
+        assert [block.tolist() for block in blocks] == [[0.0], [1.0], [2.0]]
+
+    def test_large_spin_blocks_hold_at_most_sweep_block_amplitudes(self):
+        grid = np.linspace(0.05, 3.0, 100)
+        blocks = estimate._sweep_blocks(grid, 1001)
+        assert len(blocks) > 1
+        assert np.array_equal(np.concatenate(blocks), grid)
+        assert all(b.size * estimate.SWEEP_STATES * 1001 <= estimate.SWEEP_BLOCK for b in blocks)
+
+    def test_support_that_moves_with_theta_is_read_state_by_state(self, monkeypatch):
+        readout = parity_sector_povm("b", 2)
+        family = povm_family(two_sector_family, readout)
+        thetas = np.array([0.0, 0.3, 0.7])
+        expected = np.array([povm_probabilities(two_sector_family(t), readout) for t in thetas])
+        calls = []
+        real = estimate.povm_probabilities
+        monkeypatch.setattr(estimate, "povm_probabilities", lambda s, r: calls.append(s) or real(s, r))
+        assert np.array_equal(family.table_at(thetas), expected)
+        assert len(calls) == 3
+        calls.clear()
+        assert np.array_equal(family.table_at(thetas[1:]), expected[1:])
+        assert calls == []  # one shared index: one bincount
+
+    @pytest.mark.parametrize(
+        "offset, error",
+        [(0.5 * STATE_STEP, InvalidFamilyError), (PROB_STEP, InvalidDistributionError)],
+        ids=["qfi-stencil", "fisher-stencil"],
+    )
+    def test_a_state_off_norm_at_one_stencil_theta_is_named(self, offset, error):
+        probe = css(4, 0.0, 0.0)
+        bad = 0.9 + offset
+
+        def family(phi):
+            state = ramsey(probe, phi)
+            if phi == bad:
+                return SimpleNamespace(vector=state.amplitudes * (1.0 + 1e-6), basis_tag=state.basis_tag)
+            return state
+
+        with pytest.raises(error, match=re.escape(f"theta={bad}")):
+            phase_sweep(family, jz_readout(probe), [0.3, 0.9, 1.5])
+        if error is InvalidFamilyError:
+            with pytest.raises(error, match=re.escape(f"theta={bad}")):
+                qfi_from_family(family, 0.9)

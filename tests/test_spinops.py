@@ -12,13 +12,17 @@ from qmetro import (
     CollectiveSpinOperators,
     CollectiveSpinState,
     Observable,
+    Readout,
     apply,
     collective_ops,
     css,
     ghz,
     moments,
     mz_two_mode,
+    povm_family,
+    povm_probabilities,
     ramsey,
+    readout_moments,
     rotate,
     TwoModeFockState,
 )
@@ -484,6 +488,22 @@ class TestValidation:
         state = css(3, 0.4, 0.1)
         with pytest.raises(ValueError):
             state.amplitudes[0] = 1.0
+
+    def test_basis_tag_is_built_once_per_state(self):
+        state = css(3, 0.4, 0.1)
+        assert state.basis_tag is state.basis_tag
+        assert state.basis_tag == BasisTag("spin", 3)
+        assert ramsey(state, 0.3).basis_tag is state.basis_tag  # derived states share it
+
+    def test_mismatched_readout_still_raises(self):
+        state = css(3, 0.4, 0.1)
+        other = Readout(np.arange(5), BasisTag("spin", 4))
+        with pytest.raises(ValueError, match="basis mismatch"):
+            povm_probabilities(state, other)
+        with pytest.raises(ValueError, match="basis mismatch"):
+            readout_moments(state, other)
+        with pytest.raises(ValueError, match="basis mismatch"):
+            povm_family(lambda phi: ramsey(state, phi), other).table_at(np.array([0.1, 0.2]))
 
     def test_state_leaves_the_callers_array_writeable(self):
         v = np.zeros(3, complex)
