@@ -9,15 +9,16 @@ m = (n_a - n_b)/2) turns each beam splitter into a collective rotation
 (Yurke, McCall & Klauder, PRA 33, 4033, 1986); this keeps each splitter
 exactly unitary on the truncated space.
 
-Both are one form, V (g . V^T x) between diagonal gauges, with V the
-real eigenvectors of Jx's band (Jx = V diag(m) V^T) and g a diagonal
-phase: each column of V enters once as V and once as V^T, so the
-signs the solver gives the columns cancel exactly.  For Ramsey, g is
-e^(-i phi m) and x = e^(-i pi Jy) psi, a signed reversal; for the
-Mach-Zehnder, g is e^(i phi n_b) between the z gauges R = e^(-i pi m/2)
-and R^dag.  The phi-independent half is computed once per probe state
-and kept with it: V^T x for Ramsey (`_first_pulse`), and R V^T psi_n
-with R^dag V for the Mach-Zehnder (`_first_splitter`).
+Both run one kernel, `_interfere`: each sector of the amplitude vector
+goes to W (e^(i phi g) . x), with W and x built from V, the real
+eigenvectors of Jx's band (Jx = V diag(m) V^T).  Each column of V
+enters once as W and once in x, so the signs the solver gives the
+columns cancel exactly.  Ramsey is one sector, W = V, g = -m and
+x = V^T F psi, with F psi = e^(-i pi Jy) psi a signed reversal; each
+Mach-Zehnder sector n is W = R^dag V, g = n_b and x = R V^T psi_n,
+between the z gauges R = e^(-i pi m/2) and R^dag.  The phi-independent
+(where, W, g, x) is built on a probe state's first call and kept with
+it, so a call costs one phase and one product per sector.
 """
 
 from __future__ import annotations
@@ -39,12 +40,13 @@ from .estimate import (
     Readout,
 )
 from .spinops import (
+    ALL,
     BasisTag,
     CollectiveSpinState,
     _dicke_ladder,
-    _half_turn_signs,
     _jy_band,
     _mean_spin,
+    _occupied,
     _real_matvec,
     _spin_covariance,
     rotate,
@@ -116,39 +118,49 @@ def ramsey(
     quadrature onto Jz, in closed form over the full period [0, 2 pi).
     With d = d^J(pi/2) = exp(-i pi/2 Jy), d psi = d^T F psi for the
     half turn F = exp(-i pi Jy), (F psi)_k = (-1)^k psi_{N-k}, and d is
-    the cached eigenvectors V of `spinops._jy_band` up to column signs,
-    so the sequence d e^{-i phi m} d psi is V (e^{-i phi m} V^T F psi):
-    two real products, in which those signs cancel.  The first, V^T F psi,
-    is independent of phi and kept with the probe (`_first_pulse`), so a
-    call costs one phase and one real product.  The pulses act on the
-    amplitude vector; only the state they end in is checked, for its
-    norm, and it shares the probe's basis tag (`_with_values`).
+    the eigenvectors V of `spinops._jy_band` up to column signs, so the
+    sequence d e^{-i phi m} d psi is V (e^{-i phi m} V^T F psi): one
+    sector of `_interfere`, kept by `_first_pulse`.
     """
-    m, _ = _dicke_ladder(initial.n_particles)
-    v, pulsed = _first_pulse(initial)
-    state = initial._with_values(_real_matvec(v, np.exp(-1j * phi * m) * pulsed))
+    state = _interfere(initial, phi, _first_pulse)
     if readout_rotation is not None:
         state = _rotate_about_mean_spin(state, readout_rotation)
     return state
 
 
+def _interfere(state, phi: float, first_half):
+    """The kernel of `ramsey` and `mz_two_mode`: each sector of the
+    state's amplitude vector goes to W (e^(i phi g) . x), written at its
+    place ``where``.  ``first_half(state)`` gives, once per probe state,
+    the phi-independent half: per sector (where, product, W, g, x), with
+    every array read-only, g complex (the phase then skips a cast) and
+    ``product`` the matrix-vector product W takes (`_real_matvec` for a
+    real W, `numpy.matmul` for a complex one).  It is kept as the state's private attribute `_kept_half`,
+    which goes with it; a state whose first half raises keeps nothing.
+    A call costs one phase and one product per sector, and only the
+    output's norm is checked (`_with_values`)."""
+    kept = vars(state).get("_kept_half")
+    if kept is None:
+        kept = first_half(state)
+        object.__setattr__(state, "_kept_half", kept)
+    out = np.empty_like(_occupied(state)[1])
+    for where, product, w, g, x in kept:
+        out[where] = product(w, np.exp(1j * phi * g) * x)
+    return state._with_values(out)
+
+
 def _first_pulse(state: CollectiveSpinState) -> tuple:
-    """The phi-independent half of `ramsey`: (V, V^T F psi), read-only,
-    with V the eigenvectors `spinops._jy_band` holds for N.  Kept as the
-    state's private attribute `_ramsey_first_pulse` and used while that
-    cache still returns the same V; a V solved again (after the cache
-    let it go) gets its own V^T F psi, so both products always take one
-    V and its signs cancel."""
+    """Ramsey's half for `_interfere`: one sector, the whole vector, with
+    W = V, the real eigenvectors `spinops._jy_band` gives for N, g = -m
+    and x = V^T F psi.  The half holds its own V, so both products take
+    one V and its column signs cancel."""
     n = state.n_particles
-    (_, v), _ = _jy_band(n)
-    kept = vars(state).get("_ramsey_first_pulse")
-    if kept is not None and kept[0] is v:
-        return kept
-    pulsed = _real_matvec(v.T, _half_turn_signs(n) * state.amplitudes[::-1])
-    pulsed.setflags(write=False)
-    kept = (v, pulsed)
-    object.__setattr__(state, "_ramsey_first_pulse", kept)
-    return kept
+    _, v = _jy_band(n)
+    flipped = (-1.0) ** np.arange(n + 1) * state.amplitudes[::-1]
+    arrays = (-_dicke_ladder(n)[0].astype(complex), _real_matvec(v.T, flipped))
+    for a in arrays:
+        a.setflags(write=False)
+    return ((ALL, _real_matvec, v, *arrays),)
 
 
 def _mean_spin_axis(state: CollectiveSpinState) -> np.ndarray:
@@ -221,38 +233,24 @@ def mz_two_mode(state: TwoModeFockState, phi: float) -> TwoModeFockState:
     `numpy.linalg.eigh` per occupied sector, and R = e^(-i pi m/2) =
     exp(-i pi/2 Jz), the sequence is R^dag V R e^(i phi n_b) V^T psi_n:
     V's columns are Wigner's d^J(pi/2) up to signs, which cancel, and
-    the second splitter is R^dag d R.  The vacuum takes only the phase,
-    which is 1.  Every occupied sector must fit under the cutoff
-    (otherwise the splitter would leak amplitude off the grid).
+    the second splitter is R^dag d R.  Every occupied sector must fit
+    under the cutoff (otherwise the splitter would leak amplitude off
+    the grid).
 
     The state holds its occupied sectors as one vector
     (`statelib.TwoModeFockState`), and the output holds the same sectors
-    at the same index; no grid is built.  Everything but the phase is
-    independent of phi: the first call on a probe state keeps, with that
-    state, each occupied sector's place in the vector, R^dag V, n_b and
-    R V^T psi_n (`_first_splitter`), so a call costs one phase and one
-    complex product per sector and a norm check over the occupied
-    entries, and a probe pays its `eigh` calls once.
+    at the same index; no grid is built.  Each sector, the vacuum among
+    them, is one sector of `_interfere`, kept by `_first_splitter`, so a
+    probe pays its `eigh` calls once.
     """
-    kept = _first_splitter(state)
-    _, values = state._occupied
-    out = values.copy()  # the vacuum keeps its amplitude; every other sector is written
-    for sector, r_dag_v, n_b, split in kept:
-        out[sector] = r_dag_v @ (np.exp(1j * phi * n_b) * split)
-    return state._with_values(out)
+    return _interfere(state, phi, _first_splitter)
 
 
 def _first_splitter(state: TwoModeFockState) -> tuple:
-    """The phi-independent half of `mz_two_mode`: for each occupied sector
-    n > 0, (its slice of the state's vector, R^dag V with
-    R^dag = e^(i pi m/2), n_b, R V^T psi_n), every array read-only.
-    Computed on the state's first call and kept as its private attribute
-    `_mz_first_splitter`, which goes with it; a state that fails the
-    cutoff check raises before any `eigh` and keeps nothing, so it raises
-    again on the next call."""
-    kept = vars(state).get("_mz_first_splitter")
-    if kept is not None:
-        return kept
+    """The Mach-Zehnder's half for `_interfere`: for each occupied sector
+    n, (its slice of the state's vector, `numpy.matmul`, R^dag V with
+    R^dag = e^(i pi m/2), n_b, R V^T psi_n).  A state that fails the
+    cutoff check raises before any `eigh`."""
     c = state.cutoff
     support, _, sectors = state._layout
     if support.size and int(support[-1]) > c:
@@ -260,8 +258,6 @@ def _first_splitter(state: TwoModeFockState) -> tuple:
     _, values = state._occupied
     kept = []
     for n, sector in zip(support.tolist(), sectors):
-        if n == 0:
-            continue
         half_coupling = 0.5 * _dicke_ladder(n)[1]
         band = np.zeros((n + 1, n + 1))
         band.flat[1 :: n + 2] = half_coupling
@@ -269,14 +265,11 @@ def _first_splitter(state: TwoModeFockState) -> tuple:
         v = np.linalg.eigh(band)[1]
         r_dag = np.exp(1j * (math.pi / 2.0) * _dicke_ladder(n)[0])
         split = r_dag.conj() * _real_matvec(v.T, values[sector])
-        # n_b as complex: the phase then skips a cast, with the same floats
         arrays = (r_dag[:, None] * v, np.arange(n, -1, -1, dtype=complex), split)
         for a in arrays:
             a.setflags(write=False)
-        kept.append((sector, *arrays))
-    kept = tuple(kept)
-    object.__setattr__(state, "_mz_first_splitter", kept)
-    return kept
+        kept.append((sector, np.matmul, *arrays))
+    return tuple(kept)
 
 
 def _mode_numbers(cutoff: int, mode: str) -> np.ndarray:

@@ -295,19 +295,11 @@ def _jy_gauge(n: int) -> np.ndarray:
     return _readonly(np.array([1.0, -1j, -1.0, 1j])[np.arange(n + 1) % 4])
 
 
-@functools.lru_cache(maxsize=64)
-def _half_turn_signs(n: int) -> np.ndarray:
-    """(-1)^k, k = 0..N: exp(-i pi Jy) psi is these signs times psi
-    reversed, (F psi)_k = (-1)^k psi_{N-k} (Wigner's d^J(pi)).  Cached
-    per N, so it is read-only."""
-    return _readonly((-1.0) ** np.arange(n + 1))
-
-
 @functools.lru_cache(maxsize=8)
 def _jy_band(n: int):
     """Jy in its real gauge form (`_jy_gauge`): the spectrum (w, V) of the
-    real Jx band T and the gauge D.  V is (N+1)^2 doubles, 32 MB at
-    N = 2000, hence the small cache.
+    real Jx band T.  V is (N+1)^2 doubles, 32 MB at N = 2000, hence the
+    small cache.
 
     The columns of V are the eigenvectors of Jx as the solver returns
     them, with whatever signs it gives: every product built on V here
@@ -316,7 +308,7 @@ def _jy_band(n: int):
     """
     _, coupling = _dicke_ladder(n)
     w, v = _band_spectrum(np.zeros(n + 1), 0.5 * coupling)
-    return (_readonly(w), _readonly(v)), _jy_gauge(n)
+    return _readonly(w), _readonly(v)
 
 
 def _euler_zyz(axis: np.ndarray, angle: float) -> tuple[float, float, float]:
@@ -353,8 +345,7 @@ def _rotated(vector: np.ndarray, axis, angle: float) -> np.ndarray:
     if gamma != 0.0:
         out = np.exp(-1j * gamma * m) * out
     if beta != 0.0:
-        spectrum, gauge = _jy_band(n)
-        out = _band_evolve(out, spectrum, gauge, beta)
+        out = _band_evolve(out, _jy_band(n), _jy_gauge(n), beta)
     if alpha != 0.0:
         out = np.exp(-1j * alpha * m) * out
     return out

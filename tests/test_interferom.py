@@ -49,7 +49,7 @@ from qmetro import (
     rotate,
     twin_fock,
 )
-from qmetro import estimate
+from qmetro import estimate, spinops
 from qmetro.estimate import PROB_STEP, STATE_STEP
 from qmetro.interferom import _mean_spin_axis, _mode_numbers, _parity_mean, _readout_variance_series
 from qmetro.spinops import _dicke_ladder, _jy_band, _occupied, _real_matvec, evolve
@@ -159,7 +159,7 @@ def plain_ramsey(state, phi):
     (F psi)_k = (-1)^k psi_{N-k}.  ramsey must equal it bit for bit."""
     n = state.n_particles
     m, _ = _dicke_ladder(n)
-    (_, v), _ = _jy_band(n)
+    _, v = _jy_band(n)
     flipped = (-1.0) ** np.arange(n + 1) * state.amplitudes[::-1]
     return _real_matvec(v, np.exp(-1j * phi * m) * _real_matvec(v.T, flipped))
 
@@ -350,21 +350,23 @@ class TestCollectiveRamsey:
             assert np.array_equal(kept, ramsey(make(), phi).amplitudes)
             assert np.array_equal(kept, plain_ramsey(probe, phi))
 
-    def test_kept_first_pulse_is_read_only(self):
+    def test_kept_half_is_read_only(self):
         probe = random_spin_state(6, 5)
         ramsey(probe, 0.2)
-        kept = vars(probe)["_ramsey_first_pulse"]
-        assert len(kept) == 2  # V and V^T F psi
-        for a in kept:
+        (sector,) = vars(probe)["_kept_half"]  # one sector: the whole vector
+        where, _, *arrays = sector
+        assert where == slice(None) and len(arrays) == 3  # V, -m and V^T F psi
+        for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
 
-    def test_norm_drift_in_the_kept_first_pulse_raises(self):
+    def test_norm_drift_in_the_kept_half_raises(self):
         probe = random_spin_state(6, 3)
         ramsey(probe, 0.2)
-        v, pulsed = vars(probe)["_ramsey_first_pulse"]
-        object.__setattr__(probe, "_ramsey_first_pulse", (v, pulsed * (1.0 + 1e-9)))
+        ((where, product, v, g, pulsed),) = vars(probe)["_kept_half"]
+        drifted = ((where, product, v, g, pulsed * (1.0 + 1e-9)),)
+        object.__setattr__(probe, "_kept_half", drifted)
         with pytest.raises(ValueError, match="normalized"):
             ramsey(probe, 0.2)
 
@@ -375,16 +377,25 @@ class TestCollectiveRamsey:
         assert out.amplitudes.shape == (6,) and out.amplitudes.flags.c_contiguous
         with pytest.raises(ValueError, match="read-only"):
             out.amplitudes[0] = 0
-        assert "_ramsey_first_pulse" not in vars(out)
+        assert "_kept_half" not in vars(out)
 
-    def test_first_pulse_follows_the_cached_v(self):
+    def test_kept_half_outlives_the_cleared_band_cache(self, monkeypatch):
         probe = random_spin_state(9, 2)
-        before = ramsey(probe, 0.6).amplitudes
-        _jy_band.cache_clear()  # V is solved again, as a new array
-        after = ramsey(probe, 0.6).amplitudes
-        v, _ = vars(probe)["_ramsey_first_pulse"]
-        assert v is _jy_band(9)[0][1]
-        assert np.array_equal(before, after)
+        phis = (0.6, -2.1)
+        before = [ramsey(probe, phi).amplitudes for phi in phis]
+        _jy_band.cache_clear()
+        solves = []
+        real_solve = spinops._band_spectrum
+
+        def counting_solve(*args, **kwargs):
+            solves.append(args)
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(spinops, "_band_spectrum", counting_solve)
+        after = [ramsey(probe, phi).amplitudes for phi in phis]
+        assert solves == []  # the probe's half holds its own V
+        for a, b in zip(before, after, strict=True):
+            assert np.array_equal(a, b)
 
 
 class TestTwoModeMz:
@@ -489,6 +500,14 @@ class TestTwoModeMz:
         out = mz_two_mode(TwoModeFockState(2, grid), 1.3).amplitudes
         assert out[0, 0] == pytest.approx(1.0 / math.sqrt(2), abs=1e-15)
 
+    @pytest.mark.parametrize("phi", [0.0, 0.8, -2.3])
+    def test_ecs_vacuum_passes_unchanged_as_a_one_by_one_sector(self, phi):
+        probe = ecs(1.0)
+        assert probe.total_number_support()[0] == 0 and probe.amplitudes[0, 0] != 0
+        out = mz_two_mode(probe, phi).amplitudes
+        assert out[0, 0] == probe.amplitudes[0, 0]
+        assert np.abs(out - dense_mz_two_mode(probe, phi)).max() <= 1e-12
+
     def test_insufficient_cutoff_rejected(self):
         grid = np.zeros((4, 4), dtype=complex)
         grid[3, 3] = 1.0  # total number 6 > cutoff 3
@@ -498,7 +517,7 @@ class TestTwoModeMz:
 
     @pytest.mark.parametrize(
         "make,sectors",
-        [(lambda: twin_fock(5), 1), (lambda: random_fock_state(6, 3), 6), (lambda: ecs(1.0), 15)],
+        [(lambda: twin_fock(5), 1), (lambda: random_fock_state(6, 3), 7), (lambda: ecs(1.0), 16)],
         ids=["twin-5", "random-6", "ecs-1"],
     )
     def test_eigh_runs_once_per_sector_per_probe(self, monkeypatch, make, sectors):
@@ -530,12 +549,12 @@ class TestTwoModeMz:
             assert np.array_equal(kept, mz_two_mode(make(), phi).amplitudes)
             assert np.array_equal(kept, gathered_mz_two_mode(probe, phi))
 
-    def test_kept_first_splitter_is_read_only(self):
+    def test_kept_half_is_read_only(self):
         probe = random_fock_state(4, 11)
         mz_two_mode(probe, 0.2)
-        kept = vars(probe)["_mz_first_splitter"]
-        assert len(kept) == 4  # sectors 1..4; the vacuum keeps nothing
-        for _, *arrays in kept:
+        kept = vars(probe)["_kept_half"]
+        assert len(kept) == 5  # sectors 0..4, the vacuum among them
+        for _, _, *arrays in kept:
             for a in arrays:
                 assert not a.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
@@ -548,7 +567,7 @@ class TestTwoModeMz:
         for _ in range(2):
             with pytest.raises(ValueError, match="cutoff 3 cannot hold total number 6"):
                 mz_two_mode(state, 0.1)
-            assert "_mz_first_splitter" not in vars(state)
+            assert "_kept_half" not in vars(state)
 
     def test_two_mode_experiments_leave_scipy_linalg_unloaded(self):
         # the kept splitters come from numpy's eigh: a two-mode run pays no
@@ -693,10 +712,10 @@ class TestSectorStorage:
         probe = twin_fock(5)
         mz_two_mode(probe, 0.1)
         drifted = tuple(
-            (sector, r_dag_v * (1.0 + 1e-9), n_b, split)
-            for sector, r_dag_v, n_b, split in vars(probe)["_mz_first_splitter"]
+            (sector, product, r_dag_v * (1.0 + 1e-9), n_b, split)
+            for sector, product, r_dag_v, n_b, split in vars(probe)["_kept_half"]
         )
-        object.__setattr__(probe, "_mz_first_splitter", drifted)
+        object.__setattr__(probe, "_kept_half", drifted)
         with pytest.raises(ValueError, match="normalized"):
             mz_two_mode(probe, 0.1)
 

@@ -266,7 +266,6 @@ class TestWignerPulse:
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 400])
     def test_column_signs_leave_every_pulse_bit_identical(self, n, monkeypatch):
         vec = random_vector(n, 11)
-        state = CollectiveSpinState(n, vec)
         nb = np.arange(n, -1, -1)
         grid = np.zeros((n + 1, n + 1), dtype=complex)
         grid[np.arange(n + 1), nb] = vec  # one occupied sector, of total number n
@@ -274,7 +273,8 @@ class TestWignerPulse:
         phis = (0.3, math.pi / 2, -1.7)
 
         def run():
-            probe = TwoModeFockState(n, grid)  # fresh: no kept first splitter
+            # fresh probes: a kept half would outlive the cleared cache
+            state, probe = CollectiveSpinState(n, vec), TwoModeFockState(n, grid)
             return (
                 [ramsey(state, phi).amplitudes for phi in phis]
                 + [rotate(state, axis, angle).amplitudes for angle in (0.3, 2.9, 5.0)]
@@ -306,7 +306,7 @@ class TestWignerPulse:
     @pytest.mark.parametrize("n", [2000, 2001, 4000])
     def test_large_n_ramsey_matches_band_path(self, n):
         try:
-            spectrum, gauge = _jy_band(n)
+            spectrum, gauge = _jy_band(n), _jy_gauge(n)
             m, _ = _dicke_ladder(n)
             vec = random_vector(n, n)
             phi = 0.7
