@@ -433,24 +433,34 @@ def _minus_log_likelihoods(counts, log_p, patterns, pattern) -> np.ndarray:
     is (R, M, K), trial r's ln P at its own M points, or (1, M, K), one
     table shared by every trial; ``patterns[pattern[r]]`` lists the
     outcomes trial r observed (`_observed_patterns`, found once per run).
-    Returns (R, M).  Only observed outcomes enter a sum, as one C-ordered
-    row: numpy sums each row of such a table as it sums a 1-D array
-    (pairwise above 8 terms), so the trials are taken one observed
-    pattern at a time and no zero count is padded in.  A pattern's trials
-    are split into blocks only when their terms exceed LIKELIHOOD_BLOCK.
-    An observed outcome with P = 0 has ln P = -inf, so the value is +inf.
+    Returns (R, M).  Only observed outcomes enter a sum, and no zero
+    count is padded in, so the trials are taken one observed pattern at
+    a time.  numpy sums a row of fewer than 8 terms left to right from 0
+    (pairwise only from 8 on), so such a pattern adds its terms column
+    by column into a (trials x points) accumulator; a longer one sums
+    each trial's terms as one C-ordered row.  A pattern's trials are
+    split into blocks only when a block's accumulator, or its terms,
+    would exceed LIKELIHOOD_BLOCK floats.  An observed outcome with
+    P = 0 has ln P = -inf, so the value is +inf.
     """
     values = np.empty((counts.shape[0], log_p.shape[1]))
     for g, observed in enumerate(patterns):
         rows = np.flatnonzero(pattern == g)
         if not rows.size:
             continue
-        blocks = min(rows.size, rows.size * log_p.shape[1] * observed.size // LIKELIHOOD_BLOCK)
+        width = observed.size if observed.size >= 8 else 1
+        blocks = min(rows.size, rows.size * log_p.shape[1] * width // LIKELIHOOD_BLOCK)
         for block in np.array_split(rows, blocks) if blocks > 1 else (rows,):
-            lp = log_p[:, :, observed] if log_p.shape[0] == 1 else log_p[block][:, :, observed]
+            lp = log_p if log_p.shape[0] == 1 else log_p[block]
+            if width == 1:
+                total = np.zeros((block.size, log_p.shape[1]))
+                for i in observed:
+                    total += counts[block, i, None] * lp[:, :, i]
+                values[block] = -total
+                continue
             # order="C": an index on the last axis comes out F-ordered, and
             # numpy would then sum across the rows instead of along each
-            terms = np.multiply(counts[block][:, None, observed], lp, order="C")
+            terms = np.multiply(counts[block][:, None, observed], lp[:, :, observed], order="C")
             values[block] = -np.sum(terms, axis=2)
     return values
 

@@ -120,25 +120,31 @@ def ramsey(
     half turn F = exp(-i pi Jy), (F psi)_k = (-1)^k psi_{N-k}, and d is
     the eigenvectors V of `spinops._jy_band` up to column signs, so the
     sequence d e^{-i phi m} d psi is V (e^{-i phi m} V^T F psi): one
-    sector of `_interfere`, kept by `_first_pulse`.
+    sector of `_interfere`, kept by `_first_pulse`.  Ramsey's sequence
+    is unitary, but V's orthogonality error and the products' round-off
+    leave the output's norm off 1 by about 1e-14, by an amount that
+    changes with phi, and a finite-difference slope of a readout would
+    take that change for signal (about 1e-9 of the slope near the fringe
+    extrema at N = 2000); so the norm check rescales the output to unit
+    norm (`_with_values` with ``rescale``).
     """
-    state = _interfere(initial, phi, _first_pulse)
+    state = initial._with_values(_interfere(initial, phi, _first_pulse), rescale=True)
     if readout_rotation is not None:
         state = _rotate_about_mean_spin(state, readout_rotation)
     return state
 
 
 def _interfere(state, phi: float, first_half):
-    """The kernel of `ramsey` and `mz_two_mode`: each sector of the
-    state's amplitude vector goes to W (e^(i phi g) . x), written at its
-    place ``where``.  ``first_half(state)`` gives, once per probe state,
+    """The kernel of `ramsey` and `mz_two_mode`: the output's amplitude
+    vector, W (e^(i phi g) . x) in each sector, written at its place
+    ``where``.  ``first_half(state)`` gives, once per probe state,
     the phi-independent half: per sector (where, product, W, g, x), with
     every array read-only, g complex (the phase then skips a cast) and
     ``product`` the matrix-vector product W takes (`_real_matvec` for a
     real W, `numpy.matmul` for a complex one).  It is kept as the state's private attribute `_kept_half`,
     which goes with it; a state whose first half raises keeps nothing.
-    A call costs one phase and one product per sector, and only the
-    output's norm is checked (`_with_values`)."""
+    A call costs one phase and one product per sector; the caller makes
+    the output state, whose norm alone is checked (`_with_values`)."""
     kept = vars(state).get("_kept_half")
     if kept is None:
         kept = first_half(state)
@@ -146,7 +152,7 @@ def _interfere(state, phi: float, first_half):
     out = np.empty_like(_occupied(state)[1])
     for where, product, w, g, x in kept:
         out[where] = product(w, np.exp(1j * phi * g) * x)
-    return state._with_values(out)
+    return out
 
 
 def _first_pulse(state: CollectiveSpinState) -> tuple:
@@ -243,7 +249,7 @@ def mz_two_mode(state: TwoModeFockState, phi: float) -> TwoModeFockState:
     them, is one sector of `_interfere`, kept by `_first_splitter`, so a
     probe pays its `eigh` calls once.
     """
-    return _interfere(state, phi, _first_splitter)
+    return state._with_values(_interfere(state, phi, _first_splitter))
 
 
 def _first_splitter(state: TwoModeFockState) -> tuple:

@@ -34,6 +34,7 @@ IMAG_TOL = 1e-12
 # a mean spin counts as zero when |<J>| <= MEAN_SPIN_EPS * max(1, N/2),
 # relative to its largest possible length N/2
 MEAN_SPIN_EPS = 1e-10
+RESCALE = 1e150  # `_jx_eigenvectors` scales a column down by this once it passes it
 ALL = slice(None)  # the index of a state that keeps every amplitude (`_occupied`)
 
 
@@ -122,22 +123,26 @@ class CollectiveSpinState:
         object.__setattr__(self, "basis_tag", BasisTag("spin", n))
         self._take(np.array(amp, order="C"))  # a copy: the caller's array stays writable
 
-    def _take(self, values: np.ndarray) -> None:
+    def _take(self, values: np.ndarray, rescale: bool = False) -> None:
         """Keep ``values`` as the amplitudes: frozen in place after the
-        norm check, not copied."""
+        norm check, not copied, and with ``rescale`` divided in place by
+        their norm once it passes."""
         norm_sq = float(np.vdot(values, values).real)
         if not abs(norm_sq - 1.0) <= NORM_TOL:  # NaN and inf fail too
             raise ValueError(f"state not normalized: sum |c|^2 = {norm_sq!r}")
+        if rescale:
+            values /= math.sqrt(norm_sq)
         values.setflags(write=False)
         object.__setattr__(self, "amplitudes", values)
 
-    def _with_values(self, values: np.ndarray) -> "CollectiveSpinState":
+    def _with_values(self, values: np.ndarray, rescale: bool = False) -> "CollectiveSpinState":
         """The state of this N whose amplitudes are ``values``, a
         C-contiguous complex vector of length N + 1 (`_take`); only their
-        norm is checked."""
+        norm is checked, and with ``rescale`` it is then made exactly 1
+        up to the division's round-off."""
         state = object.__new__(CollectiveSpinState)
         vars(state).update(n_particles=self.n_particles, basis_tag=self.basis_tag)
-        state._take(values)
+        state._take(values, rescale)
         return state
 
     @property
@@ -261,15 +266,15 @@ def evolve(state_vector: np.ndarray, generator: np.ndarray, angle: float) -> np.
     return v @ (phases * (v.conj().T @ state_vector))
 
 
-def _band_spectrum(diagonal, off_diagonal, **select):
+def _band_spectrum(diagonal, off_diagonal):
     """Eigenvalues (ascending) and real orthonormal eigenvectors, as
-    columns, of a real symmetric tridiagonal matrix.  The keywords of
-    `scipy.linalg.eigh_tridiagonal` (``select``, ``select_range``,
-    ``eigvals_only``) pass through, for part of the spectrum."""
-    # imported here: `import qmetro.cli` does not load scipy.linalg otherwise
+    columns, of a real symmetric tridiagonal matrix: the full spectrum,
+    which only `squeeze.ground_state` and `squeeze.oat_evolve` at
+    omega != 0 need, and the one use of scipy in the library."""
+    # imported here, so that no CLI experiment loads scipy
     from scipy.linalg import eigh_tridiagonal
 
-    return eigh_tridiagonal(diagonal, off_diagonal, **select)
+    return eigh_tridiagonal(diagonal, off_diagonal)
 
 
 def _real_matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
@@ -298,17 +303,58 @@ def _jy_gauge(n: int) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _jy_band(n: int):
     """Jy in its real gauge form (`_jy_gauge`): the spectrum (w, V) of the
-    real Jx band T.  V is (N+1)^2 doubles, 32 MB at N = 2000, hence the
-    small cache.
+    real Jx band T, with w exactly m = -J..J and V from
+    `_jx_eigenvectors`.  V is (N+1)^2 doubles, 32 MB at N = 2000, hence
+    the small cache."""
+    return _dicke_ladder(n)[0], _jx_eigenvectors(n)
 
-    The columns of V are the eigenvectors of Jx as the solver returns
-    them, with whatever signs it gives: every product built on V here
-    takes each column once as V and once as V^T, so a column's sign
-    cancels exactly.
+
+def _jx_eigenvectors(n: int) -> np.ndarray:
+    """The real orthonormal eigenvectors, as read-only columns, of Jx's
+    band T for N particles (zero diagonal, off-diagonal
+    c_k = sqrt((k+1)(N-k)) / 2), column idx for the eigenvalue m[idx].
+
+    Column idx, of eigenvalue mu, solves the three-term recursion
+    c_(k-1) v_(k-1) + c_k v_(k+1) = mu v_k from v_0 = 1; all columns run
+    at once, from the edge k = 0 to the middle.  On the way each column
+    only grows (where |mu| > 2 c_k) or oscillates (near the middle 2 c_k
+    is about J + 1/2 > |mu|), so the edge start is the stable direction.
+    A column is rescaled when it passes RESCALE.  T commutes with the
+    flip k -> N - k, so the other half is v_(N-k) = (-1)^(N-idx) v_k.
+    For odd N the last entry of the half is balanced between the rows
+    N//2 - 1 and N//2, the two equations it enters, so the seam's
+    residual is shared by both rows; then each column is normalized.
+
+    Column signs are arbitrary: every product built on V here takes
+    each column once as V and once as V^T, so a column's sign cancels
+    exactly.
     """
-    _, coupling = _dicke_ladder(n)
-    w, v = _band_spectrum(np.zeros(n + 1), 0.5 * coupling)
-    return _readonly(w), _readonly(v)
+    m, coupling = _dicke_ladder(n)
+    c = 0.5 * coupling
+    half = n // 2
+    v = np.empty((n + 1, n + 1))
+    v[0] = 1.0
+    if n:
+        v[1] = m / c[0]
+    for k in range(1, half):
+        row = m * v[k] - c[k - 1] * v[k - 1]
+        row /= c[k]
+        v[k + 1] = row
+        big = np.abs(row) > RESCALE
+        if big.any():
+            v[: k + 2, big] /= RESCALE
+    sign = (-1.0) ** (n - np.arange(n + 1))
+    if n % 2 and half:
+        # row half - 1 gave v_half; row half, with v_(half+1) = sign v_half,
+        # asks (m - sign c_half) v_half = c_(half-1) v_(half-1): weigh both
+        off = m - sign * c[half]
+        v[half] = c[half - 1] * (v[half] + np.sign(off) * v[half - 1]) / (c[half - 1] + np.abs(off))
+    np.multiply(v[n - half - 1 :: -1], sign, out=v[half + 1 :])  # v_(N-k) = sign v_k
+    if n % 2 == 0:
+        v[half, sign < 0] = 0.0  # the middle of an odd column
+    v /= np.sqrt(np.einsum("ij,ij->j", v, v))
+    v.setflags(write=False)
+    return v
 
 
 def _euler_zyz(axis: np.ndarray, angle: float) -> tuple[float, float, float]:

@@ -16,6 +16,8 @@ spin state sits exactly at 1.
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -50,6 +52,11 @@ __all__ = [
 ]
 
 DEGENERACY_REL_TOL = 1e-10
+_EPS = math.ulp(1.0)  # machine epsilon, 2^-52
+# Laguerre steps a root search takes before it only bisects; a whole
+# `_lowest_states` call took 8-10 passes on repulsive BJJ cases and up
+# to 30 on an attractive ground doublet, which the step nears slowly
+MAX_LAGUERRE_PASSES = 64
 
 
 @dataclass(frozen=True)
@@ -276,19 +283,172 @@ def ground_state(hamiltonian: TridiagonalHamiltonian) -> SpectralResult:
 
 def _lowest_states(hamiltonian: TridiagonalHamiltonian) -> SpectralResult:
     """The two lowest eigenpairs of a tridiagonal Hamiltonian of dimension
-    2 or more, flagged as `ground_state` flags them, without the other
-    N - 1 eigenvectors.
+    2 or more, flagged as `ground_state` flags them, without the rest of
+    the spectrum and on numpy alone.
 
-    Bisection finds the two lowest energies and the top one, which the
-    degeneracy rule reads; inverse iteration finds the two vectors.
+    lambda_0 is the smallest root of p(x) = det(T - x), and lambda_1 the
+    smallest of p(x) / (x - lambda_0), each by Laguerre's method from the
+    Gershgorin lower bound (`_laguerre_root`).  The degeneracy rule is
+    monotone in the top eigenvalue, which lies between the largest
+    diagonal entry and the Gershgorin upper bound; the top is found, on
+    -T, only when the two ends of that bracket flag differently.  Each
+    vector is one inverse-iteration solve (`_inverse_iteration`) from its
+    own fixed pseudo-random start (`_start`), and the second is then
+    orthogonalized against the first, so a degenerate pair comes out
+    orthonormal.
     """
-    diagonal, off_diagonal = hamiltonian.diagonal, hamiltonian.off_diagonal
-    top = len(diagonal) - 1
-    energies, states = _band_spectrum(diagonal, off_diagonal, select="i", select_range=(0, 1))
-    (highest,) = _band_spectrum(
-        diagonal, off_diagonal, eigvals_only=True, select="i", select_range=(top, top)
+    peak = float(max(np.abs(hamiltonian.diagonal).max(), np.abs(hamiltonian.off_diagonal).max()))
+    if not math.isfinite(peak):
+        raise ValueError("tridiagonal Hamiltonian must be finite")
+    # the search runs on T / unit, every entry below 2 in size, so no
+    # square or derivative overflows; unit is a power of two, so the
+    # results are the unscaled arithmetic's, times 1 / unit, exactly
+    unit = math.ldexp(1.0, math.frexp(peak)[1] - 1) if peak else 1.0
+    diagonal, off_diagonal = hamiltonian.diagonal / unit, hamiltonian.off_diagonal / unit
+    n = diagonal.size
+    radius = np.zeros(n)
+    radius[:-1] += np.abs(off_diagonal)
+    radius[1:] += np.abs(off_diagonal)
+    low, high = float((diagonal - radius).min()), float((diagonal + radius).max())
+    scale = max(-low, high, 0.0) or 1.0
+    tol = 2.0 * _EPS * scale
+    tiny = _EPS * _EPS * scale
+    squares = [0.0] + (off_diagonal * off_diagonal).tolist()
+    sums = functools.lru_cache(maxsize=None)(
+        functools.partial(_pivot_sums, diagonal, squares, tiny)
     )
-    return SpectralResult(energies, states, _ground_degenerate(*energies, highest))
+    ground = _laguerre_root(sums, n, 0, low, high + tol, tol)
+    # the lambda_1 search starts where the lambda_0 search did (a pass
+    # saved), or lower: far enough below lambda_0 that the deflation's
+    # round-off, about tol / (lambda_0 - x)^2, stays below 1e-6 of its
+    # smallest term, 1 / (high - low)
+    start = min(low, ground - 1e3 * math.sqrt(tol * (high - low)))
+    excited = _laguerre_root(sums, n, 1, start, high + tol, tol, lower=ground)
+    degenerate = _ground_degenerate(ground, excited, float(diagonal.max()))
+    if degenerate != _ground_degenerate(ground, excited, high):
+        flipped = functools.partial(_pivot_sums, -diagonal, squares, tiny)
+        top = -_laguerre_root(flipped, n, 0, -high, tol - low, tol)
+        degenerate = _ground_degenerate(ground, excited, top)
+    v0 = _inverse_iteration(diagonal, off_diagonal, squares, ground, _start(n, 0), tiny)
+    v1 = _inverse_iteration(diagonal, off_diagonal, squares, excited, _start(n, 1), tiny)
+    v1 -= (v0 @ v1) * v0
+    v1 /= np.linalg.norm(v1)
+    return SpectralResult(unit * np.array([ground, excited]), np.column_stack([v0, v1]), degenerate)
+
+
+def _pivot_sums(diagonal, squares, tiny: float, x: float) -> tuple[float, float, int]:
+    """One pass over the pivots d_k of the LDL^T factorization of T - x,
+    with their first two derivatives in x, for the tridiagonal T of this
+    diagonal and these squared off-diagonal entries (a list, led by a 0).
+
+    Returns (G, H, below): G = p'/p = sum_i 1/(x - lambda_i) and
+    H = G^2 - p''/p = sum_i 1/(x - lambda_i)^2 for p(x) = det(T - x),
+    the product of the pivots, and ``below`` the number of negative
+    pivots, which is the number of eigenvalues below x (Sylvester's law
+    of inertia).  A zero pivot is taken as ``tiny``."""
+    d, r, s = 1.0, 0.0, 0.0  # a pivot d, r = d'/d and s = d''/d
+    g = h = 0.0
+    below = 0
+    for a, beta in zip((diagonal - x).tolist(), squares):
+        q = beta / d
+        s = q * (s - 2.0 * r * r)
+        r = q * r - 1.0
+        d = a - q
+        if d <= 0.0:
+            if d == 0.0:
+                d = tiny
+            else:
+                below += 1
+        r /= d
+        s /= d
+        g += r
+        h += r * r - s
+    return g, h, below
+
+
+def _laguerre_root(
+    sums, n: int, index: int, x: float, hi: float, tol: float, lower: float = -math.inf
+) -> float:
+    """Eigenvalue ``index`` (0 or 1, ascending) of an n x n tridiagonal T,
+    as the smallest root of the polynomial p(x) / (x - lower) of degree
+    n - index, with ``lower`` = lambda_0 when index is 1: Laguerre's
+    method, one `_pivot_sums` pass ``sums(x)`` per step, from a start x
+    below the root and a bound hi above it, to within ``tol``.
+
+    With every root real, Laguerre's step from below the smallest root
+    lands between x and that root, and from just above it (no other root
+    between) lands between the root and x; it converges cubically at a
+    simple root.  Each pass also counts the eigenvalues below x, so the
+    root stays bracketed by [lo, hi], and a step that leaves the bracket,
+    which only round-off can make, is replaced by bisection, and so is
+    every step after MAX_LAGUERRE_PASSES, so the search ends: at the
+    first step within ``tol``, or when the bracket is that narrow."""
+    degree = n - index
+    lo = x
+    for passes in itertools.count():
+        g, h, below = sums(x)
+        if x == lower:  # the deflation's pole
+            if below > index:
+                return x
+            lo, x = x, x + tol
+            continue
+        t = 1.0 / (x - lower)
+        g, h = g - t, h - t * t
+        root = math.sqrt(max((degree - 1) * (degree * h - g * g), 0.0))
+        if below <= index:
+            lo = x
+            step = degree / (root - g) if root > g else math.nan
+            if abs(step) <= tol:
+                return x  # not x + step: a root hit exactly stays exact
+        else:
+            hi = x
+            above_root = below == index + 1 and g + root > 0.0
+            step = -degree / (g + root) if above_root else math.nan
+            if abs(step) <= tol:
+                return x + step
+        if passes < MAX_LAGUERRE_PASSES and lo < x + step < hi:
+            x += step
+        elif hi - lo <= tol:
+            return lo
+        else:
+            x = 0.5 * (lo + hi)
+
+
+def _inverse_iteration(
+    diagonal, off_diagonal, squares, shift: float, start, tiny: float
+) -> np.ndarray:
+    """The unit vector along (T - shift)^-1 start, from the LDL^T
+    factorization of T - shift (``squares`` as in `_pivot_sums`, a zero
+    pivot taken as ``tiny``): for a shift at an eigenvalue, its
+    eigenvector, from any start that is not orthogonal to it.  Each
+    recurrence (pivots, forward and back substitution) is one list
+    comprehension, CPython's fastest loop."""
+    d = z = y = 1.0
+    shifted = (diagonal - shift).tolist()
+    pivots = np.array([(d := (a - beta / d) or tiny) for a, beta in zip(shifted, squares)])
+    multipliers = off_diagonal / pivots[:-1]
+    lower = [0.0] + multipliers.tolist()
+    forward = [(z := s - m * z) for s, m in zip(start.tolist(), lower)]
+    upper = [0.0] + multipliers[::-1].tolist()
+    back = [(y := w - m * y) for w, m in zip((np.array(forward) / pivots)[::-1].tolist(), upper)]
+    v = np.array(back[::-1])
+    return v / np.linalg.norm(v)
+
+
+def _start(n: int, seed: int) -> np.ndarray:
+    """A fixed pseudo-random start vector of length n, entries in
+    [-1/2, 1/2): with no m -> -m symmetry and no smooth envelope, it
+    overlaps every eigenvector of a band.  The entries are SplitMix64's
+    integer hash of (seed, k), so they are the same bits on every
+    machine."""
+    z = np.arange(1, n + 1, dtype=np.uint64) + np.uint64(seed << 32)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * 2.0**-53 - 0.5
 
 
 def classify_regime(params: BjjParams) -> Regime:

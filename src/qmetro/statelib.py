@@ -21,9 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .spinops import NORM_TOL, BasisTag, CollectiveSpinState
+from .spinops import NORM_TOL, BasisTag, CollectiveSpinState, _readonly
 
 __all__ = [
     "TwoModeFockState",
@@ -43,6 +42,19 @@ ECS_MAX_CUTOFF = 512
 
 class TruncationError(RuntimeError):
     """Raised when no cutoff under the hard cap meets the tail bound."""
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """ln k! for k = 0..n, read-only: the head of the cached table of
+    math.lgamma(k + 1) whose length is the least power of two above n,
+    and at least 1024.  An entry never depends on the table's length,
+    so neither does any result."""
+    return _log_factorial_table(max(10, int(n).bit_length()))[: n + 1]
+
+
+@functools.lru_cache(maxsize=None)
+def _log_factorial_table(bits: int) -> np.ndarray:
+    return _readonly([math.lgamma(k + 1) for k in range(1 << bits)])
 
 
 @functools.lru_cache(maxsize=16)
@@ -209,7 +221,8 @@ def css(n_particles: int, theta: float, phi: float) -> CollectiveSpinState:
         raise ValueError("n_particles must be >= 1")
     half = 0.5 * theta
     k = np.arange(n + 1)  # k = J + m
-    log_binom_sqrt = 0.5 * (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
+    log_factorial = _log_factorials(n)
+    log_binom_sqrt = 0.5 * (log_factorial[n] - log_factorial - log_factorial[::-1])
     sign_c, log_c = _signed_powers(math.cos(half), n - k)
     sign_s, log_s = _signed_powers(math.sin(half), k)
     amp = sign_c * sign_s * np.exp(log_binom_sqrt + log_c + log_s) * np.exp(-1j * k * phi)
@@ -267,7 +280,7 @@ def _branch_tails(lam: float, top: int) -> np.ndarray:
     and for every top <= ECS_MAX_CUTOFF it is the same sum."""
     last = max(top, ECS_MAX_CUTOFF, math.ceil(2.0 * lam)) + 64
     n = np.arange(last + 1)
-    terms = np.exp(-lam + n * math.log(lam) - gammaln(n + 1))
+    terms = np.exp(-lam + n * math.log(lam) - _log_factorials(last))
     return np.cumsum(terms[:0:-1])[::-1][: top + 1]
 
 
@@ -312,7 +325,7 @@ def ecs(alpha: complex) -> TwoModeFockState:
         branch[0] = 1.0
     else:
         unit = alpha / abs(alpha)
-        mag = np.exp(-0.5 * lam + n * math.log(abs(alpha)) - 0.5 * gammaln(n + 1))
+        mag = np.exp(-0.5 * lam + n * math.log(abs(alpha)) - 0.5 * _log_factorials(cutoff))
         branch = mag * unit**n
     branch = params.norm_factor * branch
 

@@ -456,10 +456,17 @@ class TestMinSummary:
         assert run_cli(["run", "ramsey-css", "--n", "1000", "--phi", "0.1:3:3", "--out", str(out)]) == 0
         assert "min delta_theta_errorprop = 0.0316228, flat over 3 points (phi = 0.1 to 3)" in capsys.readouterr().out
 
+    def test_ramsey_css_at_the_sql_is_flat_at_n2000(self, tmp_path, capsys):
+        # near the fringe extrema (phi = 0.1 and 3) a drift of the output's
+        # norm with phi would enter the slope at about 1e-9 (`_unit_real_matvec`)
+        out = tmp_path / "css.csv"
+        assert run_cli(["run", "ramsey-css", "--n", "2000", "--phi", "0.1:3:3", "--out", str(out)]) == 0
+        assert "min delta_theta_errorprop = 0.0223607, flat over 3 points (phi = 0.1 to 3)" in capsys.readouterr().out
+
 
 def test_cli_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg is imported inside the functions that diagonalise, so
-    # the import time of the command line pays only for scipy.special
+    # scipy.linalg is imported inside the one function that takes a full
+    # spectrum, which no experiment calls
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = "import sys, qmetro.cli; print('scipy.linalg' in sys.modules)"
@@ -472,6 +479,48 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+# one tiny run of each experiment, in `list-experiments` order
+TINY_RUNS = [
+    ["mz-single", "--phi", "0.1:1:2"],
+    ["ramsey-css", "--n", "3,4", "--phi", "0.1:1:2"],
+    ["ramsey-sss", "--n", "6", "--phi", "0.1:1:2"],
+    ["noon-qfi", "--n", "2,3"],
+    ["ecs-qfi", "--alpha", "0.5"],
+    ["twinfock-parity", "--n", "2", "--phi", "0.1:1:2"],
+    ["bjj-ground", "--n", "4,5", "--ec", "1"],
+    ["oat-squeeze", "--n", "6", "--t", "0.1:1:2"],
+    ["monte-carlo", "--v", "20"],
+]
+
+
+def test_no_experiment_loads_scipy():
+    # log k! comes from math.lgamma, Jx's eigenvectors from their recursion
+    # and the two lowest BJJ levels from Laguerre's method: neither the
+    # import nor any experiment loads a scipy module
+    assert [run[0] for run in TINY_RUNS] == list(EXPERIMENTS)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import contextlib, io, sys\n"
+        "from qmetro.cli import main\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(scipy_modules())\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    codes = [main(['run', *run]) for run in {TINY_RUNS!r}]\n"
+        "print(codes, scipy_modules())\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", f"{[0] * len(TINY_RUNS)} []"]
 
 
 class TestOutputContracts:

@@ -156,12 +156,14 @@ def rotate_ramsey(initial, phi, readout_rotation=None):
 def plain_ramsey(state, phi):
     """ramsey's float operations in their plain form, both real products
     taken on every call: V (e^(-i phi m) V^T F psi) with the half turn
-    (F psi)_k = (-1)^k psi_{N-k}.  ramsey must equal it bit for bit."""
+    (F psi)_k = (-1)^k psi_{N-k}, the outer product rescaled to unit
+    norm.  ramsey must equal it bit for bit."""
     n = state.n_particles
     m, _ = _dicke_ladder(n)
     _, v = _jy_band(n)
     flipped = (-1.0) ** np.arange(n + 1) * state.amplitudes[::-1]
-    return _real_matvec(v, np.exp(-1j * phi * m) * _real_matvec(v.T, flipped))
+    out = _real_matvec(v, np.exp(-1j * phi * m) * _real_matvec(v.T, flipped))
+    return out / math.sqrt(np.vdot(out, out).real)
 
 
 def random_spin_state(n, seed):
@@ -370,6 +372,14 @@ class TestCollectiveRamsey:
         with pytest.raises(ValueError, match="normalized"):
             ramsey(probe, 0.2)
 
+    @pytest.mark.parametrize("n", [10, 1000, 2001])
+    def test_output_is_unit_norm_to_round_off(self, n):
+        # the outer product is rescaled, so the norm does not drift with phi
+        probe = css(n, 0.4, 0.3)
+        for phi in (0.1, 1.3, 3.0):
+            amp = ramsey(probe, phi).amplitudes
+            assert abs(np.vdot(amp, amp).real - 1.0) <= 4 * np.finfo(float).eps
+
     def test_output_is_frozen_and_shares_the_probes_basis_tag(self):
         probe = css(5, 0.3, 0.2)
         out = ramsey(probe, 0.7)
@@ -385,13 +395,13 @@ class TestCollectiveRamsey:
         before = [ramsey(probe, phi).amplitudes for phi in phis]
         _jy_band.cache_clear()
         solves = []
-        real_solve = spinops._band_spectrum
+        real_solve = spinops._jx_eigenvectors
 
         def counting_solve(*args, **kwargs):
             solves.append(args)
             return real_solve(*args, **kwargs)
 
-        monkeypatch.setattr(spinops, "_band_spectrum", counting_solve)
+        monkeypatch.setattr(spinops, "_jx_eigenvectors", counting_solve)
         after = [ramsey(probe, phi).amplitudes for phi in phis]
         assert solves == []  # the probe's half holds its own V
         for a, b in zip(before, after, strict=True):

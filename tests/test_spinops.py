@@ -281,12 +281,23 @@ class TestWignerPulse:
                 + [mz_two_mode(probe, phi).amplitudes for phi in phis]
             )
 
-        def flipping(solve):
+        def signs(count):
+            flips = np.random.default_rng(count).choice([-1.0, 1.0], count)
+            flips[0] = -1.0
+            return flips
+
+        def flipping_recursion(recursion):
+            def recurse_and_flip(n):
+                v = recursion(n) * signs(n + 1)  # a new array, C-ordered as the recursion's
+                v.setflags(write=False)
+                return v
+
+            return recurse_and_flip
+
+        def flipping_eigh(solve):
             def solve_and_flip(*args, **kwargs):
                 w, v = solve(*args, **kwargs)
-                signs = np.random.default_rng(v.shape[1]).choice([-1.0, 1.0], v.shape[1])
-                signs[0] = -1.0
-                v *= signs  # in place, so V keeps the layout the solver gave it
+                v *= signs(v.shape[1])  # in place, so V keeps the layout the solver gave it
                 return w, v
 
             return solve_and_flip
@@ -295,8 +306,8 @@ class TestWignerPulse:
         try:
             unflipped = run()
             _jy_band.cache_clear()
-            monkeypatch.setattr(spinops, "_band_spectrum", flipping(spinops._band_spectrum))
-            monkeypatch.setattr(np.linalg, "eigh", flipping(np.linalg.eigh))
+            monkeypatch.setattr(spinops, "_jx_eigenvectors", flipping_recursion(spinops._jx_eigenvectors))
+            monkeypatch.setattr(np.linalg, "eigh", flipping_eigh(np.linalg.eigh))
             flipped = run()
         finally:
             _jy_band.cache_clear()
@@ -524,3 +535,67 @@ class TestDickeLadder:
             m[0] = 0.0
         with pytest.raises(ValueError):
             coupling[0] = 0.0
+
+
+def band_residual(w, v):
+    """max |T V - V diag(w)| for Jx's band T of N = len(w) - 1 particles,
+    taken row by row: T V's row k is c_(k-1) V[k-1] + c_k V[k+1]."""
+    c = 0.5 * _dicke_ladder(len(w) - 1)[1]
+    worst = 0.0
+    for k in range(len(w)):
+        row = -w * v[k]
+        if k:
+            row += c[k - 1] * v[k - 1]
+        if k < len(c):
+            row += c[k] * v[k + 1]
+        worst = max(worst, float(np.abs(row).max()))
+    return worst
+
+
+def gram_error(v, block=1024):
+    """max |V^T V - I|, from the blocks of columns on and above the diagonal."""
+    worst = 0.0
+    for lo in range(0, v.shape[1], block):
+        gram = v[:, lo : lo + block].T @ v[:, lo:]
+        gram[np.diag_indices(gram.shape[0])] -= 1.0
+        worst = max(worst, float(np.abs(gram).max()))
+    return worst
+
+
+class TestJxRecursion:
+    """`_jy_band` takes Jx's eigenvectors from the three-term recursion
+    (`spinops._jx_eigenvectors`), and its eigenvalues are m exactly."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 11, 20])
+    def test_columns_are_wigner_d_up_to_sign(self, n):
+        # Jx = d Jz d^T for d = d^J(pi/2), so d's columns are Jx's
+        # eigenvectors in ascending m, the order of V's columns
+        w, v = _jy_band(n)
+        d = wigner_small_d(n, math.pi / 2)
+        assert np.array_equal(w, np.arange(-n / 2, n / 2 + 1))
+        signs = np.sign(np.einsum("ij,ij->j", v, d))
+        np.testing.assert_allclose(v * signs, d, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1000, 1001, 2000, 4000])
+    def test_no_worse_than_eigh_tridiagonal(self, n):
+        # scipy stays as the oracle: the residual is at most its own, and
+        # the columns are orthonormal to 5e-14 (2.2e-14 at N = 4000)
+        from scipy.linalg import eigh_tridiagonal
+
+        w_ref, v_ref = eigh_tridiagonal(np.zeros(n + 1), 0.5 * _dicke_ladder(n)[1])
+        reference = band_residual(w_ref, v_ref)
+        del v_ref  # 128 MB at N = 4000
+        try:
+            w, v = _jy_band(n)
+            assert np.array_equal(w, np.arange(-n / 2, n / 2 + 1))
+            assert band_residual(w, v) <= reference
+            assert gram_error(v) <= 5e-14
+        finally:
+            _jy_band.cache_clear()
+
+    @pytest.mark.parametrize("n", [2, 5, 300, 301])
+    def test_eigenvectors_are_read_only_and_cached(self, n):
+        w, v = _jy_band(n)
+        assert _jy_band(n)[1] is v and v.flags.c_contiguous
+        with pytest.raises(ValueError):
+            v[0, 0] = 0.0

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmetro import (
+    BasisTag,
     BjjParams,
     CollectiveSpinState,
     OatParams,
@@ -26,6 +27,7 @@ from qmetro import (
     rotate,
     squeezing_parameters,
 )
+from qmetro import squeeze
 from qmetro.spinops import _band_evolve, _band_spectrum, _dicke_ladder, evolve
 from qmetro.squeeze import _lowest_states
 
@@ -335,6 +337,29 @@ bjj_cases = [
 ]
 
 
+lowest_states_cases = [
+    BjjParams(10, tunneling=0.0, charging_energy=-1.0),  # A07a doublet
+    # the sizes bjj-ground runs at, even and odd, Josephson regime
+    *[BjjParams(n, tunneling=1.0, charging_energy=1.0) for n in (1000, 1001, 2000, 4000)],
+    # E_c = 0: the ground vector is the coherent spin state along x
+    BjjParams(1000, tunneling=1.0),
+    BjjParams(1001, tunneling=0.3),
+    # an imbalance, and a negative tunneling with its alternating ground state
+    BjjParams(1000, tunneling=0.5, imbalance=-2.0, charging_energy=-0.01),
+    BjjParams(400, tunneling=-1.0, imbalance=0.7, charging_energy=0.3),
+    # the Fock regime at odd N: a ground doublet split far below 1e-10 of the range
+    BjjParams(1001, tunneling=1.0, charging_energy=3003.0),
+    # the attractive regime: a ground doublet at m = +-J, split far below round-off
+    BjjParams(25, tunneling=1.0, charging_energy=-0.5),
+    BjjParams(1000, tunneling=1.0, charging_energy=-1.0),
+    # both zero-tunneling doublets at large N: m = +-1/2 and m = +-J
+    BjjParams(1001, tunneling=0.0, charging_energy=2.0),
+    BjjParams(1000, tunneling=0.0, charging_energy=-2.0),
+    # zero tunneling and no charging energy: T = 0, every level degenerate
+    BjjParams(6, tunneling=0.0),
+]
+
+
 class TestGroundState:
     @pytest.mark.parametrize("params", bjj_cases)
     def test_bands_match_dense_eigh(self, params):
@@ -351,19 +376,74 @@ class TestGroundState:
             overlap = abs(np.vdot(states[:, 0], spectrum.states[:, 0]))
             assert overlap == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize(
-        "params",
-        bjj_cases + [BjjParams(10, tunneling=0.0, charging_energy=-1.0)],  # A07a doublet
-    )
+    @pytest.mark.parametrize("params", bjj_cases + lowest_states_cases)
     def test_lowest_states_match_full_spectrum(self, params):
-        h = bjj_hamiltonian(params)
+        self.check_lowest_states(bjj_hamiltonian(params))
+
+    @pytest.mark.parametrize("gap,degenerate", [(1.5e-10, True), (1.8e-10, False)])
+    def test_a_gap_inside_the_top_bracket_reads_the_top(self, gap, degenerate, monkeypatch):
+        # spectrum {0, gap, 1 - b sqrt 2, 1, 1 + b sqrt 2}: the rule's
+        # threshold 1e-10 (top - ground) lies between 1e-10 at the largest
+        # diagonal entry and 2e-10 at the Gershgorin bound 1 + 2b, so only
+        # the top itself, 1 + sqrt(2) / 2, decides
+        b = 0.5
+        h = TridiagonalHamiltonian(
+            np.array([0.0, gap, 1.0, 1.0, 1.0]), np.array([0.0, 0.0, b, b]), BasisTag("spin", 4)
+        )
+        roots = []
+        real_root = squeeze._laguerre_root
+
+        def counting_root(*args, **kwargs):
+            roots.append(real_root(*args, **kwargs))
+            return roots[-1]
+
+        monkeypatch.setattr(squeeze, "_laguerre_root", counting_root)
+        self.check_lowest_states(h)
+        assert len(roots) == 3 and roots[2] == pytest.approx(-(1.0 + math.sqrt(0.5)), abs=1e-14)
+        assert _lowest_states(h).ground_degenerate is degenerate
+
+    @pytest.mark.parametrize("factor", [2.0**-1000, 2.0**-3, 2.0**5, 2.0**900])
+    def test_lowest_states_scale_exactly_with_the_hamiltonian(self, factor):
+        # the search runs on T over a power of two, so a power-of-two
+        # factor, even one whose squares would overflow or underflow,
+        # scales the energies exactly and leaves the vectors and flag alone
+        h = bjj_hamiltonian(BjjParams(200, tunneling=1.0, imbalance=0.3, charging_energy=1.0))
+        scaled = TridiagonalHamiltonian(factor * h.diagonal, factor * h.off_diagonal, h.basis_tag)
+        low, low_scaled = _lowest_states(h), _lowest_states(scaled)
+        assert np.array_equal(low_scaled.energies, factor * low.energies)
+        assert np.array_equal(low_scaled.states, low.states)
+        assert low_scaled.ground_degenerate == low.ground_degenerate
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_lowest_states_reject_a_non_finite_hamiltonian(self, bad):
+        h = TridiagonalHamiltonian(np.array([0.0, bad, 1.0]), np.array([0.5, 0.5]), BasisTag("spin", 2))
+        with pytest.raises(ValueError, match="finite"):
+            _lowest_states(h)
+
+    def test_start_is_splitmix64(self):
+        # integer arithmetic only, so the start, and with it the last bits
+        # of the vectors, is the same on every machine: SplitMix64's first
+        # outputs from state 0, as 53-bit fractions
+        first = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
+        assert squeeze._start(3, 0).tolist() == [(v >> 11) * 2.0**-53 - 0.5 for v in first]
+
+    @staticmethod
+    def check_lowest_states(h):
         full = ground_state(h)
         low = _lowest_states(h)
+        dim = h.diagonal.size
         spectral_range = full.energies[-1] - full.energies[0]
-        assert low.energies.shape == (2,) and low.states.shape == (params.n_particles + 1, 2)
-        assert abs(low.ground_energy - full.ground_energy) <= 1e-12 * spectral_range
+        assert low.energies.shape == (2,) and low.states.shape == (dim, 2)
+        np.testing.assert_allclose(low.energies, full.energies[:2], rtol=0, atol=1e-12 * spectral_range)
         assert abs(low.gap - full.gap) <= 1e-12 * spectral_range
         assert low.ground_degenerate == full.ground_degenerate
+        # an orthonormal pair of eigenvectors, also inside a degenerate pair
+        np.testing.assert_allclose(low.states.T @ low.states, np.eye(2), rtol=0, atol=1e-13)
+        applied = h.diagonal[:, None] * low.states
+        applied[:-1] += h.off_diagonal[:, None] * low.states[1:]
+        applied[1:] += h.off_diagonal[:, None] * low.states[:-1]
+        residual = np.abs(applied - low.states * low.energies).max()
+        assert residual <= 1e-12 * spectral_range
         if not full.ground_degenerate:
             overlap = abs(np.vdot(full.states[:, 0], low.states[:, 0]))
             assert overlap == pytest.approx(1.0, abs=1e-12)

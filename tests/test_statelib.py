@@ -22,7 +22,13 @@ from qmetro import (
     rotate,
     twin_fock,
 )
-from qmetro.statelib import ECS_MAX_CUTOFF, ECS_TAIL_BOUND, _ecs_cutoff, _phase_normalized
+from qmetro.statelib import (
+    ECS_MAX_CUTOFF,
+    ECS_TAIL_BOUND,
+    _ecs_cutoff,
+    _log_factorials,
+    _phase_normalized,
+)
 
 # the largest |alpha| whose cutoff fits under ECS_MAX_CUTOFF is 19.0729
 ECS_EDGE_ALPHA = 19.07
@@ -47,8 +53,15 @@ def mode_numbers(cutoff, sign):
 
 
 def loop_css_amplitudes(n, theta, phi):
-    """The per-k loop css used before it was vectorised, kept as the oracle."""
-    from scipy.special import gammaln
+    """The per-k loop css used before it was vectorised, kept as the
+    oracle.  It reads ln k! from the library's table: math.lgamma and
+    scipy's gammaln differ by a few ulps on many integers, so an oracle
+    on another log-gamma could not agree to the tolerance below.  Each
+    exponential is numpy's, as in css: one magnitude an ulp off moves the
+    norm by an ulp, and a subnormal amplitude (N = 1000, theta = 4 has
+    some near 1e-309) divided by that norm can round a whole subnormal
+    ulp away, far beyond the relative tolerance."""
+    log_factorial = _log_factorials(n)
 
     def signed_power(base, exponent):
         if exponent == 0:
@@ -60,14 +73,14 @@ def loop_css_amplitudes(n, theta, phi):
 
     c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
     k = np.arange(n + 1)
-    log_binom_sqrt = 0.5 * (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
+    log_binom_sqrt = 0.5 * (log_factorial[n] - log_factorial[k] - log_factorial[n - k])
     amp = np.zeros(n + 1, dtype=complex)
     for ki in range(n + 1):
         sc, lc = signed_power(c, n - ki)
         ss, ls = signed_power(s, ki)
         if sc * ss == 0.0:
             continue
-        amp[ki] = sc * ss * math.exp(log_binom_sqrt[ki] + lc + ls) * np.exp(-1j * ki * phi)
+        amp[ki] = sc * ss * np.exp(log_binom_sqrt[ki] + lc + ls) * np.exp(-1j * ki * phi)
     amp /= np.linalg.norm(amp)
     return _phase_normalized(amp)
 
@@ -132,8 +145,9 @@ class TestCss:
         "theta,phi", [(0.0, 0.7), (math.pi, 0.0), (math.pi / 2, 0.0), (1.3, -2.1), (4.0, 0.4)]
     )
     def test_matches_the_per_k_loop(self, n, theta, phi):
-        # the same arithmetic elementwise: only numpy's exp and log may
-        # round differently from math's, by an ulp or two of each amplitude
+        # the same arithmetic elementwise, numpy's exp on both sides; the
+        # tolerance leaves an ulp or two of each amplitude to the order
+        # of the operations
         expected = loop_css_amplitudes(n, theta, phi)
         got = css(n, theta, phi).amplitudes
         np.testing.assert_allclose(got, expected, rtol=8 * np.finfo(float).eps, atol=0)
@@ -384,3 +398,19 @@ class TestTotalNumberSupport:
         assert state.total_number_support() is support
         with pytest.raises(ValueError):
             support[0] = 7
+
+
+class TestLogFactorials:
+    @pytest.mark.parametrize("n", [0, 1, 170, 1023, 1024, 5000])
+    def test_entries_are_lgamma_and_read_only(self, n):
+        table = _log_factorials(n)
+        assert table.shape == (n + 1,)
+        assert table.tolist() == [math.lgamma(k + 1) for k in range(n + 1)]
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+    def test_a_longer_table_keeps_every_entry(self):
+        short = _log_factorials(700).copy()
+        _log_factorials(9000)
+        assert np.array_equal(_log_factorials(700), short)
+        assert np.array_equal(_log_factorials(9000)[:701], short)
