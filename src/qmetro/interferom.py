@@ -18,16 +18,20 @@ x = V^T F psi, with F psi = e^(-i pi Jy) psi a signed reversal; each
 Mach-Zehnder sector n is W = R^dag V, g = n_b and x = R V^T psi_n,
 between the z gauges R = e^(-i pi m/2) and R^dag.  The phi-independent
 (where, W, g, x) is built on a probe state's first call and kept with
-it, so a call costs one phase and one product per sector.
+it, so a call costs one phase and one product per sector; the output
+state at a float phi is kept with it too (`_propagate`), so a phase the
+probe has seen costs a dictionary lookup.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 
 import numpy as np
 
 from .estimate import (
+    SWEEP_BLOCK,
     PrecisionReport,
     _classical_fishers,
     _error_propagations,
@@ -126,12 +130,48 @@ def ramsey(
     changes with phi, and a finite-difference slope of a readout would
     take that change for signal (about 1e-9 of the slope near the fringe
     extrema at N = 2000); so the norm check rescales the output to unit
-    norm (`_with_values` with ``rescale``).
+    norm (`_with_values` with ``rescale``).  The output before any
+    readout rotation is kept with the probe by phase (`_propagate`).
     """
-    state = initial._with_values(_interfere(initial, phi, _first_pulse), rescale=True)
+    state = _propagate(initial, phi, _first_pulse, rescale=True)
     if readout_rotation is not None:
         state = _rotate_about_mean_spin(state, readout_rotation)
     return state
+
+
+def _propagate(state, phi, first_half, **finish):
+    """The output state ``state._with_values(_interfere(...), **finish)``
+    at phi, kept with the probe.  A float phi (Python or numpy) keys its
+    output by its exact value, the sign of a zero included, so a later
+    call at the same phi returns the same frozen state and propagates
+    nothing; any other phi is propagated every time.  The outputs are
+    the private attribute `_outputs`, (the `_kept_half` they came from,
+    {phi key: state} in the order kept): a probe whose kept half is
+    replaced or rebuilt starts afresh, a failed call keeps nothing, and
+    the oldest outputs are dropped before the kept ones would hold more
+    than `estimate.SWEEP_BLOCK` amplitudes.  A phase-sweep block's
+    distinct stencil states fit in that, so no state of the block is
+    dropped before the block reads it again."""
+    key = (phi, math.copysign(1.0, phi)) if isinstance(phi, float) else None
+    attributes = vars(state)
+    outputs = attributes.get("_outputs")
+    if outputs is not None and outputs[0] is attributes.get("_kept_half"):
+        hit = outputs[1].get(key)
+        if hit is not None:
+            return hit
+    values = _interfere(state, phi, first_half)
+    out = state._with_values(values, **finish)
+    if key is not None:
+        kept = attributes["_kept_half"]
+        if outputs is None or outputs[0] is not kept:
+            outputs = (kept, OrderedDict())
+            object.__setattr__(state, "_outputs", outputs)
+        kept_outputs = outputs[1]
+        while kept_outputs and (len(kept_outputs) + 1) * values.size > SWEEP_BLOCK:
+            kept_outputs.popitem(last=False)
+        if values.size <= SWEEP_BLOCK:
+            kept_outputs[key] = out
+    return out
 
 
 def _interfere(state, phi: float, first_half):
@@ -247,9 +287,10 @@ def mz_two_mode(state: TwoModeFockState, phi: float) -> TwoModeFockState:
     (`statelib.TwoModeFockState`), and the output holds the same sectors
     at the same index; no grid is built.  Each sector, the vacuum among
     them, is one sector of `_interfere`, kept by `_first_splitter`, so a
-    probe pays its `eigh` calls once.
+    probe pays its `eigh` calls once, and its output is kept by phase
+    (`_propagate`).
     """
-    return state._with_values(_interfere(state, phi, _first_splitter))
+    return _propagate(state, phi, _first_splitter)
 
 
 def _first_splitter(state: TwoModeFockState) -> tuple:
@@ -328,6 +369,11 @@ def phase_sweep(
     array of states, and `error_propagation`'s as one `readout_moments`
     per state.  Each point still costs the family 15 calls, at the thetas
     the scalar functions use, and every figure equals theirs bit for bit.
+    Only 9 of the 15 thetas are distinct (the signal's four are the
+    probability stencil's outer four, and the noise reads theta, the
+    centre of both stencils), so for a `ramsey` or `mz_two_mode` family
+    of one probe the 15 calls are 9 propagations: the other 6 return the
+    probe's kept outputs (`_propagate`).
     """
     grid = np.atleast_1d(np.asarray(phi_grid, dtype=float))
     if grid.size == 0:

@@ -62,8 +62,11 @@ def _occupied(state) -> tuple:
 
 
 def _occupied_in(state, tag: BasisTag) -> tuple:
-    """`_occupied` of a state, which must live in the basis `tag`."""
-    if state.basis_tag != tag:
+    """`_occupied` of a state, which must live in the basis `tag`.  The
+    tag is compared by identity first, which settles the common case (a
+    probe's outputs share its tag, and so does a readout built from it),
+    and by value only then."""
+    if state.basis_tag is not tag and state.basis_tag != tag:
         raise ValueError(f"basis mismatch: state {state.basis_tag}, expected {tag}")
     return _occupied(state)
 

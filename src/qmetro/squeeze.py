@@ -54,9 +54,12 @@ __all__ = [
 DEGENERACY_REL_TOL = 1e-10
 _EPS = math.ulp(1.0)  # machine epsilon, 2^-52
 # Laguerre steps a root search takes before it only bisects; a whole
-# `_lowest_states` call took 8-10 passes on repulsive BJJ cases and up
-# to 30 on an attractive ground doublet, which the step nears slowly
+# `_lowest_states` call takes 8-10 passes on repulsive BJJ cases and
+# 7-12 on an attractive ground doublet
 MAX_LAGUERRE_PASSES = 64
+# how near G^2/H must read 2 before a search from below a root takes the
+# double-root step (`_laguerre_root`)
+PAIR_RATIO_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -382,7 +385,16 @@ def _laguerre_root(
     root stays bracketed by [lo, hi], and a step that leaves the bracket,
     which only round-off can make, is replaced by bisection, and so is
     every step after MAX_LAGUERRE_PASSES, so the search ends: at the
-    first step within ``tol``, or when the bracket is that narrow."""
+    first step within ``tol``, or when the bracket is that narrow.
+
+    Near a pair of roots closer to x than the rest, the plain step nears
+    the pair only linearly, by a factor of about 0.29 a pass.  There
+    G^2/H = (sum 1/d_i)^2 / sum 1/d_i^2, over the distances d_i to the
+    roots, reads about 2, and the step is Laguerre's for a double root
+    (`_laguerre_radius` with multiplicity 2), exact at an exact double
+    root: from below when G^2/H is within PAIR_RATIO_TOL of 2, and from
+    above when exactly the pair lies below x and G^2/H reads 2 to the
+    nearest integer, where it lands between the two roots of any pair."""
     degree = n - index
     lo = x
     for passes in itertools.count():
@@ -394,15 +406,21 @@ def _laguerre_root(
             continue
         t = 1.0 / (x - lower)
         g, h = g - t, h - t * t
-        root = math.sqrt(max((degree - 1) * (degree * h - g * g), 0.0))
         if below <= index:
             lo = x
+            m = 2 if abs(g * g - 2.0 * h) <= PAIR_RATIO_TOL * h else 1
+            root = _laguerre_radius(degree, m, g, h)
             step = degree / (root - g) if root > g else math.nan
             if abs(step) <= tol:
                 return x  # not x + step: a root hit exactly stays exact
         else:
             hi = x
-            above_root = below == index + 1 and g + root > 0.0
+            # exactly a pair below x: the double-root step lands between
+            # its roots, and G^2/H reading 2 to the nearest integer keeps
+            # the lower one within a few tol of x once the step is in tol
+            m = 2 if below == index + 2 and g * g >= 1.5 * h else 1
+            root = _laguerre_radius(degree, m, g, h)
+            above_root = below == index + m and g + root > 0.0
             step = -degree / (g + root) if above_root else math.nan
             if abs(step) <= tol:
                 return x + step
@@ -412,6 +430,13 @@ def _laguerre_root(
             return lo
         else:
             x = 0.5 * (lo + hi)
+
+
+def _laguerre_radius(degree: int, multiplicity: int, g: float, h: float) -> float:
+    """The square root in Laguerre's step for a root of this multiplicity
+    m, sqrt((n - m)/m (n H - G^2)) for a polynomial of degree n, taken as
+    0 where round-off makes the radicand negative."""
+    return math.sqrt(max((degree - multiplicity) * (degree * h - g * g) / multiplicity, 0.0))
 
 
 def _inverse_iteration(

@@ -49,7 +49,7 @@ from qmetro import (
     rotate,
     twin_fock,
 )
-from qmetro import estimate, spinops
+from qmetro import cli, estimate, interferom, spinops
 from qmetro.estimate import PROB_STEP, STATE_STEP
 from qmetro.interferom import _mean_spin_axis, _mode_numbers, _parity_mean, _readout_variance_series
 from qmetro.spinops import _dicke_ladder, _jy_band, _occupied, _real_matvec, evolve
@@ -730,8 +730,6 @@ class TestSectorStorage:
             mz_two_mode(probe, 0.1)
 
     def test_twinfock_parity_sweep_builds_no_grid(self, monkeypatch):
-        from qmetro import cli
-
         def no_grid(state):
             raise AssertionError("dense grid built inside phase_sweep")
 
@@ -1248,3 +1246,116 @@ class TestSweepBlocks:
         if error is InvalidFamilyError:
             with pytest.raises(error, match=re.escape(f"theta={bad}")):
                 qfi_from_family(family, 0.9)
+
+
+KEPT_PROBES = {
+    "ramsey-css": (lambda: css(10, 0.3, 0.2), ramsey),
+    "ramsey-random": (lambda: random_spin_state(7, 9), ramsey),
+    "mz-twin-fock": (lambda: twin_fock(4), mz_two_mode),
+    "mz-random": (lambda: random_fock_state(5, 7), mz_two_mode),
+}
+
+
+def output_bytes(state):
+    return _occupied(state)[1].tobytes()
+
+
+class TestKeptOutputs:
+    """`ramsey` and `mz_two_mode` keep each output with the probe, keyed by
+    the exact value of a float phi, so a phase the probe has seen costs
+    no propagation."""
+
+    @pytest.mark.parametrize("name", list(KEPT_PROBES))
+    @pytest.mark.parametrize("phi", [0.7, -2.3, 1e-300, 0.0, -0.0])
+    @pytest.mark.parametrize("kind, other", [(float, np.float64), (np.float64, float)])
+    def test_a_repeated_phase_returns_the_kept_state(self, name, phi, kind, other):
+        make, sequence = KEPT_PROBES[name]
+        probe = make()
+        first = sequence(probe, kind(phi))
+        assert sequence(probe, kind(phi)) is first
+        assert sequence(probe, other(phi)) is first  # keyed by the value, not the type
+        for given in (kind, other):
+            assert output_bytes(first) == output_bytes(sequence(make(), given(phi)))
+
+    @pytest.mark.parametrize("name", list(KEPT_PROBES))
+    def test_signed_zeros_are_kept_apart(self, name):
+        make, sequence = KEPT_PROBES[name]
+        probe = make()
+        plus, minus = sequence(probe, 0.0), sequence(probe, -0.0)
+        assert plus is not minus
+        assert sequence(probe, np.float64(-0.0)) is minus
+        assert output_bytes(plus) == output_bytes(sequence(make(), 0.0))
+        assert output_bytes(minus) == output_bytes(sequence(make(), -0.0))
+
+    @pytest.mark.parametrize("phi", [np.array(0.4), 0.4 + 0j, np.complex128(0.4)])
+    def test_a_phase_that_is_not_a_real_scalar_is_not_kept(self, phi):
+        probe = css(6, 0.2, 0.1)
+        first = ramsey(probe, phi)
+        assert ramsey(probe, phi) is not first
+        assert "_outputs" not in vars(probe)
+        assert np.array_equal(first.amplitudes, ramsey(probe, 0.4).amplitudes)
+
+    def test_a_failed_call_keeps_nothing(self):
+        probe = twin_fock(3)
+        kept = mz_two_mode(probe, 0.5)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="normalized"):
+                mz_two_mode(probe, math.nan)
+        assert list(vars(probe)["_outputs"][1].values()) == [kept]
+
+    def test_a_rebuilt_kept_half_drops_the_outputs(self):
+        probe = random_spin_state(6, 3)
+        first = ramsey(probe, 0.2)
+        object.__setattr__(probe, "_kept_half", interferom._first_pulse(probe))
+        again = ramsey(probe, 0.2)
+        assert again is not first and output_bytes(again) == output_bytes(first)
+        assert ramsey(probe, 0.2) is again
+
+    def test_a_readout_rotation_turns_the_kept_output(self):
+        probe = oat_probe(20)
+        rotated = ramsey(probe, 0.9, readout_rotation=0.3)
+        assert ramsey(probe, 0.9, readout_rotation=0.3) is not rotated
+        assert output_bytes(rotated) == output_bytes(ramsey(oat_probe(20), 0.9, readout_rotation=0.3))
+        assert ramsey(probe, 0.9) is ramsey(probe, 0.9)
+
+    @pytest.mark.parametrize("name", ["css-10", "twin-fock-5"])
+    def test_a_sweep_point_propagates_its_nine_distinct_phases_once(self, monkeypatch, name):
+        family, readout = SWEPT_FAMILIES[name]()
+        phases = []
+        real = interferom._interfere
+        monkeypatch.setattr(
+            interferom, "_interfere", lambda state, phi, half: phases.append(phi) or real(state, phi, half)
+        )
+        grid = np.linspace(0.2, 2.9, 4)
+        reports = phase_sweep(family, readout, grid)
+        assert len(phases) == 9 * grid.size
+        assert sorted(phases) == sorted({t for phi in grid for t in stencil_thetas(phi)})
+        fresh_family, _ = SWEPT_FAMILIES[name]()
+        monkeypatch.setattr(interferom, "_interfere", real)
+        assert reports == phase_sweep(fresh_family, readout, grid)
+
+    def test_the_cli_parity_column_reads_a_kept_state(self, monkeypatch):
+        # 15 family calls per point and the parity's 16th, 9 propagations
+        calls, phases = [], []
+        real_mz, real_interfere = cli.mz_two_mode, interferom._interfere
+        monkeypatch.setattr(cli, "mz_two_mode", lambda s, phi: calls.append(phi) or real_mz(s, phi))
+        monkeypatch.setattr(
+            interferom, "_interfere", lambda s, phi, half: phases.append(phi) or real_interfere(s, phi, half)
+        )
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["run", "twinfock-parity", "--n", "5,10,14", "--phi", "0.01:pi/2:10"]) == 0
+        assert (len(calls), len(phases)) == (16 * 30, 9 * 30)
+
+    def test_a_long_large_sweep_keeps_at_most_sweep_block_amplitudes(self, monkeypatch):
+        probe = css(1000, 0.0, 0.0)
+        phases = []
+        real = interferom._interfere
+        monkeypatch.setattr(
+            interferom, "_interfere", lambda state, phi, half: phases.append(phi) or real(state, phi, half)
+        )
+        grid = np.linspace(0.05, 3.0, 300)
+        assert len(estimate._sweep_blocks(grid, 1001)) > 1
+        phase_sweep(lambda phi: ramsey(probe, phi), jz_readout(probe), grid)
+        kept = vars(probe)["_outputs"][1].values()
+        assert 0 < sum(_occupied(state)[1].size for state in kept) <= estimate.SWEEP_BLOCK
+        assert len(phases) == 9 * grid.size  # no state is dropped before its block reads it again

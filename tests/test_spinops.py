@@ -506,6 +506,22 @@ class TestValidation:
         assert state.basis_tag == BasisTag("spin", 3)
         assert ramsey(state, 0.3).basis_tag is state.basis_tag  # derived states share it
 
+    def test_a_shared_tag_is_matched_by_identity(self, monkeypatch):
+        # a probe, its outputs and a readout built from its tag share one
+        # object; an equal tag built apart is still compared by value
+        state = css(3, 0.4, 0.1)
+        output = ramsey(state, 0.3)
+        shared, equal = Readout(state.m_values, state.basis_tag), Readout(state.m_values, BasisTag("spin", 3))
+
+        def refuse(self, other):
+            raise AssertionError("compared by value")
+
+        monkeypatch.setattr(BasisTag, "__eq__", refuse)
+        for s in (state, output):
+            readout_moments(s, shared)
+        with pytest.raises(AssertionError, match="compared by value"):
+            readout_moments(state, equal)
+
     def test_mismatched_readout_still_raises(self):
         state = css(3, 0.4, 0.1)
         other = Readout(np.arange(5), BasisTag("spin", 4))

@@ -402,6 +402,25 @@ class TestGroundState:
         assert len(roots) == 3 and roots[2] == pytest.approx(-(1.0 + math.sqrt(0.5)), abs=1e-14)
         assert _lowest_states(h).ground_degenerate is degenerate
 
+    @pytest.mark.parametrize("n", [25, 1000])
+    def test_an_attractive_doublet_takes_the_double_root_step(self, n, monkeypatch):
+        # the ground pair at m = +-J is split below round-off, so G^2/H
+        # reads 2 near it; plain Laguerre nears it by about 0.29 a pass
+        # (21-27 passes), the double-root step in a few
+        passes, per_root = [], []
+        real_sums, real_root = squeeze._pivot_sums, squeeze._laguerre_root
+        monkeypatch.setattr(squeeze, "_pivot_sums", lambda *args: passes.append(args[-1]) or real_sums(*args))
+
+        def counting_root(*args, **kwargs):
+            start = len(passes)
+            root = real_root(*args, **kwargs)
+            per_root.append(len(passes) - start)
+            return root
+
+        monkeypatch.setattr(squeeze, "_laguerre_root", counting_root)
+        self.check_lowest_states(bjj_hamiltonian(BjjParams(n, tunneling=1.0, charging_energy=-1.0)))
+        assert len(per_root) == 2 and max(per_root) <= 10
+
     @pytest.mark.parametrize("factor", [2.0**-1000, 2.0**-3, 2.0**5, 2.0**900])
     def test_lowest_states_scale_exactly_with_the_hamiltonian(self, factor):
         # the search runs on T over a power of two, so a power-of-two
