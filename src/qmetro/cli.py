@@ -54,7 +54,7 @@ from .interferom import (
     phase_sweep,
     ramsey,
 )
-from .spinops import BasisTag, CollectiveSpinState, rotate
+from .spinops import CollectiveSpinState, _basis_tag, rotate
 from .squeeze import (
     BjjParams,
     OatParams,
@@ -284,7 +284,7 @@ def _run_mz_single(cfg: SimpleNamespace):
         cfg,
         1,
         lambda phi: CollectiveSpinState(1, mz_single_particle_state(phi)[::-1]),
-        Readout(np.array([-1.0, 1.0]), BasisTag("spin", 1)),
+        Readout(np.array([-1.0, 1.0]), _basis_tag("spin", 1)),
     )
     return rows, _min_summary(rows, "delta_theta_errorprop")
 

@@ -37,8 +37,7 @@ __all__ = [
 ]
 
 ZERO_PROB_CUTOFF = 1e-12  # outcomes below this are dropped from Fisher sums
-PROB_STEP = 1e-5   # central-difference step for probability families
-STATE_STEP = 1e-4  # central-difference step for state families
+STEP = 1e-5  # central-difference step of every stencil
 PSD_TOL = 1e-10
 MLE_GRID = 512  # grid points of the maximum-likelihood search
 LIKELIHOOD_BLOCK = 1 << 13  # most float terms summed in one likelihood block (64 kB)
@@ -54,21 +53,22 @@ class InvalidFamilyError(ValueError):
     """A state family drifted off unit norm or changed dimension."""
 
 
-def _stencil(thetas: np.ndarray, h: float) -> np.ndarray:
-    """The points of `_central_diff` at each of M thetas, as a (5, M) array
-    whose rows are theta, theta + h/2, theta - h/2, theta + h and theta - h."""
-    s = 0.5 * h
-    return np.stack([thetas, thetas + s, thetas - s, thetas + h, thetas - h])
+def _stencil(thetas: np.ndarray) -> np.ndarray:
+    """The points every estimator reads at each of M thetas, as a (5, M)
+    array whose rows are theta, theta + STEP/2, theta - STEP/2,
+    theta + STEP and theta - STEP."""
+    s = 0.5 * STEP
+    return np.stack([thetas, thetas + s, thetas - s, thetas + STEP, thetas - STEP])
 
 
-def _central_diff(values: np.ndarray, h: float) -> np.ndarray:
+def _central_diff(outer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Central difference with one Richardson refinement, O(h^4) accurate,
-    from the values at the five `_stencil` rows (values[i] at row i)."""
-
-    def d(plus, minus, s):
-        return (values[plus] - values[minus]) / (2.0 * s)
-
-    return (4.0 * d(1, 2, 0.5 * h) - d(3, 4, h)) / 3.0
+    from the values at the four outer `_stencil` rows (outer[i] at row
+    i + 1), and the gap between the two differences it refines (steps
+    STEP/2 and STEP), which is of the order of its error."""
+    half = (outer[0] - outer[1]) / STEP
+    full = (outer[2] - outer[3]) / (2.0 * STEP)
+    return (4.0 * half - full) / 3.0, half - full
 
 
 @dataclass(frozen=True)
@@ -215,14 +215,14 @@ def classical_fisher(family: DistributionFamily, theta: float) -> float:
     Outcomes with P < 1e-12 are excluded: their contribution vanishes
     analytically and keeping them would divide by ~0.  Without
     ``derivative``, dP/dtheta is a central difference with one Richardson
-    refinement (step PROB_STEP).  This is `_classical_fishers` at one theta.
+    refinement (step STEP).  This is `_classical_fishers` at one theta.
     """
     return _classical_fishers(family, np.array([theta], dtype=float))[0]
 
 
 def _classical_fishers(family: DistributionFamily, thetas: np.ndarray) -> list[float]:
     """`classical_fisher` at each of M thetas.  Without ``derivative`` the
-    family is read at theta, theta +- PROB_STEP/2 and theta +- PROB_STEP
+    family is read at theta, theta +- STEP/2 and theta +- STEP
     (`_stencil`) of every theta as one `_probability_table`: one family
     call per point, one validation, and an error that names the first
     bad theta.  Each theta's F is its own masked sum."""
@@ -230,9 +230,9 @@ def _classical_fishers(family: DistributionFamily, thetas: np.ndarray) -> list[f
         p = family._probability_table(thetas)
         dp = np.array([family.derivative(theta) for theta in thetas.tolist()], dtype=float)
     else:
-        table = family._probability_table(_stencil(thetas, PROB_STEP).reshape(-1))
+        table = family._probability_table(_stencil(thetas).reshape(-1))
         table = table.reshape(5, thetas.size, -1)
-        p, dp = table[0], _central_diff(table, PROB_STEP)
+        p, dp = table[0], _central_diff(table[1:])[0]
     keep = p >= ZERO_PROB_CUTOFF
     terms = np.divide(dp**2, p, out=np.zeros_like(p), where=keep)
     return [float(np.sum(t[k])) for t, k in zip(terms, keep)]
@@ -339,9 +339,9 @@ def qfi_from_family(state_family, theta: float) -> float:
     F_Q = 4 ||psi' - <psi|psi'> psi||^2 (Braunstein & Caves, PRL 72, 3439,
     1994), with psi' from central differences (one Richardson refinement)
     of the five states taken on the union of their occupied entries
-    (`_family_vectors`), step STATE_STEP.  Agrees with ``qfi_generator``
-    whenever the family is exp(-iH theta) psi0.  This is
-    `_quantum_fishers` at one theta.
+    (`_family_vectors`), step STEP: the five states `classical_fisher`
+    reads.  Agrees with ``qfi_generator`` whenever the family is
+    exp(-iH theta) psi0.  This is `_quantum_fishers` at one theta.
     """
     return _quantum_fishers(state_family, np.array([theta], dtype=float))[0]
 
@@ -350,10 +350,10 @@ def _quantum_fishers(state_family, thetas: np.ndarray) -> list[float]:
     """`qfi_from_family` at each of M thetas, from the family's states at
     the five `_stencil` points of every theta taken together by
     `_family_vectors`; each theta's F_Q is its own two `np.vdot`s."""
-    vectors = _family_vectors(state_family, _stencil(thetas, STATE_STEP).reshape(-1))
+    vectors = _family_vectors(state_family, _stencil(thetas).reshape(-1))
     vectors = vectors.reshape(5, thetas.size, -1)
     qfis = []
-    for psi, dpsi in zip(vectors[0], _central_diff(vectors, STATE_STEP)):
+    for psi, dpsi in zip(vectors[0], _central_diff(vectors[1:])[0]):
         centered = dpsi - np.vdot(psi, dpsi) * psi
         qfis.append(4.0 * float(np.vdot(centered, centered).real))
     return qfis
@@ -373,38 +373,26 @@ def cramer_rao(fisher: float, repetitions: int = 1) -> float:
 def error_propagation(signal, noise, theta: float) -> ErrorPropagation:
     """Delta theta = Delta O / |d<O>/d theta| for a readout observable.
 
-    ``signal`` maps theta to <O>, ``noise`` maps theta to Delta O.
-    The readout point is flagged stationary (and yields +inf) when the
-    slope is below 1e-12 scaled by the sampled signal magnitude, or
-    when it is indistinguishable from its own finite-difference error
-    (the discrepancy between the two central-difference estimates that
-    enter the Richardson refinement).  The signal is sampled at the
-    points of `_signal_stencil`, then the noise at theta; this is
+    ``signal`` maps theta to <O>, ``noise`` maps theta to Delta O.  The
+    slope is `_central_diff` of the signal at the four outer `_stencil`
+    points (step STEP, as in `classical_fisher`).  The readout point is
+    flagged stationary (and yields +inf) when the slope is below 1e-12
+    scaled by the sampled signal magnitude, or when it is no larger than
+    its own finite-difference error (the gap `_central_diff` gives).  The
+    signal is sampled first, then the noise at theta; this is
     `_error_propagations` at one theta.
     """
-    points = _signal_stencil(np.array([theta], dtype=float))
-    samples = np.array([[float(signal(t)) for t in row] for row in points])
-    return _error_propagations(samples, np.array([float(noise(theta))]))[0]
+    outer = _stencil(np.array([theta], dtype=float))[1:]
+    signals = np.array([[float(signal(t))] for (t,) in outer.tolist()])
+    return _error_propagations(signals, np.array([float(noise(theta))]))[0]
 
 
-def _signal_stencil(thetas: np.ndarray) -> np.ndarray:
-    """The points at which `error_propagation` samples the signal for each
-    of M thetas, as an (M, 4) array: theta + PROB_STEP, theta - PROB_STEP,
-    theta + PROB_STEP/2 and theta - PROB_STEP/2."""
-    step = PROB_STEP
-    return thetas[:, None] + np.array([step, -step, 0.5 * step, -0.5 * step])
-
-
-def _error_propagations(samples: np.ndarray, sigma: np.ndarray) -> list[ErrorPropagation]:
-    """`error_propagation` at each of M thetas, from the (M, 4) signal
-    samples at the `_signal_stencil` points and the (M,) noise at each
-    theta."""
-    step = PROB_STEP
-    d_full = (samples[:, 0] - samples[:, 1]) / (2.0 * step)
-    d_half = (samples[:, 2] - samples[:, 3]) / step
-    slope = abs((4.0 * d_half - d_full) / 3.0)
-    scale = np.maximum(1.0, abs(samples).max(axis=1))
-    stationary = (slope < 1e-12 * scale) | (slope <= 4.0 * abs(d_half - d_full))
+def _error_propagations(signals: np.ndarray, sigma: np.ndarray) -> list[ErrorPropagation]:
+    """`error_propagation` at each of M thetas, from the (4, M) signal at
+    the four outer `_stencil` rows and the (M,) noise at each theta."""
+    slope, gap = np.abs(_central_diff(signals))
+    scale = np.maximum(1.0, abs(signals).max(axis=0))
+    stationary = (slope < 1e-12 * scale) | (slope <= 4.0 * gap)
     value = np.divide(sigma, slope, out=np.full_like(sigma, math.inf), where=~stationary)
     return [ErrorPropagation(v, s) for v, s in zip(value.tolist(), stationary.tolist())]
 

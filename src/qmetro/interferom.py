@@ -36,7 +36,7 @@ from .estimate import (
     _classical_fishers,
     _error_propagations,
     _quantum_fishers,
-    _signal_stencil,
+    _stencil,
     _sweep_blocks,
     cramer_rao,
     povm_family,
@@ -45,8 +45,8 @@ from .estimate import (
 )
 from .spinops import (
     ALL,
-    BasisTag,
     CollectiveSpinState,
+    _basis_tag,
     _dicke_ladder,
     _jy_band,
     _mean_spin,
@@ -149,9 +149,9 @@ def _propagate(state, phi, first_half, **finish):
     {phi key: state} in the order kept): a probe whose kept half is
     replaced or rebuilt starts afresh, a failed call keeps nothing, and
     the oldest outputs are dropped before the kept ones would hold more
-    than `estimate.SWEEP_BLOCK` amplitudes.  A phase-sweep block's
-    distinct stencil states fit in that, so no state of the block is
-    dropped before the block reads it again."""
+    than `estimate.SWEEP_BLOCK` amplitudes.  A phase-sweep block's five
+    stencil states per point (one step, `estimate.STEP`) fit in that, so
+    none is dropped before the block reads it again."""
     key = (phi, math.copysign(1.0, phi)) if isinstance(phi, float) else None
     attributes = vars(state)
     outputs = attributes.get("_outputs")
@@ -330,7 +330,7 @@ def _mode_numbers(cutoff: int, mode: str) -> np.ndarray:
 
 def parity_sector_povm(mode: str, cutoff: int) -> Readout:
     """Parity readout of one mode, value (-1)^n_mode: outcomes odd (-1), even (+1)."""
-    return Readout((-1.0) ** _mode_numbers(cutoff, mode).reshape(-1), BasisTag("fock", cutoff))
+    return Readout((-1.0) ** _mode_numbers(cutoff, mode).reshape(-1), _basis_tag("fock", cutoff))
 
 
 def parity_expectation(state: TwoModeFockState, mode: str) -> float:
@@ -367,13 +367,13 @@ def phase_sweep(
     estimator reads a whole block at once: `classical_fisher`'s stencils
     as one probability table of `povm_family`, `qfi_from_family`'s as one
     array of states, and `error_propagation`'s as one `readout_moments`
-    per state.  Each point still costs the family 15 calls, at the thetas
-    the scalar functions use, and every figure equals theirs bit for bit.
-    Only 9 of the 15 thetas are distinct (the signal's four are the
-    probability stencil's outer four, and the noise reads theta, the
-    centre of both stencils), so for a `ramsey` or `mz_two_mode` family
-    of one probe the 15 calls are 9 propagations: the other 6 return the
-    probe's kept outputs (`_propagate`).
+    per stencil state (the slope from the outer four means, the noise
+    from the variance at theta).  Each point still costs the family 15
+    calls, at the thetas the scalar functions use, and every figure
+    equals theirs bit for bit.  All three estimators read the same five
+    thetas (`estimate._stencil`, one step `estimate.STEP`), so for a
+    `ramsey` or `mz_two_mode` family of one probe the 15 calls are 5
+    propagations: the other 10 return the probe's kept outputs.
     """
     grid = np.atleast_1d(np.asarray(phi_grid, dtype=float))
     if grid.size == 0:
@@ -383,12 +383,10 @@ def phase_sweep(
     for block in _sweep_blocks(grid, readout.basis_tag.dim):
         fishers = _classical_fishers(family, block)
         qfis = _quantum_fishers(state_family, block)
-        signal = [
-            [readout_moments(state_family(theta), readout)[0] for theta in points]
-            for points in _signal_stencil(block)
-        ]
-        noise = [math.sqrt(readout_moments(state_family(phi), readout)[1]) for phi in block]
-        props = _error_propagations(np.array(signal), np.array(noise))
+        moments = np.array(
+            [[readout_moments(state_family(t), readout) for t in row] for row in _stencil(block)]
+        )
+        props = _error_propagations(moments[1:, :, 0], np.sqrt(moments[0, :, 1]))
         reports += [
             PrecisionReport(
                 theta=float(phi),

@@ -63,8 +63,8 @@ def _occupied(state) -> tuple:
 
 def _occupied_in(state, tag: BasisTag) -> tuple:
     """`_occupied` of a state, which must live in the basis `tag`.  The
-    tag is compared by identity first, which settles the common case (a
-    probe's outputs share its tag, and so does a readout built from it),
+    tag is compared by identity first, which settles the common case (the
+    library's states and readouts share one tag per space, `_basis_tag`),
     and by value only then."""
     if state.basis_tag is not tag and state.basis_tag != tag:
         raise ValueError(f"basis mismatch: state {state.basis_tag}, expected {tag}")
@@ -103,12 +103,19 @@ class BasisTag:
         return (self.size + 1) ** 2
 
 
+@functools.lru_cache(maxsize=None, typed=True)
+def _basis_tag(kind: str, size: int) -> BasisTag:
+    """The one `BasisTag` the library builds per (kind, size), shared so
+    that `_occupied_in` settles by identity; other tags compare by value."""
+    return BasisTag(kind, size)
+
+
 @dataclass(frozen=True)
 class CollectiveSpinState:
     """Unit-norm amplitude vector over |J,m>, m ascending, J = N/2.
 
-    ``basis_tag`` is the spin space of N, built once per state and shared
-    by the states derived from it (`_with_values`).
+    ``basis_tag`` is `_basis_tag` of N.  A pickled or copied state is
+    rebuilt by the constructor, without the caches it keeps privately.
     """
 
     n_particles: int
@@ -123,8 +130,11 @@ class CollectiveSpinState:
             raise ValueError(
                 f"amplitude vector must have length {n + 1}, got {amp.shape}"
             )
-        object.__setattr__(self, "basis_tag", BasisTag("spin", n))
+        object.__setattr__(self, "basis_tag", _basis_tag("spin", n))
         self._take(np.array(amp, order="C"))  # a copy: the caller's array stays writable
+
+    def __reduce__(self):
+        return CollectiveSpinState, (self.n_particles, self.amplitudes)
 
     def _take(self, values: np.ndarray, rescale: bool = False) -> None:
         """Keep ``values`` as the amplitudes: frozen in place after the
@@ -183,7 +193,7 @@ class CollectiveSpinOperators:
 
     @property
     def basis_tag(self) -> BasisTag:
-        return BasisTag("spin", self.n_particles)
+        return _basis_tag("spin", self.n_particles)
 
 
 @dataclass(frozen=True)

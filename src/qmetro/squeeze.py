@@ -28,6 +28,7 @@ from .spinops import (
     BasisTag,
     CollectiveSpinState,
     _band_evolve,
+    _basis_tag,
     _band_spectrum,
     _dicke_ladder,
     _mean_spin,
@@ -239,7 +240,7 @@ def bjj_hamiltonian(params: BjjParams) -> TridiagonalHamiltonian:
     return TridiagonalHamiltonian(
         params.imbalance * m + 0.5 * params.charging_energy * m**2,
         -params.tunneling * (0.5 * coupling),
-        BasisTag("spin", n),
+        _basis_tag("spin", n),
     )
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spinops import NORM_TOL, BasisTag, CollectiveSpinState, _readonly
+from .spinops import NORM_TOL, CollectiveSpinState, _basis_tag, _readonly
 
 __all__ = [
     "TwoModeFockState",
@@ -95,6 +95,9 @@ class TwoModeFockState:
 
     ``truncation_deficit`` is the probability weight dropped by the
     cutoff; amplitudes are NOT renormalized to hide it.
+
+    A pickled or copied state is rebuilt on the cached layout, without the
+    grid or the caches it keeps privately (`_unpickled`).
     """
 
     cutoff: int
@@ -111,38 +114,30 @@ class TwoModeFockState:
             raise ValueError(f"truncation deficit {truncation_deficit!r} out of range")
         na, nb = np.nonzero(amp)
         layout = _sector_layout(cutoff, tuple(np.flatnonzero(np.bincount(na + nb)).tolist()))
-        vars(self).update(
-            cutoff=cutoff,
-            truncation_deficit=truncation_deficit,
-            basis_tag=BasisTag("fock", cutoff),
-            _layout=layout,
-        )
-        self._take(amp.reshape(-1)[layout[1]])
+        self._take(cutoff, truncation_deficit, layout, amp.reshape(-1)[layout[1]])
 
-    def _take(self, values: np.ndarray) -> None:
-        """Keep ``values`` as the amplitudes at the layout's index, every
-        other amplitude being zero: frozen in place after the norm check
-        over them, not copied."""
+    def __reduce__(self):
+        support = tuple(self._layout[0].tolist())
+        return _unpickled, (self.cutoff, support, self._occupied[1], self.truncation_deficit)
+
+    def _take(self, cutoff: int, deficit: float, layout: tuple, values) -> "TwoModeFockState":
+        """Make this the state whose amplitudes at the layout's index are
+        ``values`` (frozen in place after the norm check over them, not
+        copied), every other amplitude being zero; returns it."""
         norm_sq = float(np.vdot(values, values).real)
-        if not abs(norm_sq - (1.0 - self.truncation_deficit)) <= NORM_TOL:  # NaN fails too
+        if not abs(norm_sq - (1.0 - deficit)) <= NORM_TOL:  # NaN fails too
             raise ValueError(f"state not normalized: sum |c|^2 = {norm_sq!r}")
         values.setflags(write=False)
-        vars(self)["_occupied"] = (self._layout[1], values)
+        vars(self).update(cutoff=cutoff, truncation_deficit=deficit, _layout=layout)
+        vars(self).update(basis_tag=_basis_tag("fock", cutoff), _occupied=(layout[1], values))
+        return self
 
     def _with_values(self, values: np.ndarray) -> "TwoModeFockState":
         """The state of this cutoff, deficit and support whose amplitudes
         at the shared index are ``values`` (`_take`); only their norm is
         checked."""
         state = object.__new__(TwoModeFockState)
-        shared = vars(self)
-        vars(state).update(
-            cutoff=shared["cutoff"],
-            truncation_deficit=shared["truncation_deficit"],
-            basis_tag=shared["basis_tag"],
-            _layout=shared["_layout"],
-        )
-        state._take(values)
-        return state
+        return state._take(self.cutoff, self.truncation_deficit, self._layout, values)
 
     @functools.cached_property
     def amplitudes(self) -> np.ndarray:
@@ -162,6 +157,13 @@ class TwoModeFockState:
         """Sorted total particle numbers n_a + n_b carrying any amplitude,
         read-only and shared like the index."""
         return self._layout[0]
+
+
+def _unpickled(cutoff: int, support: tuple, values, deficit: float) -> TwoModeFockState:
+    """The state `TwoModeFockState.__reduce__` gives: ``values`` copied
+    and checked (`_take`) at the cached layout of cutoff and support."""
+    state = object.__new__(TwoModeFockState)
+    return state._take(cutoff, deficit, _sector_layout(cutoff, support), np.array(values))
 
 
 @dataclass(frozen=True)

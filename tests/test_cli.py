@@ -361,6 +361,16 @@ class TestLargeN:
                 1.0, abs=1e-6
             )
 
+    def test_twinfock_parity_n400_qfi_sits_at_the_closed_form(self, tmp_path):
+        # F_Q reads F's five states at F's step: within 1e-9 of 2N(N+1) at N = 400
+        out = tmp_path / "tf.csv"
+        args = ["run", "twinfock-parity", "--n", "400", "--phi", "0.1:1.5:3"]
+        assert run_cli(args + ["--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 3
+        for row in rows:
+            assert float(row["qfi"]) / (2 * 400 * 401) == pytest.approx(1.0, abs=1e-9)
+
     def test_oat_squeeze_n2000_is_squeezed(self, tmp_path):
         out = tmp_path / "oat.csv"
         args = ["run", "oat-squeeze", "--n", "2000", "--chi", "0.01", "--t", "0.1:1:2"]

@@ -50,7 +50,7 @@ from qmetro import (
     twin_fock,
 )
 from qmetro import cli, estimate, interferom, spinops
-from qmetro.estimate import PROB_STEP, STATE_STEP
+from qmetro.estimate import STEP
 from qmetro.interferom import _mean_spin_axis, _mode_numbers, _parity_mean, _readout_variance_series
 from qmetro.spinops import _dicke_ladder, _jy_band, _occupied, _real_matvec, evolve
 from search_oracles import grid_then_golden
@@ -1095,18 +1095,18 @@ def one_point_oracle(family, readout, phi):
     def probabilities(theta):
         return povm_probabilities(family(theta), readout).clip(0.0)
 
-    p, dp = probabilities(phi), derivative(probabilities, PROB_STEP)
+    p, dp = probabilities(phi), derivative(probabilities, STEP)
     keep = p >= 1e-12
     fisher = float(np.sum(dp[keep] ** 2 / p[keep]))
 
     def amplitudes(theta):
         return _occupied(family(theta))[1]
 
-    psi, dpsi = amplitudes(phi), derivative(amplitudes, STATE_STEP)
+    psi, dpsi = amplitudes(phi), derivative(amplitudes, STEP)
     centered = dpsi - np.vdot(psi, dpsi) * psi
     qfi = 4.0 * float(np.vdot(centered, centered).real)
 
-    step = PROB_STEP
+    step = STEP
     samples = [readout_moments(family(phi + s), readout)[0] for s in (step, -step, 0.5 * step, -0.5 * step)]
     d_full = (samples[0] - samples[1]) / (2.0 * step)
     d_half = (samples[2] - samples[3]) / step
@@ -1120,12 +1120,10 @@ def one_point_oracle(family, readout, phi):
 
 def stencil_thetas(phi):
     """The 15 thetas one phase point reads the family at: F's and F_Q's five
-    central-difference points, the signal's four and the noise's one."""
-    thetas = []
-    for h in (PROB_STEP, STATE_STEP):
-        thetas += [phi, phi + 0.5 * h, phi - 0.5 * h, phi + h, phi - h]
-    step = PROB_STEP
-    return thetas + [phi + step, phi - step, phi + 0.5 * step, phi - 0.5 * step, phi]
+    central-difference points, the signal's four and the noise's one, all
+    with the one step."""
+    five = [phi, phi + 0.5 * STEP, phi - 0.5 * STEP, phi + STEP, phi - STEP]
+    return five + five + five
 
 
 def two_sector_family(theta):
@@ -1226,12 +1224,8 @@ class TestSweepBlocks:
         assert np.array_equal(family.table_at(thetas[1:]), expected[1:])
         assert calls == []  # one shared index: one bincount
 
-    @pytest.mark.parametrize(
-        "offset, error",
-        [(0.5 * STATE_STEP, InvalidFamilyError), (PROB_STEP, InvalidDistributionError)],
-        ids=["qfi-stencil", "fisher-stencil"],
-    )
-    def test_a_state_off_norm_at_one_stencil_theta_is_named(self, offset, error):
+    @pytest.mark.parametrize("offset", [0.5 * STEP, STEP], ids=["half-step", "full-step"])
+    def test_a_state_off_norm_at_one_stencil_theta_is_named(self, offset):
         probe = css(4, 0.0, 0.0)
         bad = 0.9 + offset
 
@@ -1241,11 +1235,11 @@ class TestSweepBlocks:
                 return SimpleNamespace(vector=state.amplitudes * (1.0 + 1e-6), basis_tag=state.basis_tag)
             return state
 
-        with pytest.raises(error, match=re.escape(f"theta={bad}")):
+        # F and F_Q read the same stencil, and F's probability table reads it first
+        with pytest.raises(InvalidDistributionError, match=re.escape(f"theta={bad}")):
             phase_sweep(family, jz_readout(probe), [0.3, 0.9, 1.5])
-        if error is InvalidFamilyError:
-            with pytest.raises(error, match=re.escape(f"theta={bad}")):
-                qfi_from_family(family, 0.9)
+        with pytest.raises(InvalidFamilyError, match=re.escape(f"theta={bad}")):
+            qfi_from_family(family, 0.9)
 
 
 KEPT_PROBES = {
@@ -1319,7 +1313,7 @@ class TestKeptOutputs:
         assert ramsey(probe, 0.9) is ramsey(probe, 0.9)
 
     @pytest.mark.parametrize("name", ["css-10", "twin-fock-5"])
-    def test_a_sweep_point_propagates_its_nine_distinct_phases_once(self, monkeypatch, name):
+    def test_a_sweep_point_propagates_its_five_distinct_phases_once(self, monkeypatch, name):
         family, readout = SWEPT_FAMILIES[name]()
         phases = []
         real = interferom._interfere
@@ -1328,14 +1322,14 @@ class TestKeptOutputs:
         )
         grid = np.linspace(0.2, 2.9, 4)
         reports = phase_sweep(family, readout, grid)
-        assert len(phases) == 9 * grid.size
+        assert len(phases) == 5 * grid.size
         assert sorted(phases) == sorted({t for phi in grid for t in stencil_thetas(phi)})
         fresh_family, _ = SWEPT_FAMILIES[name]()
         monkeypatch.setattr(interferom, "_interfere", real)
         assert reports == phase_sweep(fresh_family, readout, grid)
 
     def test_the_cli_parity_column_reads_a_kept_state(self, monkeypatch):
-        # 15 family calls per point and the parity's 16th, 9 propagations
+        # 15 family calls per point and the parity's 16th, 5 propagations
         calls, phases = [], []
         real_mz, real_interfere = cli.mz_two_mode, interferom._interfere
         monkeypatch.setattr(cli, "mz_two_mode", lambda s, phi: calls.append(phi) or real_mz(s, phi))
@@ -1344,7 +1338,7 @@ class TestKeptOutputs:
         )
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["run", "twinfock-parity", "--n", "5,10,14", "--phi", "0.01:pi/2:10"]) == 0
-        assert (len(calls), len(phases)) == (16 * 30, 9 * 30)
+        assert (len(calls), len(phases)) == (16 * 30, 5 * 30)
 
     def test_a_long_large_sweep_keeps_at_most_sweep_block_amplitudes(self, monkeypatch):
         probe = css(1000, 0.0, 0.0)
@@ -1358,4 +1352,4 @@ class TestKeptOutputs:
         phase_sweep(lambda phi: ramsey(probe, phi), jz_readout(probe), grid)
         kept = vars(probe)["_outputs"][1].values()
         assert 0 < sum(_occupied(state)[1].size for state in kept) <= estimate.SWEEP_BLOCK
-        assert len(phases) == 9 * grid.size  # no state is dropped before its block reads it again
+        assert len(phases) == 5 * grid.size  # no state is dropped before its block reads it again

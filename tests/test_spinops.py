@@ -19,11 +19,13 @@ from qmetro import (
     ghz,
     moments,
     mz_two_mode,
+    parity_sector_povm,
     povm_family,
     povm_probabilities,
     ramsey,
     readout_moments,
     rotate,
+    twin_fock,
     TwoModeFockState,
 )
 from qmetro import spinops
@@ -521,6 +523,25 @@ class TestValidation:
             readout_moments(s, shared)
         with pytest.raises(AssertionError, match="compared by value"):
             readout_moments(state, equal)
+
+    def test_the_library_builds_one_tag_per_space(self, monkeypatch):
+        # states, operators and readouts of one space share one tag object,
+        # so a parity readout settles its check on a probe's output by identity
+        n = 4
+        probe = twin_fock(n)
+        parity = parity_sector_povm("b", 2 * n)
+        assert parity.basis_tag is probe.basis_tag
+        assert css(3, 0.4, 0.1).basis_tag is ghz(3).basis_tag is collective_ops(3).basis_tag
+        user = BasisTag("fock", 2 * n)
+        assert user is not probe.basis_tag and user == probe.basis_tag
+
+        def refuse(self, other):
+            raise AssertionError("compared by value")
+
+        monkeypatch.setattr(BasisTag, "__eq__", refuse)
+        readout_moments(mz_two_mode(probe, 0.3), parity)
+        with pytest.raises(AssertionError, match="compared by value"):
+            readout_moments(probe, Readout(parity.value, user))
 
     def test_mismatched_readout_still_raises(self):
         state = css(3, 0.4, 0.1)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from qmetro import (
     BasisTag,
     EcsParams,
     Observable,
+    Readout,
     TruncationError,
     TwoModeFockState,
     collective_ops,
@@ -19,9 +22,14 @@ from qmetro import (
     expectation_vector,
     ghz,
     moments,
+    mz_two_mode,
+    parity_sector_povm,
+    phase_sweep,
+    ramsey,
     rotate,
     twin_fock,
 )
+from qmetro.spinops import _occupied
 from qmetro.statelib import (
     ECS_MAX_CUTOFF,
     ECS_TAIL_BOUND,
@@ -398,6 +406,45 @@ class TestTotalNumberSupport:
         assert state.total_number_support() is support
         with pytest.raises(ValueError):
             support[0] = 7
+
+
+ROUND_TRIPS = {"pickle": lambda state: pickle.loads(pickle.dumps(state)), "deepcopy": copy.deepcopy}
+
+SWEPT_PROBES = {
+    "css": (lambda: css(60, 0.7, 0.2), ramsey, lambda s: Readout(s.m_values, s.basis_tag)),
+    "twin-fock": (lambda: twin_fock(20), mz_two_mode, lambda s: parity_sector_povm("b", s.cutoff)),
+    "ecs": (lambda: ecs(1.5), mz_two_mode, lambda s: parity_sector_povm("b", s.cutoff)),
+}
+
+
+class TestPickleAndCopy:
+    """A pickled or deep-copied state is the same frozen value, without the
+    caches a state keeps privately (kept half, kept outputs, dense grid)."""
+
+    @pytest.mark.parametrize("trip", list(ROUND_TRIPS))
+    @pytest.mark.parametrize("name", list(SWEPT_PROBES))
+    def test_a_swept_probe_comes_back_frozen_and_without_caches(self, name, trip):
+        make, sequence, readout = SWEPT_PROBES[name]
+        fresh = len(pickle.dumps(make()))
+        probe = make()
+        phase_sweep(lambda phi: sequence(probe, phi), readout(probe), [0.3, 0.9, 1.4])
+        grid = probe.amplitudes  # the two-mode grid, now cached on the probe
+        assert {"_kept_half", "_outputs"} <= set(vars(probe))
+        assert len(pickle.dumps(probe)) == fresh
+
+        back = ROUND_TRIPS[trip](probe)
+        assert type(back) is type(probe)
+        assert not {"_kept_half", "_outputs"} & set(vars(back))
+        if isinstance(back, TwoModeFockState):
+            assert "amplitudes" not in vars(back)
+            assert back.cutoff == probe.cutoff
+            assert back.truncation_deficit == probe.truncation_deficit
+        assert back.basis_tag is probe.basis_tag
+        for array in (_occupied(back)[1], back.amplitudes):
+            assert not array.flags.writeable
+        assert np.array_equal(back.amplitudes, grid)
+        again = _occupied(sequence(back, 0.7))[1]
+        assert again.tobytes() == _occupied(sequence(make(), 0.7))[1].tobytes()
 
 
 class TestLogFactorials:
