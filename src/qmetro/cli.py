@@ -46,15 +46,14 @@ from .estimate import (
     run_monte_carlo,
 )
 from .interferom import (
-    _mode_numbers,
+    _mode_readout,
     _parity_mean,
-    mz_single_particle_state,
     mz_two_mode,
     parity_sector_povm,
     phase_sweep,
     ramsey,
 )
-from .spinops import CollectiveSpinState, _basis_tag, rotate
+from .spinops import rotate
 from .squeeze import (
     BjjParams,
     OatParams,
@@ -278,15 +277,8 @@ def _sweep_rows(cfg: SimpleNamespace, n: int, state_family, readout, **extra) ->
 
 
 def _run_mz_single(cfg: SimpleNamespace):
-    # one particle is the N = 1 spin; by the Schwinger map path b is m = -1/2,
-    # and the readout counts +1 in path a and -1 in path b
-    rows = _sweep_rows(
-        cfg,
-        1,
-        lambda phi: CollectiveSpinState(1, mz_single_particle_state(phi)[::-1]),
-        Readout(np.array([-1.0, 1.0]), _basis_tag("spin", 1)),
-    )
-    return rows, _min_summary(rows, "delta_theta_errorprop")
+    # one particle is the N = 1 spin (Yurke, McCall & Klauder, PRA 33, 4033, 1986)
+    return _run_ramsey_css(SimpleNamespace(**vars(cfg), n=(1,)))
 
 
 def _run_ramsey_css(cfg: SimpleNamespace):
@@ -338,7 +330,7 @@ def _run_ecs_qfi(cfg: SimpleNamespace):
     for alpha in cfg.alpha:
         # F_Q = 4 Var n_b under the phase e^{i phi n_b}, exact
         state = ecs(alpha)
-        n_b = Readout(_mode_numbers(state.cutoff, "b").reshape(-1), state.basis_tag)
+        n_b = _mode_readout("b", np.arange(state.cutoff + 1.0), state.cutoff)
         qfi = 4.0 * readout_moments(state, n_b)[1]
         rows.append({"alpha": float(alpha), "qfi": qfi, "qcrb": cramer_rao(qfi, cfg.v or 1)})
     return rows, _min_summary(rows, "qcrb", swept="alpha")

@@ -14,7 +14,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from ._search import grid_then_golden_many
-from .spinops import ALL, BasisTag, Observable, _moments, _occupied, _occupied_in, _readonly, moments
+from .spinops import ALL, BasisTag, Observable, _moments, _occupied, _occupied_in, _readonly
+from .spinops import _rebuilt, moments
 
 __all__ = [
     "InvalidDistributionError",
@@ -43,6 +44,9 @@ MLE_GRID = 512  # grid points of the maximum-likelihood search
 LIKELIHOOD_BLOCK = 1 << 13  # most float terms summed in one likelihood block (64 kB)
 SWEEP_BLOCK = 1 << 16  # most amplitudes in one phase-sweep block's stencil states (1 MB)
 SWEEP_STATES = 15  # stencil states per phase point: five for each of F, F_Q and error propagation
+# least amplitudes a stencil or kept state is charged against SWEEP_BLOCK
+# (1 kB): a kept N = 1 state's objects hold about 570 bytes
+STATE_CHARGE = 64
 
 
 class InvalidDistributionError(ValueError):
@@ -168,6 +172,8 @@ class Readout:
         object.__setattr__(self, "outcome_values", _readonly(outcome_values))
         object.__setattr__(self, "outcome", _readonly(outcome))
 
+    __reduce__ = _rebuilt
+
     def __len__(self):
         return self.outcome_values.size
 
@@ -207,6 +213,8 @@ class MonteCarloRun:
 
     def __post_init__(self):
         object.__setattr__(self, "estimates", _readonly(np.asarray(self.estimates, dtype=float)))
+
+    __reduce__ = _rebuilt
 
 
 def classical_fisher(family: DistributionFamily, theta: float) -> float:
@@ -399,9 +407,10 @@ def _error_propagations(signals: np.ndarray, sigma: np.ndarray) -> list[ErrorPro
 
 def _sweep_blocks(grid: np.ndarray, dim: int) -> list[np.ndarray]:
     """The grid cut into consecutive blocks of points whose SWEEP_STATES
-    stencil states each, of dimension ``dim``, hold at most SWEEP_BLOCK
-    amplitudes; a block has at least one point."""
-    points = max(1, SWEEP_BLOCK // (SWEEP_STATES * dim))
+    stencil states each, of dimension ``dim`` and each charged at least
+    STATE_CHARGE, hold at most SWEEP_BLOCK amplitudes; a block has at least
+    one point."""
+    points = max(1, SWEEP_BLOCK // (SWEEP_STATES * max(dim, STATE_CHARGE)))
     return [grid[i : i + points] for i in range(0, grid.size, points)]
 
 

@@ -31,6 +31,7 @@ from collections import OrderedDict
 import numpy as np
 
 from .estimate import (
+    STATE_CHARGE,
     SWEEP_BLOCK,
     PrecisionReport,
     _classical_fishers,
@@ -149,9 +150,10 @@ def _propagate(state, phi, first_half, **finish):
     {phi key: state} in the order kept): a probe whose kept half is
     replaced or rebuilt starts afresh, a failed call keeps nothing, and
     the oldest outputs are dropped before the kept ones would hold more
-    than `estimate.SWEEP_BLOCK` amplitudes.  A phase-sweep block's five
-    stencil states per point (one step, `estimate.STEP`) fit in that, so
-    none is dropped before the block reads it again."""
+    than `estimate.SWEEP_BLOCK` amplitudes, each charged at least
+    `estimate.STATE_CHARGE`.  A phase-sweep block's five stencil states
+    per point (one step, `estimate.STEP`) fit in that, so none is dropped
+    before the block reads it again."""
     key = (phi, math.copysign(1.0, phi)) if isinstance(phi, float) else None
     attributes = vars(state)
     outputs = attributes.get("_outputs")
@@ -166,10 +168,10 @@ def _propagate(state, phi, first_half, **finish):
         if outputs is None or outputs[0] is not kept:
             outputs = (kept, OrderedDict())
             object.__setattr__(state, "_outputs", outputs)
-        kept_outputs = outputs[1]
-        while kept_outputs and (len(kept_outputs) + 1) * values.size > SWEEP_BLOCK:
+        kept_outputs, charge = outputs[1], max(values.size, STATE_CHARGE)
+        while kept_outputs and (len(kept_outputs) + 1) * charge > SWEEP_BLOCK:
             kept_outputs.popitem(last=False)
-        if values.size <= SWEEP_BLOCK:
+        if charge <= SWEEP_BLOCK:
             kept_outputs[key] = out
     return out
 
@@ -319,18 +321,24 @@ def _first_splitter(state: TwoModeFockState) -> tuple:
     return tuple(kept)
 
 
-def _mode_numbers(cutoff: int, mode: str) -> np.ndarray:
-    n = np.arange(cutoff + 1)
-    if mode == "a":
-        return np.repeat(n, cutoff + 1).reshape(cutoff + 1, cutoff + 1)
-    if mode == "b":
-        return np.tile(n, (cutoff + 1, 1))
-    raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
+def _mode_readout(mode: str, row: np.ndarray, cutoff: int) -> Readout:
+    """`Readout` of the value row[n_mode] on |n_a, n_b>, bit for bit, with
+    its outcomes found on the row alone and spread over the grid as n_mode is."""
+    spread = {"a": np.repeat, "b": np.tile}.get(mode)
+    if spread is None:
+        raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
+    outcome_values, outcome = np.unique(row, return_inverse=True)
+    readout = object.__new__(Readout)
+    vars(readout).update(value=spread(row, cutoff + 1), outcome=spread(outcome, cutoff + 1))
+    vars(readout).update(outcome_values=outcome_values, basis_tag=_basis_tag("fock", cutoff))
+    for a in (readout.value, readout.outcome, outcome_values):
+        a.setflags(write=False)
+    return readout
 
 
 def parity_sector_povm(mode: str, cutoff: int) -> Readout:
     """Parity readout of one mode, value (-1)^n_mode: outcomes odd (-1), even (+1)."""
-    return Readout((-1.0) ** _mode_numbers(cutoff, mode).reshape(-1), _basis_tag("fock", cutoff))
+    return _mode_readout(mode, (-1.0) ** np.arange(cutoff + 1), cutoff)
 
 
 def parity_expectation(state: TwoModeFockState, mode: str) -> float:

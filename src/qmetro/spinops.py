@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -79,6 +79,14 @@ def _readonly(a):
     return frozen
 
 
+def _rebuilt(value) -> tuple:
+    """`__reduce__` of a frozen value type: a pickled or copied value is
+    rebuilt by its constructor from its init fields, so its arrays come
+    back read-only, its tag is the shared one, and no private cache
+    goes with it."""
+    return type(value), tuple(getattr(value, f.name) for f in fields(value) if f.init)
+
+
 @dataclass(frozen=True)
 class BasisTag:
     """Identifies the Hilbert space a matrix or state lives in.
@@ -96,6 +104,9 @@ class BasisTag:
         if self.size < 0:
             raise ValueError("basis size must be non-negative")
 
+    def __reduce__(self):
+        return _basis_tag, (self.kind, self.size)
+
     @property
     def dim(self) -> int:
         if self.kind == "spin":
@@ -110,12 +121,13 @@ def _basis_tag(kind: str, size: int) -> BasisTag:
     return BasisTag(kind, size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CollectiveSpinState:
     """Unit-norm amplitude vector over |J,m>, m ascending, J = N/2.
 
     ``basis_tag`` is `_basis_tag` of N.  A pickled or copied state is
-    rebuilt by the constructor, without the caches it keeps privately.
+    rebuilt by the constructor (`_rebuilt`), without the caches it keeps
+    privately.  States compare and hash by identity.
     """
 
     n_particles: int
@@ -133,8 +145,7 @@ class CollectiveSpinState:
         object.__setattr__(self, "basis_tag", _basis_tag("spin", n))
         self._take(np.array(amp, order="C"))  # a copy: the caller's array stays writable
 
-    def __reduce__(self):
-        return CollectiveSpinState, (self.n_particles, self.amplitudes)
+    __reduce__ = _rebuilt
 
     def _take(self, values: np.ndarray, rescale: bool = False) -> None:
         """Keep ``values`` as the amplitudes: frozen in place after the
@@ -186,6 +197,8 @@ class CollectiveSpinOperators:
             _check_hermitian(mat, name)
             object.__setattr__(self, name, _readonly(mat))
 
+    __reduce__ = _rebuilt
+
     def along(self, axis) -> np.ndarray:
         """Matrix of the spin component n . J for a 3-vector n."""
         ax = np.asarray(axis, dtype=float)
@@ -214,6 +227,8 @@ class Observable:
                 f"{self.basis_tag}"
             )
         object.__setattr__(self, "matrix", _readonly(mat))
+
+    __reduce__ = _rebuilt
 
     @property
     def dim(self) -> int:

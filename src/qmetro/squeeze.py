@@ -34,6 +34,7 @@ from .spinops import (
     _mean_spin,
     _moments,
     _readonly,
+    _rebuilt,
     _spin_covariance,
     apply,
 )
@@ -88,6 +89,8 @@ class SqueezingReport:
             "min_perp_direction",
             _readonly(np.asarray(self.min_perp_direction, float)),
         )
+
+    __reduce__ = _rebuilt
 
 
 @dataclass(frozen=True)
@@ -218,6 +221,8 @@ class TridiagonalHamiltonian:
         object.__setattr__(self, "diagonal", _readonly(diag))
         object.__setattr__(self, "off_diagonal", _readonly(off))
 
+    __reduce__ = _rebuilt
+
     @property
     def matrix(self) -> np.ndarray:
         """The dense matrix, for tests and inspection."""
@@ -256,6 +261,8 @@ class SpectralResult:
     def __post_init__(self):
         object.__setattr__(self, "energies", _readonly(np.asarray(self.energies)))
         object.__setattr__(self, "states", _readonly(np.asarray(self.states)))
+
+    __reduce__ = _rebuilt
 
     @property
     def ground_energy(self) -> float:

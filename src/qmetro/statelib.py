@@ -96,8 +96,8 @@ class TwoModeFockState:
     ``truncation_deficit`` is the probability weight dropped by the
     cutoff; amplitudes are NOT renormalized to hide it.
 
-    A pickled or copied state is rebuilt on the cached layout, without the
-    grid or the caches it keeps privately (`_unpickled`).
+    A pickled or copied state is rebuilt from its sectors as the constructors
+    build it (`_from_sectors`), without the grid or its private caches.
     """
 
     cutoff: int
@@ -118,7 +118,7 @@ class TwoModeFockState:
 
     def __reduce__(self):
         support = tuple(self._layout[0].tolist())
-        return _unpickled, (self.cutoff, support, self._occupied[1], self.truncation_deficit)
+        return _from_sectors, (self.cutoff, support, self._occupied[1], self.truncation_deficit)
 
     def _take(self, cutoff: int, deficit: float, layout: tuple, values) -> "TwoModeFockState":
         """Make this the state whose amplitudes at the layout's index are
@@ -159,9 +159,9 @@ class TwoModeFockState:
         return self._layout[0]
 
 
-def _unpickled(cutoff: int, support: tuple, values, deficit: float) -> TwoModeFockState:
-    """The state `TwoModeFockState.__reduce__` gives: ``values`` copied
-    and checked (`_take`) at the cached layout of cutoff and support."""
+def _from_sectors(cutoff: int, support: tuple, values, deficit: float = 0.0) -> TwoModeFockState:
+    """The state of amplitudes ``values`` at the cached layout of cutoff and
+    support (`_sector_layout`), copied and checked (`_take`)."""
     state = object.__new__(TwoModeFockState)
     return state._take(cutoff, deficit, _sector_layout(cutoff, support), np.array(values))
 
@@ -256,9 +256,8 @@ def twin_fock(n_per_mode: int, cutoff: int | None = None) -> TwoModeFockState:
         cutoff = 2 * n
     if cutoff < 2 * n:
         raise ValueError(f"cutoff must be >= 2N = {2 * n}, got {cutoff}")
-    amp = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    amp[n, n] = 1.0
-    return TwoModeFockState(cutoff, amp)
+    unit = np.eye(1, 2 * n + 1, n, dtype=complex)[0]  # n_a = N in the sector n_a = 0..2N
+    return _from_sectors(cutoff, (2 * n,), unit)
 
 
 def ecs_branch_tail(alpha: complex, cutoff: int) -> float:
@@ -331,8 +330,11 @@ def ecs(alpha: complex) -> TwoModeFockState:
         branch = mag * unit**n
     branch = params.norm_factor * branch
 
-    amp = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    amp[:, 0] += branch  # |alpha>_a |0>_b
-    amp[0, :] += branch  # |0>_a |alpha>_b (shared vacuum term doubles)
+    # sector n holds |0, n> at start[n] and |n, 0> at start[n] + n; |0, n> is first
+    # in grid and sector order, so `_phase_normalized` picks the grid's reference
+    start = n * (n + 1) // 2
+    amp = np.zeros(start[-1] + cutoff + 1, dtype=complex)
+    amp[start + n] += branch  # |alpha>_a |0>_b
+    amp[start] += branch  # |0>_a |alpha>_b (shared vacuum term doubles)
     deficit = 2.0 * params.norm_factor**2 * tail
-    return TwoModeFockState(cutoff, _phase_normalized(amp), deficit)
+    return _from_sectors(cutoff, tuple(range(cutoff + 1)), _phase_normalized(amp), deficit)

@@ -230,6 +230,15 @@ class TestRecords:
                 assert float(row[column]) == pytest.approx(1.0, abs=1e-8)
             assert float(row["crb"]) == pytest.approx(0.5, abs=1e-8)
 
+    def test_mz_single_is_the_one_particle_ramsey(self, tmp_path):
+        runs = {}
+        for name, extra in (("mz-single", []), ("ramsey-css", ["--n", "1"])):
+            out = tmp_path / f"{name}.csv"
+            assert run_cli(["run", name, *extra, "--phi", "0:pi:9", "--v", "3", "--out", str(out)]) == 0
+            runs[name] = [{k: v for k, v in row.items() if k != "experiment"} for row in read_csv(out)]
+        assert len(runs["mz-single"]) == 9
+        assert runs["mz-single"] == runs["ramsey-css"]
+
     def test_twinfock_parity_at_zero(self, tmp_path):
         out = tmp_path / "tf.csv"
         code = run_cli(

@@ -1,10 +1,12 @@
 import contextlib
 import io
+import itertools
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -51,7 +53,7 @@ from qmetro import (
 )
 from qmetro import cli, estimate, interferom, spinops
 from qmetro.estimate import STEP
-from qmetro.interferom import _mean_spin_axis, _mode_numbers, _parity_mean, _readout_variance_series
+from qmetro.interferom import _mean_spin_axis, _parity_mean, _readout_variance_series
 from qmetro.spinops import _dicke_ladder, _jy_band, _occupied, _real_matvec, evolve
 from search_oracles import grid_then_golden
 
@@ -620,7 +622,7 @@ def fock_readouts(cutoff, seed):
     return [
         parity_sector_povm("a", cutoff),
         parity_sector_povm("b", cutoff),
-        Readout(_mode_numbers(cutoff, "b").reshape(-1), tag),
+        Readout(np.tile(np.arange(cutoff + 1), cutoff + 1), tag),
         projective_povm(tag),
         Readout(values[np.random.default_rng(seed + 1).integers(0, 5, size=tag.dim)], tag),
     ]
@@ -838,6 +840,35 @@ class TestModeOperators:
         with pytest.raises(ValueError, match="mode"):
             parity_sector_povm("c", 2)
 
+    @pytest.mark.parametrize("cutoff", [0, 1, 2, 7, 30])
+    def test_row_readouts_equal_the_grid_readouts(self, cutoff):
+        # the flat position n_a (cutoff + 1) + n_b split into its modes
+        n_a, n_b = np.divmod(np.arange((cutoff + 1) ** 2), cutoff + 1)
+        tag = BasisTag("fock", cutoff)
+        pairs = [
+            (parity_sector_povm("a", cutoff), Readout((-1.0) ** n_a, tag)),
+            (parity_sector_povm("b", cutoff), Readout((-1.0) ** n_b, tag)),
+            # ecs-qfi's n_b readout
+            (interferom._mode_readout("b", np.arange(cutoff + 1.0), cutoff), Readout(n_b, tag)),
+        ]
+        for readout, grid in pairs:
+            assert readout.basis_tag == tag
+            for name in ("value", "outcome", "outcome_values"):
+                row, dense = getattr(readout, name), getattr(grid, name)
+                assert not row.flags.writeable
+                assert (row.dtype, row.shape) == (dense.dtype, dense.shape)
+                assert row.tobytes() == dense.tobytes()
+
+    def test_parity_readout_sorts_no_grid(self):
+        tracemalloc.start()
+        try:
+            parity_sector_povm("b", 4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # value and outcome are 128 MB each; the grid path peaked at 912 MB
+        assert peak < 300e6
+
 
 class TestReadoutRotation:
     def test_reaches_min_perpendicular_variance(self):
@@ -1047,7 +1078,7 @@ def css_ramsey_family(n):
 
 
 def mz_single_family():
-    # the N = 1 spin of the command line's mz-single: path b is m = -1/2
+    # the single-particle pipeline as the N = 1 spin: path b is m = -1/2
     return (
         lambda phi: CollectiveSpinState(1, mz_single_particle_state(phi)[::-1]),
         Readout(np.array([-1.0, 1.0]), BasisTag("spin", 1)),
@@ -1194,7 +1225,8 @@ class TestSweepBlocks:
         grid = np.linspace(0.05, 1.5, 7)
         assert len(estimate._sweep_blocks(grid, dim)) == 1
         whole = phase_sweep(family, readout, grid)
-        monkeypatch.setattr(estimate, "SWEEP_BLOCK", points * estimate.SWEEP_STATES * dim)
+        charge = max(dim, estimate.STATE_CHARGE)
+        monkeypatch.setattr(estimate, "SWEEP_BLOCK", points * estimate.SWEEP_STATES * charge)
         assert [block.size for block in estimate._sweep_blocks(grid, dim)] == sizes
         assert phase_sweep(family, readout, grid) == whole
 
@@ -1353,3 +1385,21 @@ class TestKeptOutputs:
         kept = vars(probe)["_outputs"][1].values()
         assert 0 < sum(_occupied(state)[1].size for state in kept) <= estimate.SWEEP_BLOCK
         assert len(phases) == 5 * grid.size  # no state is dropped before its block reads it again
+
+    def test_a_long_one_particle_sweep_keeps_at_most_sweep_block_bytes(self, monkeypatch):
+        # each kept state is charged at least STATE_CHARGE amplitudes: by its
+        # two amplitudes alone, 4000 points at N = 1 kept 20 000 states, 11.4 MB
+        probe = css(1, 0.0, 0.0)
+        readout = jz_readout(probe)
+        calls, real = itertools.count(), interferom._interfere  # a counter holds no phases
+        monkeypatch.setattr(interferom, "_interfere", lambda *args: (next(calls), real(*args))[1])
+        grid = np.linspace(0.05, 3.09, 4000)
+        tracemalloc.start()
+        try:
+            phase_sweep(lambda phi: ramsey(probe, phi), readout, grid)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(vars(probe)["_outputs"][1]) * estimate.STATE_CHARGE <= estimate.SWEEP_BLOCK
+        assert held < 16 * estimate.SWEEP_BLOCK  # 1 MB
+        assert next(calls) == 5 * grid.size

@@ -467,6 +467,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="normalized"):
             CollectiveSpinState(1, np.array([1.0, 1.0]))
 
+    def test_states_compare_and_hash_by_identity(self):
+        a, b = css(2, 0.0, 0.0), css(2, 0.0, 0.0)
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
+
     def test_state_rejects_nan_amplitudes(self):
         with pytest.raises(ValueError, match="normalized"):
             CollectiveSpinState(2, np.array([np.nan, 0.0, 0.0]))

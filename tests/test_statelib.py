@@ -1,6 +1,8 @@
 import copy
+import dataclasses
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +12,15 @@ from hypothesis import strategies as st
 
 from qmetro import (
     BasisTag,
+    BjjParams,
     EcsParams,
+    MonteCarloRun,
     Observable,
     Readout,
+    SpectralResult,
     TruncationError,
     TwoModeFockState,
+    bjj_hamiltonian,
     collective_ops,
     css,
     ecs,
@@ -27,9 +33,10 @@ from qmetro import (
     phase_sweep,
     ramsey,
     rotate,
+    squeezing_parameters,
     twin_fock,
 )
-from qmetro.spinops import _occupied
+from qmetro.spinops import _basis_tag, _occupied
 from qmetro.statelib import (
     ECS_MAX_CUTOFF,
     ECS_TAIL_BOUND,
@@ -51,6 +58,41 @@ def fsum_branch_tail(lam, cutoff):
         if n > lam and terms[-1] < 1e-40 * max(terms):
             return math.fsum(terms)
         n += 1
+
+
+def dense_twin_fock(n, cutoff):
+    """|N, N> set in the dense grid and parsed by the grid constructor:
+    the oracle of `twin_fock`."""
+    grid = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    grid[n, n] = 1.0
+    return TwoModeFockState(cutoff, grid)
+
+
+def dense_ecs(alpha):
+    """The two coherent branches added into the dense grid, phase-normalized
+    over it and parsed by the grid constructor: the oracle of `ecs`."""
+    alpha = complex(alpha)
+    params = EcsParams.from_alpha(alpha)
+    lam = abs(alpha) ** 2
+    cutoff, tail = _ecs_cutoff(lam)
+    n = np.arange(cutoff + 1)
+    branch = np.zeros(cutoff + 1, dtype=complex)
+    branch[0] = 1.0
+    if lam:
+        mag = np.exp(-0.5 * lam + n * math.log(abs(alpha)) - 0.5 * _log_factorials(cutoff))
+        branch = mag * (alpha / abs(alpha)) ** n
+    branch = params.norm_factor * branch
+    grid = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    grid[:, 0] += branch
+    grid[0, :] += branch
+    return TwoModeFockState(cutoff, _phase_normalized(grid), 2.0 * params.norm_factor**2 * tail)
+
+
+def assert_same_bits(state, oracle):
+    assert (state.cutoff, state.truncation_deficit) == (oracle.cutoff, oracle.truncation_deficit)
+    assert state.total_number_support().tolist() == oracle.total_number_support().tolist()
+    assert _occupied(state)[0] is _occupied(oracle)[0]  # the one cached layout
+    assert _occupied(state)[1].tobytes() == _occupied(oracle)[1].tobytes()
 
 
 def mode_numbers(cutoff, sign):
@@ -210,8 +252,27 @@ class TestTwinFock:
         with pytest.raises(ValueError, match="cutoff"):
             twin_fock(3, cutoff=5)
 
+    @pytest.mark.parametrize("n", [0, 1, 5, 14])
+    @pytest.mark.parametrize("extra", [0, 1, 7])
+    def test_equals_the_grid_construction_bit_for_bit(self, n, extra):
+        assert_same_bits(twin_fock(n, 2 * n + extra), dense_twin_fock(n, 2 * n + extra))
+
+    def test_builds_no_grid(self):
+        tracemalloc.start()
+        try:
+            twin_fock(2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the 4001^2 complex grid alone is 256 MB
+
 
 class TestEcs:
+    # at alpha = 10 the vacuum lies below the reference threshold of `_phase_normalized`
+    @pytest.mark.parametrize("alpha", [0, 0.5, 4, 10, 3 + 2j, -1.5j])
+    def test_equals_the_grid_construction_bit_for_bit(self, alpha):
+        assert_same_bits(ecs(alpha), dense_ecs(alpha))
+
     def test_alpha_zero_is_vacuum(self):
         state = ecs(0.0)
         assert state.cutoff == 0
@@ -445,6 +506,43 @@ class TestPickleAndCopy:
         assert np.array_equal(back.amplitudes, grid)
         again = _occupied(sequence(back, 0.7))[1]
         assert again.tobytes() == _occupied(sequence(make(), 0.7))[1].tobytes()
+
+
+VALUE_TYPES = {
+    "readout": lambda: Readout(np.arange(5.0), _basis_tag("spin", 4)),
+    "parity-readout": lambda: parity_sector_povm("b", 3),
+    "spin-operators": lambda: collective_ops(3),
+    "observable": lambda: Observable(np.diag([1.0, -1.0]), BasisTag("spin", 1)),
+    "tridiagonal-hamiltonian": lambda: bjj_hamiltonian(BjjParams(4, 1.0, charging_energy=1.0)),
+    "spectral-result": lambda: SpectralResult(np.array([-1.0, 1.0]), np.eye(2), False),
+    "squeezing-report": lambda: squeezing_parameters(css(10, 1.2, 0.3)),
+    "monte-carlo-run": lambda: MonteCarloRun(0, 10, 0.5, [0.4, 0.6], 0.0, 0.01),
+}
+
+
+class TestValueTypesRoundTrip:
+    """A pickled or deep-copied value is rebuilt by its constructor: its
+    arrays come back equal and read-only, and its tag is the shared one."""
+
+    @pytest.mark.parametrize("trip", list(ROUND_TRIPS))
+    @pytest.mark.parametrize("name", list(VALUE_TYPES))
+    def test_comes_back_equal_and_frozen(self, name, trip):
+        value = VALUE_TYPES[name]()
+        back = ROUND_TRIPS[trip](value)
+        assert type(back) is type(value)
+        for field in dataclasses.fields(value):
+            old, new = getattr(value, field.name), getattr(back, field.name)
+            if isinstance(old, np.ndarray):
+                assert not new.flags.writeable
+                assert new.dtype == old.dtype and np.array_equal(new, old)
+            elif isinstance(old, BasisTag):
+                assert new is _basis_tag(old.kind, old.size)
+            else:
+                assert new == old
+
+    @pytest.mark.parametrize("trip", list(ROUND_TRIPS))
+    def test_a_basis_tag_comes_back_as_the_shared_one(self, trip):
+        assert ROUND_TRIPS[trip](BasisTag("fock", 3)) is _basis_tag("fock", 3)
 
 
 class TestLogFactorials:
