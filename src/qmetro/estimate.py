@@ -14,8 +14,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from ._search import grid_then_golden_many
-from .spinops import ALL, BasisTag, Observable, _moments, _occupied, _occupied_in, _readonly
-from .spinops import _rebuilt, moments
+from .spinops import ALL, BasisTag, Observable, _moments, _occupied, _occupied_in
+from .spinops import _value_type, moments
 
 __all__ = [
     "InvalidDistributionError",
@@ -138,7 +138,7 @@ class DistributionFamily:
         return p.clip(0.0)
 
 
-@dataclass(frozen=True)
+@_value_type()
 class Readout:
     """Diagonal measurement in the computational basis of a tagged space.
 
@@ -164,18 +164,25 @@ class Readout:
             raise ValueError(f"readout values have shape {value.shape}, expected ({dim},)")
         if not (np.issubdtype(value.dtype, np.integer) or np.issubdtype(value.dtype, np.floating)):
             raise ValueError(f"readout values must be real numbers, got {value.dtype}")
-        value = value.astype(float)
+        value = value.astype(float, copy=False)
         if not np.all(np.isfinite(value)):
             raise ValueError("readout values must be finite")
-        outcome_values, outcome = np.unique(value, return_inverse=True)
-        object.__setattr__(self, "value", _readonly(value))
-        object.__setattr__(self, "outcome_values", _readonly(outcome_values))
-        object.__setattr__(self, "outcome", _readonly(outcome))
-
-    __reduce__ = _rebuilt
+        _store(self, value, self.basis_tag, *np.unique(value, return_inverse=True))
 
     def __len__(self):
         return self.outcome_values.size
+
+
+def _store(readout, value, basis_tag, outcome_values, outcome) -> Readout:
+    """``readout``, or a new `Readout` if None, holding these fields, its
+    fresh arrays frozen in place: the one store of every readout, after
+    the checks of its constructor or of `interferom._mode_readout`."""
+    readout = object.__new__(Readout) if readout is None else readout
+    for a in (value, outcome_values, outcome):
+        a.setflags(write=False)
+    vars(readout).update(value=value, basis_tag=basis_tag)
+    vars(readout).update(outcome_values=outcome_values, outcome=outcome)
+    return readout
 
 
 class ErrorPropagation(NamedTuple):
@@ -200,7 +207,7 @@ class PrecisionReport:
     stationary: bool = False
 
 
-@dataclass(frozen=True)
+@_value_type(estimates=float)
 class MonteCarloRun:
     """Maximum-likelihood estimates from repeated simulated experiments."""
 
@@ -210,11 +217,6 @@ class MonteCarloRun:
     estimates: np.ndarray
     bias: float
     mse: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "estimates", _readonly(np.asarray(self.estimates, dtype=float)))
-
-    __reduce__ = _rebuilt
 
 
 def classical_fisher(family: DistributionFamily, theta: float) -> float:

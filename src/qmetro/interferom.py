@@ -43,6 +43,7 @@ from .estimate import (
     povm_family,
     readout_moments,
     Readout,
+    _store,
 )
 from .spinops import (
     ALL,
@@ -328,12 +329,8 @@ def _mode_readout(mode: str, row: np.ndarray, cutoff: int) -> Readout:
     if spread is None:
         raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
     outcome_values, outcome = np.unique(row, return_inverse=True)
-    readout = object.__new__(Readout)
-    vars(readout).update(value=spread(row, cutoff + 1), outcome=spread(outcome, cutoff + 1))
-    vars(readout).update(outcome_values=outcome_values, basis_tag=_basis_tag("fock", cutoff))
-    for a in (readout.value, readout.outcome, outcome_values):
-        a.setflags(write=False)
-    return readout
+    tag = _basis_tag("fock", cutoff)
+    return _store(None, spread(row, cutoff + 1), tag, outcome_values, spread(outcome, cutoff + 1))
 
 
 def parity_sector_povm(mode: str, cutoff: int) -> Readout:

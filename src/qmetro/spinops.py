@@ -71,20 +71,42 @@ def _occupied_in(state, tag: BasisTag) -> tuple:
     return _occupied(state)
 
 
-def _readonly(a):
-    """A read-only C-contiguous copy of a.  Always a copy, so the array
-    frozen is never the one given, which may be the caller's."""
-    frozen = np.array(a, order="C", ndmin=1)
+def _readonly(a, dtype=None):
+    """A read-only C-contiguous copy of a, of ``dtype`` if given.  Always a
+    copy, so the array frozen is never the one given, which may be the caller's."""
+    frozen = np.array(a, dtype, order="C", ndmin=1)
     frozen.setflags(write=False)
     return frozen
 
 
 def _rebuilt(value) -> tuple:
-    """`__reduce__` of a frozen value type: a pickled or copied value is
-    rebuilt by its constructor from its init fields, so its arrays come
-    back read-only, its tag is the shared one, and no private cache
-    goes with it."""
+    """`__reduce__` of a `_value_type`: rebuilt by its constructor from its init fields alone."""
     return type(value), tuple(getattr(value, f.name) for f in fields(value) if f.init)
+
+
+def _value_type(**dtypes):
+    """Class decorator of every frozen value type that holds arrays, with
+    ``dtypes`` giving each array field's dtype (None keeps it).  The type
+    compares and hashes by identity and pickles and copies through its
+    constructor (`_rebuilt`).  Once its ``__post_init__`` checks pass on
+    the fields as given, each field named in ``dtypes`` is kept as one
+    read-only copy (`_readonly`).  `Readout` and `CollectiveSpinState`
+    name none: they freeze the arrays they make in place (`estimate._store`,
+    `CollectiveSpinState._take`)."""
+
+    def decorate(cls):
+        checks = cls.__dict__.get("__post_init__", lambda self: None)
+
+        def __post_init__(self):
+            checks(self)
+            for name, dtype in dtypes.items():
+                object.__setattr__(self, name, _readonly(getattr(self, name), dtype))
+
+        cls.__post_init__ = __post_init__
+        cls.__reduce__ = _rebuilt
+        return dataclass(frozen=True, eq=False)(cls)
+
+    return decorate
 
 
 @dataclass(frozen=True)
@@ -121,13 +143,12 @@ def _basis_tag(kind: str, size: int) -> BasisTag:
     return BasisTag(kind, size)
 
 
-@dataclass(frozen=True, eq=False)
+@_value_type()
 class CollectiveSpinState:
     """Unit-norm amplitude vector over |J,m>, m ascending, J = N/2.
 
-    ``basis_tag`` is `_basis_tag` of N.  A pickled or copied state is
-    rebuilt by the constructor (`_rebuilt`), without the caches it keeps
-    privately.  States compare and hash by identity.
+    ``basis_tag`` is `_basis_tag` of N.  A `_value_type`, whose arrays
+    `_take` freezes: a pickled or copied state comes back without caches.
     """
 
     n_particles: int
@@ -144,8 +165,6 @@ class CollectiveSpinState:
             )
         object.__setattr__(self, "basis_tag", _basis_tag("spin", n))
         self._take(np.array(amp, order="C"))  # a copy: the caller's array stays writable
-
-    __reduce__ = _rebuilt
 
     def _take(self, values: np.ndarray, rescale: bool = False) -> None:
         """Keep ``values`` as the amplitudes: frozen in place after the
@@ -182,7 +201,7 @@ class CollectiveSpinState:
         return self.amplitudes
 
 
-@dataclass(frozen=True)
+@_value_type(jx=complex, jy=complex, jz=complex)
 class CollectiveSpinOperators:
     """Dense matrices of Jx, Jy, Jz for spin J = N/2, ascending-m basis."""
 
@@ -193,11 +212,7 @@ class CollectiveSpinOperators:
 
     def __post_init__(self):
         for name in ("jx", "jy", "jz"):
-            mat = np.asarray(getattr(self, name), dtype=complex)
-            _check_hermitian(mat, name)
-            object.__setattr__(self, name, _readonly(mat))
-
-    __reduce__ = _rebuilt
+            _check_hermitian(np.asarray(getattr(self, name)), name)
 
     def along(self, axis) -> np.ndarray:
         """Matrix of the spin component n . J for a 3-vector n."""
@@ -209,7 +224,7 @@ class CollectiveSpinOperators:
         return _basis_tag("spin", self.n_particles)
 
 
-@dataclass(frozen=True)
+@_value_type(matrix=complex)
 class Observable:
     """Hermitian matrix with the basis it is expressed in."""
 
@@ -217,7 +232,7 @@ class Observable:
     basis_tag: BasisTag
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.asarray(self.matrix)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("observable matrix must be square")
         _check_hermitian(mat, "observable matrix")
@@ -226,9 +241,6 @@ class Observable:
                 f"matrix dimension {mat.shape[0]} does not match basis "
                 f"{self.basis_tag}"
             )
-        object.__setattr__(self, "matrix", _readonly(mat))
-
-    __reduce__ = _rebuilt
 
     @property
     def dim(self) -> int:

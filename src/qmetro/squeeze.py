@@ -33,9 +33,8 @@ from .spinops import (
     _dicke_ladder,
     _mean_spin,
     _moments,
-    _readonly,
-    _rebuilt,
     _spin_covariance,
+    _value_type,
     apply,
 )
 
@@ -64,7 +63,7 @@ MAX_LAGUERRE_PASSES = 64
 PAIR_RATIO_TOL = 0.05
 
 
-@dataclass(frozen=True)
+@_value_type(msd=float, min_perp_direction=float)
 class SqueezingReport:
     """Squeezing parameters plus the directions they refer to.
 
@@ -81,16 +80,6 @@ class SqueezingReport:
     msd: np.ndarray
     min_perp_direction: np.ndarray
     mean_spin_degenerate: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "msd", _readonly(np.asarray(self.msd, float)))
-        object.__setattr__(
-            self,
-            "min_perp_direction",
-            _readonly(np.asarray(self.min_perp_direction, float)),
-        )
-
-    __reduce__ = _rebuilt
 
 
 @dataclass(frozen=True)
@@ -198,7 +187,7 @@ def oat_evolve(
     return CollectiveSpinState(n, _band_evolve(initial.amplitudes, spectrum, gauge, params.t))
 
 
-@dataclass(frozen=True)
+@_value_type(diagonal=float, off_diagonal=float)
 class TridiagonalHamiltonian:
     """Real symmetric tridiagonal Hamiltonian: its diagonal, its first
     off-diagonal and the basis it acts in."""
@@ -210,18 +199,9 @@ class TridiagonalHamiltonian:
     def __post_init__(self):
         if np.iscomplexobj(self.diagonal) or np.iscomplexobj(self.off_diagonal):
             raise ValueError("tridiagonal Hamiltonian must be real")
-        diag = np.asarray(self.diagonal, dtype=float)
-        off = np.asarray(self.off_diagonal, dtype=float)
-        dim = self.basis_tag.dim
-        if diag.shape != (dim,) or off.shape != (dim - 1,):
-            raise ValueError(
-                f"bands of shapes {diag.shape} and {off.shape} do not match basis "
-                f"{self.basis_tag}"
-            )
-        object.__setattr__(self, "diagonal", _readonly(diag))
-        object.__setattr__(self, "off_diagonal", _readonly(off))
-
-    __reduce__ = _rebuilt
+        shapes = np.shape(self.diagonal), np.shape(self.off_diagonal)
+        if shapes != ((self.basis_tag.dim,), (self.basis_tag.dim - 1,)):
+            raise ValueError(f"bands of shapes {shapes} do not match basis {self.basis_tag}")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -249,7 +229,7 @@ def bjj_hamiltonian(params: BjjParams) -> TridiagonalHamiltonian:
     )
 
 
-@dataclass(frozen=True)
+@_value_type(energies=float, states=None)
 class SpectralResult:
     """Spectral decomposition, full or its lowest eigenpairs, with a
     ground-degeneracy flag."""
@@ -257,12 +237,6 @@ class SpectralResult:
     energies: np.ndarray
     states: np.ndarray  # eigenvectors as columns, matching energy order
     ground_degenerate: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "energies", _readonly(np.asarray(self.energies)))
-        object.__setattr__(self, "states", _readonly(np.asarray(self.states)))
-
-    __reduce__ = _rebuilt
 
     @property
     def ground_energy(self) -> float:

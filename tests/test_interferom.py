@@ -13,6 +13,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from conftest import legendre
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmetro import (
     BasisTag,
@@ -970,7 +972,49 @@ class TestReadoutRotation:
             optimal_readout_rotation(state)
 
 
+SWEPT_N = st.integers(1, 40)
+# CSS at random (theta, phi0), GHZ at a random relative phase, and a
+# one-axis-twisted equatorial CSS
+SWEPT_PROBES = st.one_of(
+    st.builds(css, SWEPT_N, st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi)),
+    st.builds(ghz, SWEPT_N, st.floats(0.0, 2.0 * math.pi)),
+    st.builds(
+        lambda n, chi: oat_evolve(css(n, math.pi / 2, 0.0), OatParams(chi=chi, t=1.0)),
+        SWEPT_N,
+        st.floats(0.0, 0.5),
+    ),
+)
+SWEPT_PHASES = st.lists(st.floats(0.05, math.pi - 0.05), min_size=3, max_size=3)
+
+
 class TestPhaseSweep:
+    @settings(max_examples=60, deadline=None)
+    @given(probe=SWEPT_PROBES, grid=SWEPT_PHASES)
+    def test_ramsey_fisher_is_bounded_by_the_qfi_of_the_first_pulse(self, probe, grid):
+        # F <= F_Q, and F_Q = 4 Var(Jz) on the state the phase acts on, the
+        # probe after the first pulse.  Both bounds are read relative to
+        # max(1, F_Q): when that state is a Jz eigenstate (a CSS along +-x),
+        # F_Q = 0 and both figures are round-off near 1e-22
+        readout = jz_readout(probe)
+        variance = readout_moments(rotate(probe, (0.0, 1.0, 0.0), math.pi / 2), readout)[1]
+        for r in phase_sweep(lambda phi: ramsey(probe, phi), readout, grid):
+            scale = max(1.0, r.quantum_fisher)
+            assert r.classical_fisher - r.quantum_fisher <= 1e-9 * scale
+            assert abs(r.quantum_fisher - 4.0 * variance) <= 1e-8 * scale
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 101, 400])
+    def test_ghz_parity_reaches_the_heisenberg_limit(self, n):
+        # the first pulse turns the probe back into GHZ, whose parity
+        # fringe cos(N phi) gives F = F_Q = N^2 and dtheta_ep = 1/N
+        # (Bollinger, Itano, Wineland & Heinzen, PRA 54, R4649, 1996)
+        probe = rotate(ghz(n), (0.0, 1.0, 0.0), -math.pi / 2)
+        parity = Readout((-1.0) ** np.arange(n + 1), probe.basis_tag)
+        grid = np.array([0.25, 0.5, 0.75]) * math.pi / n
+        for r in phase_sweep(lambda phi: ramsey(probe, phi), parity, grid):
+            assert abs(r.classical_fisher / n**2 - 1.0) <= 1e-9
+            assert abs(r.quantum_fisher / n**2 - 1.0) <= 1e-9
+            assert abs(n * r.error_prop - 1.0) <= 1e-9
+
     def test_css_probe_reaches_sql_at_best_point(self):
         n = 100
         initial = css(n, 0.0, 0.0)

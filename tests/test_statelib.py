@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import importlib
 import math
 import pickle
+import pkgutil
 import tracemalloc
 
 import numpy as np
@@ -10,14 +12,21 @@ from conftest import align_phase
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qmetro
 from qmetro import (
     BasisTag,
     BjjParams,
+    CollectiveSpinOperators,
+    DistributionFamily,
     EcsParams,
     MonteCarloRun,
+    OatParams,
     Observable,
+    PrecisionReport,
     Readout,
     SpectralResult,
+    SqueezingReport,
+    TridiagonalHamiltonian,
     TruncationError,
     TwoModeFockState,
     bjj_hamiltonian,
@@ -543,6 +552,64 @@ class TestValueTypesRoundTrip:
     @pytest.mark.parametrize("trip", list(ROUND_TRIPS))
     def test_a_basis_tag_comes_back_as_the_shared_one(self, trip):
         assert ROUND_TRIPS[trip](BasisTag("fock", 3)) is _basis_tag("fock", 3)
+
+
+ARRAY_TYPES = {
+    Readout,
+    CollectiveSpinOperators,
+    Observable,
+    MonteCarloRun,
+    SqueezingReport,
+    TridiagonalHamiltonian,
+    SpectralResult,
+}
+STATES = {"css": lambda: css(3, 0.4, 0.1), "two-mode": lambda: twin_fock(2)}
+
+
+def coin(theta):
+    return np.array([theta, 1.0 - theta])
+
+
+SCALAR_TYPES = {
+    "basis-tag": lambda: BasisTag("spin", 3),
+    "oat-params": lambda: OatParams(chi=0.1, t=1.0, omega=0.5),
+    "bjj-params": lambda: BjjParams(4, 1.0, charging_energy=2.0),
+    "ecs-params": lambda: EcsParams.from_alpha(1.5),
+    "precision-report": lambda: PrecisionReport(0.3, 2.0, 4.0, 1, 0.7, 0.5, 0.8),
+    "distribution-family": lambda: DistributionFamily((0, 1), coin),
+}
+
+
+class TestValueTypeEquality:
+    """Every frozen type that holds arrays, the two state classes among
+    them, compares and hashes by identity; the scalar-only types compare
+    by value."""
+
+    def test_every_array_type_is_covered(self):
+        held = set()
+        for module in pkgutil.iter_modules(qmetro.__path__):
+            for cls in vars(importlib.import_module(f"qmetro.{module.name}")).values():
+                if dataclasses.is_dataclass(cls) and isinstance(cls, type):
+                    if any(f.type in (np.ndarray, "np.ndarray") for f in dataclasses.fields(cls)):
+                        held.add(cls)
+        assert held == ARRAY_TYPES | {type(css(1, 0.0, 0.0))}
+        assert all(cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__ for cls in held)
+        assert {type(make()) for make in VALUE_TYPES.values()} == ARRAY_TYPES
+
+    @pytest.mark.parametrize("name", [*VALUE_TYPES, *STATES])
+    def test_compares_and_hashes_by_identity(self, name):
+        value = {**VALUE_TYPES, **STATES}[name]()
+        twin = copy.deepcopy(value)
+        assert type(value).__eq__ is object.__eq__ and type(value).__hash__ is object.__hash__
+        assert value == value and value != twin and not value != value
+        assert hash(value) == hash(value)
+        assert len({value, twin, value}) == 2
+
+    @pytest.mark.parametrize("name", list(SCALAR_TYPES))
+    def test_scalar_only_types_compare_by_value(self, name):
+        a, b = SCALAR_TYPES[name](), SCALAR_TYPES[name]()
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
 
 
 class TestLogFactorials:
