@@ -557,9 +557,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined(argv: list[str]) -> list[str]:
+    """argv with each value flag (--<key> of _KEYS, --config) joined to the
+    token after it as --flag=value, so that a value starting with "-", as
+    in "--phi -1:1:3", is read as the value; a value flag with no token
+    after it is left as it is, for argparse to reject."""
+    flags, tokens, joined = {f"--{key}" for key in (*_KEYS, "config")}, iter(argv), []
+    for token in tokens:
+        value = next(tokens, None) if token in flags else None
+        joined.append(token if value is None else f"{token}={value}")
+    return joined
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined(sys.argv[1:] if argv is None else argv))
     if args.command is None:
         parser.print_help()
         return EXIT_CONFIG

@@ -42,11 +42,6 @@ STEP = 1e-5  # central-difference step of every stencil
 PSD_TOL = 1e-10
 MLE_GRID = 512  # grid points of the maximum-likelihood search
 LIKELIHOOD_BLOCK = 1 << 13  # most float terms summed in one likelihood block (64 kB)
-SWEEP_BLOCK = 1 << 16  # most amplitudes in one phase-sweep block's stencil states (1 MB)
-SWEEP_STATES = 15  # stencil states per phase point: five for each of F, F_Q and error propagation
-# least amplitudes a stencil or kept state is charged against SWEEP_BLOCK
-# (1 kB): a kept N = 1 state's objects hold about 570 bytes
-STATE_CHARGE = 64
 
 
 class InvalidDistributionError(ValueError):
@@ -405,15 +400,6 @@ def _error_propagations(signals: np.ndarray, sigma: np.ndarray) -> list[ErrorPro
     stationary = (slope < 1e-12 * scale) | (slope <= 4.0 * gap)
     value = np.divide(sigma, slope, out=np.full_like(sigma, math.inf), where=~stationary)
     return [ErrorPropagation(v, s) for v, s in zip(value.tolist(), stationary.tolist())]
-
-
-def _sweep_blocks(grid: np.ndarray, dim: int) -> list[np.ndarray]:
-    """The grid cut into consecutive blocks of points whose SWEEP_STATES
-    stencil states each, of dimension ``dim`` and each charged at least
-    STATE_CHARGE, hold at most SWEEP_BLOCK amplitudes; a block has at least
-    one point."""
-    points = max(1, SWEEP_BLOCK // (SWEEP_STATES * max(dim, STATE_CHARGE)))
-    return [grid[i : i + points] for i in range(0, grid.size, points)]
 
 
 def _observed_patterns(counts):

@@ -26,19 +26,15 @@ probe has seen costs a dictionary lookup.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 
 import numpy as np
 
 from .estimate import (
-    STATE_CHARGE,
-    SWEEP_BLOCK,
     PrecisionReport,
     _classical_fishers,
     _error_propagations,
     _quantum_fishers,
     _stencil,
-    _sweep_blocks,
     cramer_rao,
     povm_family,
     readout_moments,
@@ -73,6 +69,18 @@ __all__ = [
 
 # 50:50 splitter of the single-particle Mach-Zehnder (self-inverse Hadamard form)
 SPLITTER_2X2 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
+
+# the one budget, in amplitudes (1 MB), of a phase-sweep block's stencil
+# states and of a probe's kept outputs, each state charged by `_charge`
+SWEEP_BLOCK = 1 << 16
+SWEEP_STATES = 15  # stencil states per phase point: five for each of F, F_Q and error propagation
+STATE_CHARGE = 64  # least charge of a state (1 kB): a kept N = 1 state's objects hold about 570 B
+
+
+def _charge(state) -> int:
+    """What a state costs against SWEEP_BLOCK: the amplitudes it stores
+    (`spinops._occupied`), at least STATE_CHARGE."""
+    return max(_occupied(state)[1].size, STATE_CHARGE)
 
 
 def mz_single_particle_state(phi: float) -> np.ndarray:
@@ -137,7 +145,7 @@ def ramsey(
     """
     state = _propagate(initial, phi, _first_pulse, rescale=True)
     if readout_rotation is not None:
-        state = _rotate_about_mean_spin(state, readout_rotation)
+        state = rotate(state, _mean_spin_axis(state), readout_rotation)
     return state
 
 
@@ -146,34 +154,24 @@ def _propagate(state, phi, first_half, **finish):
     at phi, kept with the probe.  A float phi (Python or numpy) keys its
     output by its exact value, the sign of a zero included, so a later
     call at the same phi returns the same frozen state and propagates
-    nothing; any other phi is propagated every time.  The outputs are
-    the private attribute `_outputs`, (the `_kept_half` they came from,
-    {phi key: state} in the order kept): a probe whose kept half is
-    replaced or rebuilt starts afresh, a failed call keeps nothing, and
-    the oldest outputs are dropped before the kept ones would hold more
-    than `estimate.SWEEP_BLOCK` amplitudes, each charged at least
-    `estimate.STATE_CHARGE`.  A phase-sweep block's five stencil states
-    per point (one step, `estimate.STEP`) fit in that, so none is dropped
-    before the block reads it again."""
+    nothing; any other phi is propagated every time.  The outputs are the
+    {phi key: state} half of the probe's cache record (`_interfere`), in
+    the order kept: a failed call keeps nothing, and the oldest are
+    dropped before they would cost more than SWEEP_BLOCK.  A sweep block's
+    five distinct stencil states per point cost a third of that at most,
+    so none is dropped before the block reads it again."""
     key = (phi, math.copysign(1.0, phi)) if isinstance(phi, float) else None
-    attributes = vars(state)
-    outputs = attributes.get("_outputs")
-    if outputs is not None and outputs[0] is attributes.get("_kept_half"):
-        hit = outputs[1].get(key)
-        if hit is not None:
-            return hit
-    values = _interfere(state, phi, first_half)
-    out = state._with_values(values, **finish)
+    kept = vars(state).get("_kept")
+    hit = None if kept is None else kept[1].get(key)
+    if hit is not None:
+        return hit
+    out = state._with_values(_interfere(state, phi, first_half), **finish)
     if key is not None:
-        kept = attributes["_kept_half"]
-        if outputs is None or outputs[0] is not kept:
-            outputs = (kept, OrderedDict())
-            object.__setattr__(state, "_outputs", outputs)
-        kept_outputs, charge = outputs[1], max(values.size, STATE_CHARGE)
-        while kept_outputs and (len(kept_outputs) + 1) * charge > SWEEP_BLOCK:
-            kept_outputs.popitem(last=False)
+        outputs, charge = vars(state)["_kept"][1], _charge(out)
+        while outputs and (len(outputs) + 1) * charge > SWEEP_BLOCK:
+            del outputs[next(iter(outputs))]
         if charge <= SWEEP_BLOCK:
-            kept_outputs[key] = out
+            outputs[key] = out
     return out
 
 
@@ -184,16 +182,18 @@ def _interfere(state, phi: float, first_half):
     the phi-independent half: per sector (where, product, W, g, x), with
     every array read-only, g complex (the phase then skips a cast) and
     ``product`` the matrix-vector product W takes (`_real_matvec` for a
-    real W, `numpy.matmul` for a complex one).  It is kept as the state's private attribute `_kept_half`,
-    which goes with it; a state whose first half raises keeps nothing.
-    A call costs one phase and one product per sector; the caller makes
-    the output state, whose norm alone is checked (`_with_values`)."""
-    kept = vars(state).get("_kept_half")
+    real W, `numpy.matmul` for a complex one).  The state keeps it in its
+    one cache record, the private attribute `_kept` = (half, outputs of
+    `_propagate`), made with no outputs; a state whose first half raises
+    keeps nothing.  A call costs one phase and one product per sector;
+    the caller makes the output state, whose norm alone is checked
+    (`_with_values`)."""
+    kept = vars(state).get("_kept")
     if kept is None:
-        kept = first_half(state)
-        object.__setattr__(state, "_kept_half", kept)
+        kept = (first_half(state), {})
+        object.__setattr__(state, "_kept", kept)
     out = np.empty_like(_occupied(state)[1])
-    for where, product, w, g, x in kept:
+    for where, product, w, g, x in kept[0]:
         out[where] = product(w, np.exp(1j * phi * g) * x)
     return out
 
@@ -217,12 +217,6 @@ def _mean_spin_axis(state: CollectiveSpinState) -> np.ndarray:
     if axis is None:
         raise ValueError("mean spin vanishes; readout rotation axis undefined")
     return axis
-
-
-def _rotate_about_mean_spin(
-    state: CollectiveSpinState, angle: float
-) -> CollectiveSpinState:
-    return rotate(state, _mean_spin_axis(state), angle)
 
 
 def _readout_variance_series(state: CollectiveSpinState) -> np.ndarray:
@@ -367,30 +361,36 @@ def phase_sweep(
     the (quantum) Cramer-Rao bounds at ``repetitions``.  Reports are
     returned in grid order.
 
-    The grid is taken in blocks whose stencil states hold at most
-    `estimate.SWEEP_BLOCK` amplitudes (`estimate._sweep_blocks`), and each
-    estimator reads a whole block at once: `classical_fisher`'s stencils
-    as one probability table of `povm_family`, `qfi_from_family`'s as one
-    array of states, and `error_propagation`'s as one `readout_moments`
-    per stencil state (the slope from the outer four means, the noise
-    from the variance at theta).  Each point still costs the family 15
-    calls, at the thetas the scalar functions use, and every figure
-    equals theirs bit for bit.  All three estimators read the same five
-    thetas (`estimate._stencil`, one step `estimate.STEP`), so for a
-    `ramsey` or `mz_two_mode` family of one probe the 15 calls are 5
-    propagations: the other 10 return the probe's kept outputs.
+    The grid is taken in blocks of the most points (at least one) whose
+    SWEEP_STATES stencil states per point cost at most SWEEP_BLOCK, each
+    state charged by `_charge`, as the kept outputs are.  The first block
+    is sized on the family's first call, at the grid's first point, which
+    is also that block's first `error_propagation` read; each later block
+    on the largest state read so far by `error_propagation`, which reads
+    every stencil state.  Each estimator reads a whole block at once: `classical_fisher`'s
+    stencils as one probability table of `povm_family`,
+    `qfi_from_family`'s as one array of states, and `error_propagation`'s
+    as one `readout_moments` per stencil state (the slope from the outer
+    four means, the noise from the variance at theta).  Each point costs
+    the family 15 calls, at the thetas the scalar functions use, and every
+    figure equals theirs bit for bit; as all three read the same five
+    thetas (`estimate._stencil`), for a `ramsey` or `mz_two_mode` family
+    of one probe these are 5 propagations and 10 kept outputs.
     """
     grid = np.atleast_1d(np.asarray(phi_grid, dtype=float))
     if grid.size == 0:
         raise ValueError("phase grid must be non-empty")
     family = povm_family(state_family, readout)
-    reports = []
-    for block in _sweep_blocks(grid, readout.basis_tag.dim):
+    first = [state_family(grid[0])]  # sizes the first block, then is its first state read
+    largest, start, reports = _charge(first[0]), 0, []
+    while start < grid.size:
+        block = grid[start : start + max(1, SWEEP_BLOCK // (SWEEP_STATES * largest))]
+        start += block.size
         fishers = _classical_fishers(family, block)
         qfis = _quantum_fishers(state_family, block)
-        moments = np.array(
-            [[readout_moments(state_family(t), readout) for t in row] for row in _stencil(block)]
-        )
+        states = [first.pop() if first else state_family(t) for t in _stencil(block).reshape(-1)]
+        largest = max(largest, *map(_charge, states))
+        moments = np.reshape([readout_moments(s, readout) for s in states], (5, block.size, 2))
         props = _error_propagations(moments[1:, :, 0], np.sqrt(moments[0, :, 1]))
         reports += [
             PrecisionReport(

@@ -665,6 +665,37 @@ class TestUnusedFlags:
         assert json.loads(out.read_text())[0]["v"] == 100
 
 
+class TestValuesThatStartWithADash:
+    """Every value flag takes the token after it as its value, even one that
+    argparse alone would read as a flag."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["ramsey-css", "--phi", "-1:1:3"],
+            ["bjj-ground", "--delta", "-pi"],
+            ["ecs-qfi", "--alpha", "-1,2"],
+        ],
+    )
+    def test_a_negative_value_is_read_as_with_an_equals_sign(self, capsys, args):
+        name, flag, value = args
+        assert run_cli(["run", name, flag, value]) == 0
+        spaced = capsys.readouterr()
+        assert run_cli(["run", name, f"{flag}={value}"]) == 0
+        assert capsys.readouterr() == spaced
+        assert spaced.out.startswith("experiment,") and spaced.out.count("\n") >= 2
+
+    def test_a_config_path_that_starts_with_a_dash_is_read_as_a_path(self, capsys):
+        assert run_cli(["run", "noon-qfi", "--config", "-missing.cfg"]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read config file -missing.cfg: ")
+
+    def test_a_value_flag_at_the_end_still_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "ramsey-css", "--phi"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
+
 class TestParserReuse:
     """main builds its parser once per process, so every call after the
     first reuses it: no call may see another's values."""

@@ -359,7 +359,7 @@ class TestCollectiveRamsey:
     def test_kept_half_is_read_only(self):
         probe = random_spin_state(6, 5)
         ramsey(probe, 0.2)
-        (sector,) = vars(probe)["_kept_half"]  # one sector: the whole vector
+        (sector,) = vars(probe)["_kept"][0]  # one sector: the whole vector
         where, _, *arrays = sector
         assert where == slice(None) and len(arrays) == 3  # V, -m and V^T F psi
         for a in arrays:
@@ -370,9 +370,9 @@ class TestCollectiveRamsey:
     def test_norm_drift_in_the_kept_half_raises(self):
         probe = random_spin_state(6, 3)
         ramsey(probe, 0.2)
-        ((where, product, v, g, pulsed),) = vars(probe)["_kept_half"]
+        ((where, product, v, g, pulsed),) = vars(probe)["_kept"][0]
         drifted = ((where, product, v, g, pulsed * (1.0 + 1e-9)),)
-        object.__setattr__(probe, "_kept_half", drifted)
+        object.__setattr__(probe, "_kept", (drifted, {}))
         with pytest.raises(ValueError, match="normalized"):
             ramsey(probe, 0.2)
 
@@ -391,7 +391,7 @@ class TestCollectiveRamsey:
         assert out.amplitudes.shape == (6,) and out.amplitudes.flags.c_contiguous
         with pytest.raises(ValueError, match="read-only"):
             out.amplitudes[0] = 0
-        assert "_kept_half" not in vars(out)
+        assert "_kept" not in vars(out)
 
     def test_kept_half_outlives_the_cleared_band_cache(self, monkeypatch):
         probe = random_spin_state(9, 2)
@@ -566,7 +566,7 @@ class TestTwoModeMz:
     def test_kept_half_is_read_only(self):
         probe = random_fock_state(4, 11)
         mz_two_mode(probe, 0.2)
-        kept = vars(probe)["_kept_half"]
+        kept = vars(probe)["_kept"][0]
         assert len(kept) == 5  # sectors 0..4, the vacuum among them
         for _, _, *arrays in kept:
             for a in arrays:
@@ -581,7 +581,7 @@ class TestTwoModeMz:
         for _ in range(2):
             with pytest.raises(ValueError, match="cutoff 3 cannot hold total number 6"):
                 mz_two_mode(state, 0.1)
-            assert "_kept_half" not in vars(state)
+            assert "_kept" not in vars(state)
 
     def test_two_mode_experiments_leave_scipy_linalg_unloaded(self):
         # the kept splitters come from numpy's eigh: a two-mode run pays no
@@ -727,9 +727,9 @@ class TestSectorStorage:
         mz_two_mode(probe, 0.1)
         drifted = tuple(
             (sector, product, r_dag_v * (1.0 + 1e-9), n_b, split)
-            for sector, product, r_dag_v, n_b, split in vars(probe)["_kept_half"]
+            for sector, product, r_dag_v, n_b, split in vars(probe)["_kept"][0]
         )
-        object.__setattr__(probe, "_kept_half", drifted)
+        object.__setattr__(probe, "_kept", (drifted, {}))
         with pytest.raises(ValueError, match="normalized"):
             mz_two_mode(probe, 0.1)
 
@@ -1209,6 +1209,17 @@ def two_sector_family(theta):
     return TwoModeFockState(2, grid)
 
 
+def swept_blocks(monkeypatch, family, readout, grid):
+    """`phase_sweep`'s reports and the size of each block it read."""
+    sizes, real = [], interferom._classical_fishers
+    monkeypatch.setattr(
+        interferom, "_classical_fishers", lambda f, block: sizes.append(block.size) or real(f, block)
+    )
+    reports = phase_sweep(family, readout, grid)
+    monkeypatch.setattr(interferom, "_classical_fishers", real)
+    return reports, sizes
+
+
 class TestSweepBlocks:
     """`phase_sweep` reads each estimator's stencils over a block of phase
     points at once; every figure stays the scalar functions' bit for bit."""
@@ -1261,30 +1272,90 @@ class TestSweepBlocks:
         assert swept == sorted(calls)
         assert swept == sorted(t for phi in grid for t in stencil_thetas(phi))
 
-    @pytest.mark.parametrize("name", ["css-10", "twin-fock-5"])
+    @pytest.mark.parametrize("name", ["css-10", "twin-fock-5", "twin-fock-14", "mz-ecs-1"])
     @pytest.mark.parametrize("points, sizes", [(1, [1] * 7), (3, [3, 3, 1])])
     def test_blocks_of_any_size_give_the_reports_of_one_block(self, monkeypatch, name, points, sizes):
         family, readout = SWEPT_FAMILIES[name]()
-        dim = readout.basis_tag.dim
         grid = np.linspace(0.05, 1.5, 7)
-        assert len(estimate._sweep_blocks(grid, dim)) == 1
-        whole = phase_sweep(family, readout, grid)
-        charge = max(dim, estimate.STATE_CHARGE)
-        monkeypatch.setattr(estimate, "SWEEP_BLOCK", points * estimate.SWEEP_STATES * charge)
-        assert [block.size for block in estimate._sweep_blocks(grid, dim)] == sizes
-        assert phase_sweep(family, readout, grid) == whole
+        whole, blocks = swept_blocks(monkeypatch, family, readout, grid)
+        assert blocks == [7]
+        charge = interferom._charge(family(grid[0]))
+        monkeypatch.setattr(interferom, "SWEEP_BLOCK", points * interferom.SWEEP_STATES * charge)
+        reports, blocks = swept_blocks(monkeypatch, family, readout, grid)
+        assert blocks == sizes
+        assert reports == whole and repr(reports) == repr(whole)  # bit for bit, signed zeros too
 
     def test_a_block_holds_at_least_one_point(self, monkeypatch):
-        monkeypatch.setattr(estimate, "SWEEP_BLOCK", 1)
-        blocks = estimate._sweep_blocks(np.arange(3.0), 1001)
-        assert [block.tolist() for block in blocks] == [[0.0], [1.0], [2.0]]
+        family, readout = css_ramsey_family(1000)
+        monkeypatch.setattr(interferom, "SWEEP_BLOCK", 1)
+        reports, blocks = swept_blocks(monkeypatch, family, readout, np.arange(1.0, 4.0))
+        assert blocks == [1, 1, 1] and [r.theta for r in reports] == [1.0, 2.0, 3.0]
 
-    def test_large_spin_blocks_hold_at_most_sweep_block_amplitudes(self):
-        grid = np.linspace(0.05, 3.0, 100)
-        blocks = estimate._sweep_blocks(grid, 1001)
+    def test_large_spin_blocks_hold_at_most_sweep_block_amplitudes(self, monkeypatch):
+        family, readout = css_ramsey_family(1000)
+        grid = np.linspace(0.05, 3.0, 10)
+        reports, blocks = swept_blocks(monkeypatch, family, readout, grid)
         assert len(blocks) > 1
-        assert np.array_equal(np.concatenate(blocks), grid)
-        assert all(b.size * estimate.SWEEP_STATES * 1001 <= estimate.SWEEP_BLOCK for b in blocks)
+        assert [r.theta for r in reports] == grid.tolist()
+        assert all(size * interferom.SWEEP_STATES * 1001 <= interferom.SWEEP_BLOCK for size in blocks)
+
+    @pytest.mark.parametrize("name", ["css-10", "twin-fock-5"])
+    def test_the_first_of_fifteen_calls_per_point_is_at_the_first_point(self, name):
+        swept, readout = SWEPT_FAMILIES[name]()
+        calls = []
+
+        def family(phi):
+            calls.append(phi)
+            return swept(phi)
+
+        grid = np.linspace(0.2, 2.9, 4)
+        phase_sweep(family, readout, grid)
+        assert len(calls) == 15 * grid.size and calls[0] == grid[0]
+        assert sorted(calls) == sorted(t for phi in grid for t in stencil_thetas(phi))
+
+    @pytest.mark.parametrize("n, count", [(10, 2), (14, 2), (40, 2), (100, 5)])
+    def test_a_twin_fock_sweep_is_blocked_by_what_its_states_store(self, monkeypatch, n, count):
+        # 2N + 1 amplitudes a state, not the readout's (2N + 1)^2 grid entries
+        family, readout = two_mode_family(twin_fock(n))
+        grid = cli.parse_grid(cli._KEYS["phi"][1])
+        assert grid.size == 100
+        _, blocks = swept_blocks(monkeypatch, family, readout, grid)
+        assert len(blocks) == count and sum(blocks) == 100
+
+    @pytest.mark.parametrize("n", [10, 14])
+    def test_a_benchmark_sized_twin_fock_grid_is_one_block(self, monkeypatch, n):
+        family, readout = two_mode_family(twin_fock(n))
+        _, blocks = swept_blocks(monkeypatch, family, readout, np.linspace(0.01, math.pi / 2, 10))
+        assert blocks == [10]
+
+    def test_a_family_that_stores_more_later_keeps_later_blocks_within_budget(self, monkeypatch):
+        # the first read, at theta = 0, stores sector 2 alone (3 amplitudes);
+        # every later state stores sectors 1 and 2 (5 amplitudes)
+        readout = parity_sector_povm("b", 2)
+        grid = np.linspace(0.0, 1.0, 10)
+        whole, _ = swept_blocks(monkeypatch, two_sector_family, readout, grid)
+        monkeypatch.setattr(interferom, "STATE_CHARGE", 1)
+        monkeypatch.setattr(interferom, "SWEEP_BLOCK", interferom.SWEEP_STATES * 3 * 4)
+        reports, blocks = swept_blocks(monkeypatch, two_sector_family, readout, grid)
+        assert blocks[0] == 4  # sized on the first read
+        assert all(size * interferom.SWEEP_STATES * 5 <= interferom.SWEEP_BLOCK for size in blocks[1:])
+        assert sum(blocks) == grid.size and repr(reports) == repr(whole)
+
+    def test_a_default_grid_twin_fock_sweep_at_n_100_stays_small(self):
+        probe = twin_fock(100)
+        readout = parity_sector_povm("b", probe.cutoff)
+        mz_two_mode(probe, 0.0)  # the kept half, built before the measure
+        grid = cli.parse_grid(cli._KEYS["phi"][1])
+        tracemalloc.start()
+        try:
+            phase_sweep(lambda phi: mz_two_mode(probe, phi), readout, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a block's stencil states and the kept outputs cost SWEEP_BLOCK
+        # amplitudes (1 MB) each, the rest is working arrays and objects:
+        # 2.3 MB measured, against 4.8 MB for one block of all 100 points' states
+        assert peak < 3 * 16 * interferom.SWEEP_BLOCK
 
     def test_support_that_moves_with_theta_is_read_state_by_state(self, monkeypatch):
         readout = parity_sector_povm("b", 2)
@@ -1362,7 +1433,7 @@ class TestKeptOutputs:
         probe = css(6, 0.2, 0.1)
         first = ramsey(probe, phi)
         assert ramsey(probe, phi) is not first
-        assert "_outputs" not in vars(probe)
+        assert not vars(probe)["_kept"][1]
         assert np.array_equal(first.amplitudes, ramsey(probe, 0.4).amplitudes)
 
     def test_a_failed_call_keeps_nothing(self):
@@ -1371,12 +1442,12 @@ class TestKeptOutputs:
         for _ in range(2):
             with pytest.raises(ValueError, match="normalized"):
                 mz_two_mode(probe, math.nan)
-        assert list(vars(probe)["_outputs"][1].values()) == [kept]
+        assert list(vars(probe)["_kept"][1].values()) == [kept]
 
     def test_a_rebuilt_kept_half_drops_the_outputs(self):
         probe = random_spin_state(6, 3)
         first = ramsey(probe, 0.2)
-        object.__setattr__(probe, "_kept_half", interferom._first_pulse(probe))
+        object.__setattr__(probe, "_kept", (interferom._first_pulse(probe), {}))
         again = ramsey(probe, 0.2)
         assert again is not first and output_bytes(again) == output_bytes(first)
         assert ramsey(probe, 0.2) is again
@@ -1424,10 +1495,10 @@ class TestKeptOutputs:
             interferom, "_interfere", lambda state, phi, half: phases.append(phi) or real(state, phi, half)
         )
         grid = np.linspace(0.05, 3.0, 300)
-        assert len(estimate._sweep_blocks(grid, 1001)) > 1
-        phase_sweep(lambda phi: ramsey(probe, phi), jz_readout(probe), grid)
-        kept = vars(probe)["_outputs"][1].values()
-        assert 0 < sum(_occupied(state)[1].size for state in kept) <= estimate.SWEEP_BLOCK
+        _, blocks = swept_blocks(monkeypatch, lambda phi: ramsey(probe, phi), jz_readout(probe), grid)
+        assert len(blocks) > 1
+        kept = vars(probe)["_kept"][1].values()
+        assert 0 < sum(_occupied(state)[1].size for state in kept) <= interferom.SWEEP_BLOCK
         assert len(phases) == 5 * grid.size  # no state is dropped before its block reads it again
 
     def test_a_long_one_particle_sweep_keeps_at_most_sweep_block_bytes(self, monkeypatch):
@@ -1444,6 +1515,6 @@ class TestKeptOutputs:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert len(vars(probe)["_outputs"][1]) * estimate.STATE_CHARGE <= estimate.SWEEP_BLOCK
-        assert held < 16 * estimate.SWEEP_BLOCK  # 1 MB
+        assert len(vars(probe)["_kept"][1]) * interferom.STATE_CHARGE <= interferom.SWEEP_BLOCK
+        assert held < 16 * interferom.SWEEP_BLOCK  # 1 MB
         assert next(calls) == 5 * grid.size

@@ -499,12 +499,12 @@ class TestPickleAndCopy:
         probe = make()
         phase_sweep(lambda phi: sequence(probe, phi), readout(probe), [0.3, 0.9, 1.4])
         grid = probe.amplitudes  # the two-mode grid, now cached on the probe
-        assert {"_kept_half", "_outputs"} <= set(vars(probe))
+        assert "_kept" in vars(probe)
         assert len(pickle.dumps(probe)) == fresh
 
         back = ROUND_TRIPS[trip](probe)
         assert type(back) is type(probe)
-        assert not {"_kept_half", "_outputs"} & set(vars(back))
+        assert "_kept" not in vars(back)
         if isinstance(back, TwoModeFockState):
             assert "amplitudes" not in vars(back)
             assert back.cutoff == probe.cutoff
