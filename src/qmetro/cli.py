@@ -543,17 +543,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmetro",
         description="Deterministic quantum-metrology experiment sweeps.",
+        allow_abbrev=False,  # flags are exact names on every parser, as `_joined` reads them
     )
     sub = parser.add_subparsers(dest="command")
 
-    runp = sub.add_parser("run", help="run a named experiment sweep")
+    runp = sub.add_parser("run", help="run a named experiment sweep", allow_abbrev=False)
     runp.add_argument("experiment", help="experiment name (see list-experiments)")
     for key, (_, default, text) in _KEYS.items():
         runp.add_argument(f"--{key}", help=f"{text} (default {default})" if default else text)
     runp.add_argument("--config", help="flat key=value config file")
 
-    sub.add_parser("list-experiments", help="print available experiment names")
-    sub.add_parser("version", help="print the package version")
+    sub.add_parser("list-experiments", help="print available experiment names", allow_abbrev=False)
+    sub.add_parser("version", help="print the package version", allow_abbrev=False)
     return parser
 
 

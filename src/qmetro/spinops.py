@@ -43,18 +43,27 @@ def _check_hermitian(mat: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} is not Hermitian")
 
 
-def _vector_in(state, tag: BasisTag) -> np.ndarray:
-    """The amplitude vector of a state, which must live in the basis `tag`."""
-    if state.basis_tag != tag:
-        raise ValueError(f"basis mismatch: state {state.basis_tag}, expected {tag}")
-    return np.asarray(state.vector, dtype=complex)
+def _take(state, index, values: np.ndarray, norm_sq: float = 1.0, rescale: bool = False):
+    """The one store of every library state: keeps ``values``, its
+    amplitudes at the flat basis positions ``index`` (every other one
+    zero), as ``_occupied`` = (index, values), frozen in place after the
+    check that their squared norm is ``norm_sq``, not copied, and with
+    ``rescale`` divided in place by their norm once it passes."""
+    found = float(np.vdot(values, values).real)
+    if not abs(found - norm_sq) <= NORM_TOL:  # NaN and inf fail too
+        raise ValueError(f"state not normalized: sum |c|^2 = {found!r}")
+    if rescale:
+        values /= math.sqrt(found)
+    values.setflags(write=False)
+    vars(state)["_occupied"] = (index, values)
+    return state
 
 
 def _occupied(state) -> tuple:
     """(index, amplitudes): a state's amplitudes at the flat basis
-    positions ``index``, every other amplitude being zero.  A two-mode
-    state keeps its occupied sectors so (``_occupied``); for any other
-    state, a spin state among them, the index is all of it."""
+    positions ``index``, every other amplitude being zero.  Every library
+    state carries the pair (`_take`); a duck-typed state or a bare vector
+    reads as all of its ``vector``."""
     occupied = getattr(state, "_occupied", None)
     if occupied is None:
         return ALL, np.asarray(getattr(state, "vector", state), dtype=complex)
@@ -92,7 +101,7 @@ def _value_type(**dtypes):
     the fields as given, each field named in ``dtypes`` is kept as one
     read-only copy (`_readonly`).  `Readout` and `CollectiveSpinState`
     name none: they freeze the arrays they make in place (`estimate._store`,
-    `CollectiveSpinState._take`)."""
+    the state store `_take`)."""
 
     def decorate(cls):
         checks = cls.__dict__.get("__post_init__", lambda self: None)
@@ -147,8 +156,9 @@ def _basis_tag(kind: str, size: int) -> BasisTag:
 class CollectiveSpinState:
     """Unit-norm amplitude vector over |J,m>, m ascending, J = N/2.
 
-    ``basis_tag`` is `_basis_tag` of N.  A `_value_type`, whose arrays
-    `_take` freezes: a pickled or copied state comes back without caches.
+    ``basis_tag`` is `_basis_tag` of N.  A `_value_type`, whose
+    amplitudes `_take` freezes and records as ``_occupied`` = (ALL,
+    amplitudes): a pickled or copied state comes back without caches.
     """
 
     n_particles: int
@@ -158,25 +168,14 @@ class CollectiveSpinState:
         n = self.n_particles
         if n < 1:
             raise ValueError("n_particles must be >= 1")
-        amp = np.asarray(self.amplitudes, dtype=complex)
+        # a copy: the caller's array stays writable
+        amp = np.array(self.amplitudes, dtype=complex, order="C")
         if amp.shape != (n + 1,):
             raise ValueError(
                 f"amplitude vector must have length {n + 1}, got {amp.shape}"
             )
-        object.__setattr__(self, "basis_tag", _basis_tag("spin", n))
-        self._take(np.array(amp, order="C"))  # a copy: the caller's array stays writable
-
-    def _take(self, values: np.ndarray, rescale: bool = False) -> None:
-        """Keep ``values`` as the amplitudes: frozen in place after the
-        norm check, not copied, and with ``rescale`` divided in place by
-        their norm once it passes."""
-        norm_sq = float(np.vdot(values, values).real)
-        if not abs(norm_sq - 1.0) <= NORM_TOL:  # NaN and inf fail too
-            raise ValueError(f"state not normalized: sum |c|^2 = {norm_sq!r}")
-        if rescale:
-            values /= math.sqrt(norm_sq)
-        values.setflags(write=False)
-        object.__setattr__(self, "amplitudes", values)
+        vars(self).update(basis_tag=_basis_tag("spin", n), amplitudes=amp)
+        _take(self, ALL, amp)
 
     def _with_values(self, values: np.ndarray, rescale: bool = False) -> "CollectiveSpinState":
         """The state of this N whose amplitudes are ``values``, a
@@ -184,9 +183,8 @@ class CollectiveSpinState:
         norm is checked, and with ``rescale`` it is then made exactly 1
         up to the division's round-off."""
         state = object.__new__(CollectiveSpinState)
-        vars(state).update(n_particles=self.n_particles, basis_tag=self.basis_tag)
-        state._take(values, rescale)
-        return state
+        vars(state).update(n_particles=self.n_particles, basis_tag=self.basis_tag, amplitudes=values)
+        return _take(state, ALL, values, rescale=rescale)
 
     @property
     def j(self) -> float:
@@ -458,7 +456,9 @@ def moments(state, obs: Observable) -> tuple[float, float]:
     The state may live in either basis; its tag must match the
     observable's.  The variance is the sum of squares ||(O - <O>) psi||^2.
     """
-    vec = _vector_in(state, obs.basis_tag)
+    if state.basis_tag != obs.basis_tag:
+        raise ValueError(f"basis mismatch: state {state.basis_tag}, expected {obs.basis_tag}")
+    vec = np.asarray(state.vector, dtype=complex)
     return _moments(vec, obs.matrix @ vec)
 
 

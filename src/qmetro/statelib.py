@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spinops import NORM_TOL, CollectiveSpinState, _basis_tag, _readonly
+from .spinops import CollectiveSpinState, _basis_tag, _readonly, _take
 
 __all__ = [
     "TwoModeFockState",
@@ -114,30 +114,18 @@ class TwoModeFockState:
             raise ValueError(f"truncation deficit {truncation_deficit!r} out of range")
         na, nb = np.nonzero(amp)
         layout = _sector_layout(cutoff, tuple(np.flatnonzero(np.bincount(na + nb)).tolist()))
-        self._take(cutoff, truncation_deficit, layout, amp.reshape(-1)[layout[1]])
+        _in_layout(self, cutoff, truncation_deficit, layout, amp.reshape(-1)[layout[1]])
 
     def __reduce__(self):
         support = tuple(self._layout[0].tolist())
         return _from_sectors, (self.cutoff, support, self._occupied[1], self.truncation_deficit)
 
-    def _take(self, cutoff: int, deficit: float, layout: tuple, values) -> "TwoModeFockState":
-        """Make this the state whose amplitudes at the layout's index are
-        ``values`` (frozen in place after the norm check over them, not
-        copied), every other amplitude being zero; returns it."""
-        norm_sq = float(np.vdot(values, values).real)
-        if not abs(norm_sq - (1.0 - deficit)) <= NORM_TOL:  # NaN fails too
-            raise ValueError(f"state not normalized: sum |c|^2 = {norm_sq!r}")
-        values.setflags(write=False)
-        vars(self).update(cutoff=cutoff, truncation_deficit=deficit, _layout=layout)
-        vars(self).update(basis_tag=_basis_tag("fock", cutoff), _occupied=(layout[1], values))
-        return self
-
     def _with_values(self, values: np.ndarray) -> "TwoModeFockState":
         """The state of this cutoff, deficit and support whose amplitudes
-        at the shared index are ``values`` (`_take`); only their norm is
-        checked."""
+        at the shared index are ``values`` (`_in_layout`); only their norm
+        is checked."""
         state = object.__new__(TwoModeFockState)
-        return state._take(self.cutoff, self.truncation_deficit, self._layout, values)
+        return _in_layout(state, self.cutoff, self.truncation_deficit, self._layout, values)
 
     @functools.cached_property
     def amplitudes(self) -> np.ndarray:
@@ -159,11 +147,20 @@ class TwoModeFockState:
         return self._layout[0]
 
 
+def _in_layout(state, cutoff: int, deficit: float, layout: tuple, values) -> TwoModeFockState:
+    """Make ``state`` the one whose amplitudes at the layout's index are
+    ``values``, every other amplitude being zero, kept by the state store
+    (`spinops._take`) against the norm 1 - deficit; returns it."""
+    vars(state).update(cutoff=cutoff, truncation_deficit=deficit, _layout=layout,
+                       basis_tag=_basis_tag("fock", cutoff))
+    return _take(state, layout[1], values, 1.0 - deficit)
+
+
 def _from_sectors(cutoff: int, support: tuple, values, deficit: float = 0.0) -> TwoModeFockState:
     """The state of amplitudes ``values`` at the cached layout of cutoff and
-    support (`_sector_layout`), copied and checked (`_take`)."""
+    support (`_sector_layout`), copied and checked (`_in_layout`)."""
     state = object.__new__(TwoModeFockState)
-    return state._take(cutoff, deficit, _sector_layout(cutoff, support), np.array(values))
+    return _in_layout(state, cutoff, deficit, _sector_layout(cutoff, support), np.array(values))
 
 
 @dataclass(frozen=True)

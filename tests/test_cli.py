@@ -696,6 +696,31 @@ class TestValuesThatStartWithADash:
         assert "expected one argument" in capsys.readouterr().err
 
 
+class TestFlagsAreExactNames:
+    """A flag is matched by its exact name only, as `_joined` reads it, so
+    an abbreviation exits 2 whatever its value looks like."""
+
+    @pytest.mark.parametrize("value", ["1", "-1:1:3"])
+    def test_an_abbreviated_flag_exits_2_and_is_named(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "ramsey-css", "--ph", value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --ph {value}" in capsys.readouterr().err
+
+    def test_an_abbreviation_with_an_equals_sign_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "ramsey-css", "--ph=1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --ph=1" in capsys.readouterr().err
+
+    def test_the_exact_name_reads_as_with_an_equals_sign(self, capsys):
+        assert run_cli(["run", "ramsey-css", "--phi", "1"]) == 0
+        spaced = capsys.readouterr()
+        assert run_cli(["run", "ramsey-css", "--phi=1"]) == 0
+        assert capsys.readouterr() == spaced
+        assert spaced.out.count("\n") == 2
+
+
 class TestParserReuse:
     """main builds its parser once per process, so every call after the
     first reuses it: no call may see another's values."""

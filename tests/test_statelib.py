@@ -17,6 +17,7 @@ from qmetro import (
     BasisTag,
     BjjParams,
     CollectiveSpinOperators,
+    CollectiveSpinState,
     DistributionFamily,
     EcsParams,
     MonteCarloRun,
@@ -38,6 +39,7 @@ from qmetro import (
     ghz,
     moments,
     mz_two_mode,
+    oat_evolve,
     parity_sector_povm,
     phase_sweep,
     ramsey,
@@ -45,7 +47,7 @@ from qmetro import (
     squeezing_parameters,
     twin_fock,
 )
-from qmetro.spinops import _basis_tag, _occupied
+from qmetro.spinops import ALL, _basis_tag, _occupied
 from qmetro.statelib import (
     ECS_MAX_CUTOFF,
     ECS_TAIL_BOUND,
@@ -476,6 +478,96 @@ class TestTotalNumberSupport:
         assert state.total_number_support() is support
         with pytest.raises(ValueError):
             support[0] = 7
+
+
+def spin_amplitudes(norm_sq):
+    """N = 1 amplitudes of squared norm ``norm_sq``."""
+    return np.array([math.sqrt(norm_sq), 0.0], dtype=complex)
+
+
+def fock_grid(norm_sq):
+    """The cutoff-1 grid holding |1, 0> at squared norm ``norm_sq``."""
+    grid = np.zeros((2, 2), dtype=complex)
+    grid[1, 0] = math.sqrt(norm_sq)
+    return grid
+
+
+LIBRARY_STATES = {
+    "css": lambda: css(12, 0.7, 0.2),
+    "ghz": lambda: ghz(6, 0.4),
+    "twin-fock": lambda: twin_fock(4),
+    "ecs": lambda: ecs(1.2),
+    "spin-constructor": lambda: CollectiveSpinState(1, spin_amplitudes(1.0)),
+    "fock-constructor": lambda: TwoModeFockState(1, fock_grid(1.0)),
+    "spin-with-values": lambda: css(3, 1.0, 0.0)._with_values(np.full(4, 0.5, dtype=complex)),
+    "fock-with-values": lambda: twin_fock(2)._with_values(np.eye(1, 5, 1, dtype=complex)[0]),
+    "ramsey": lambda: ramsey(css(12, 0.7, 0.2), 0.9),
+    "ramsey-rotated": lambda: ramsey(css(12, 0.7, 0.2), 0.9, readout_rotation=0.3),
+    "mz-two-mode": lambda: mz_two_mode(twin_fock(4), 0.9),
+    "rotate": lambda: rotate(ghz(6), [0.0, 1.0, 0.0], 0.5),
+    "oat-evolve": lambda: oat_evolve(css(12, math.pi / 2, 0.0), OatParams(chi=0.1, t=1.0)),
+    "pickled-css": lambda: pickle.loads(pickle.dumps(css(12, 0.7, 0.2))),
+    "pickled-ecs": lambda: pickle.loads(pickle.dumps(ecs(1.2))),
+    "copied-css": lambda: copy.copy(css(12, 0.7, 0.2)),
+    "deep-copied-twin-fock": lambda: copy.deepcopy(twin_fock(4)),
+}
+
+
+class TestOneStateStore:
+    """Every state the library makes is kept by the one store,
+    `spinops._take`: it checks the norm, freezes the amplitudes in place
+    and records them as ``_occupied`` = (index, values)."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: CollectiveSpinState(1, spin_amplitudes(1.0 + 2e-12)),
+            lambda: TwoModeFockState(1, fock_grid(1.0 + 2e-12)),
+            lambda: TwoModeFockState(1, fock_grid(1.0), truncation_deficit=5e-11),
+        ],
+        ids=["spin", "fock", "fock-deficit"],
+    )
+    def test_both_state_types_raise_from_the_one_store(self, make):
+        with pytest.raises(ValueError, match=r"^state not normalized: sum \|c\|\^2 = ") as exc:
+            make()
+        assert exc.traceback[-1].name == "_take"
+        assert exc.traceback[-1].path.name == "spinops.py"
+
+    def test_a_two_mode_state_is_checked_against_one_less_its_deficit(self):
+        state = TwoModeFockState(1, fock_grid(1.0 - 5e-11), truncation_deficit=5e-11)
+        assert state.truncation_deficit == 5e-11
+
+    @pytest.mark.parametrize("name", list(LIBRARY_STATES))
+    def test_every_library_state_carries_its_occupied_amplitudes(self, name):
+        state = LIBRARY_STATES[name]()
+        index, values = vars(state)["_occupied"]
+        assert _occupied(state) is vars(state)["_occupied"]
+        assert not values.flags.writeable
+        if isinstance(state, CollectiveSpinState):
+            assert index is ALL
+            assert values is state.amplitudes
+        else:
+            assert index is state._layout[1]
+            assert np.array_equal(state.vector[index], values)
+
+    def test_a_ramsey_sweep_never_reads_the_spin_vector(self, monkeypatch):
+        def unread(state):
+            raise RuntimeError("the sweep read the spin vector")
+
+        probe = css(40, math.pi / 2, 0.0)
+        readout = Readout(probe.m_values, probe.basis_tag)
+        expected = phase_sweep(lambda phi: ramsey(css(40, math.pi / 2, 0.0), phi), readout, [0.3, 1.1])
+        monkeypatch.setattr(CollectiveSpinState, "vector", property(unread))
+        got = phase_sweep(lambda phi: ramsey(probe, phi), readout, [0.3, 1.1])
+        assert got == expected
+
+    def test_duck_typed_states_and_bare_vectors_read_as_all_of_their_vector(self):
+        vector = np.array([0.6, 0.8j])
+        duck = type("Duck", (), {"vector": vector, "basis_tag": _basis_tag("spin", 1)})()
+        for state in (duck, vector, [0.6, 0.8j]):
+            index, values = _occupied(state)
+            assert index is ALL
+            assert values.dtype == complex and np.array_equal(values, vector)
 
 
 ROUND_TRIPS = {"pickle": lambda state: pickle.loads(pickle.dumps(state)), "deepcopy": copy.deepcopy}
