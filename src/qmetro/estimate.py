@@ -90,7 +90,7 @@ class DistributionFamily:
     table_at: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def probabilities(self, theta: float) -> np.ndarray:
-        return self._validated(self._evaluate(theta), theta)
+        return self._probability_table([theta])[0]
 
     def _probability_table(self, thetas) -> np.ndarray:
         """The validated probabilities at every theta in thetas as one
@@ -116,20 +116,18 @@ class DistributionFamily:
 
     @staticmethod
     def _validated(p: np.ndarray, at) -> np.ndarray:
-        """p clipped at 0 after the checks of each row: no entry below
-        -PSD_TOL and a sum within 1e-10 of 1.  p is one row at theta
-        ``at`` or an (M, K) table at the M thetas ``at``; an error names
-        the first bad row."""
-        low, total = p.min(axis=-1), p.sum(axis=-1)
+        """The (M, K) table p at the M thetas ``at``, clipped at 0 after
+        the checks of each row: no entry below -PSD_TOL and a sum within
+        1e-10 of 1; an error names the first bad row."""
+        low, total = p.min(axis=1), p.sum(axis=1)
         # written as "not good" so that a NaN row is bad too
         bad = ~(low >= -PSD_TOL) | ~(abs(total - 1.0) <= 1e-10)
         if bad.any():
-            if p.ndim == 2:
-                m = int(np.argmax(bad))
-                low, total, at = low[m], total[m], at[m]
+            m = int(np.argmax(bad))
+            low, total, at = low[m], float(total[m]), at[m]
             if low < -PSD_TOL:
                 raise InvalidDistributionError(f"negative probability {low!r} at theta={at}")
-            raise InvalidDistributionError(f"probabilities sum to {float(total)!r} at theta={at}")
+            raise InvalidDistributionError(f"probabilities sum to {total!r} at theta={at}")
         return p.clip(0.0)
 
 
@@ -230,10 +228,18 @@ def _classical_fishers(family: DistributionFamily, thetas: np.ndarray) -> list[f
     family is read at theta, theta +- STEP/2 and theta +- STEP
     (`_stencil`) of every theta as one `_probability_table`: one family
     call per point, one validation, and an error that names the first
-    bad theta.  Each theta's F is its own masked sum."""
+    bad theta.  A ``derivative`` is read at the M thetas as one (M, K)
+    table, each row checked for shape (K,) and finite values.  Each
+    theta's F is its own masked sum."""
     if family.derivative is not None:
         p = family._probability_table(thetas)
-        dp = np.array([family.derivative(theta) for theta in thetas.tolist()], dtype=float)
+        rows = [np.asarray(family.derivative(theta), dtype=float) for theta in thetas.tolist()]
+        for theta, row in zip(thetas.tolist(), rows):
+            if row.shape != p.shape[1:] or not np.isfinite(row).all():
+                raise InvalidDistributionError(
+                    f"derivative shape {row.shape} at theta={theta}, expected {p.shape[1:]} finite"
+                )
+        dp = np.array(rows)
     else:
         table = family._probability_table(_stencil(thetas).reshape(-1))
         table = table.reshape(5, thetas.size, -1)
@@ -317,11 +323,14 @@ def _family_vectors(state_family, thetas: np.ndarray) -> np.ndarray:
     union of their occupied entries (`spinops._occupied`): over the shared
     index itself when every state has it, as every phase of one probe
     does.  Every row is checked for unit norm, and an error names the
-    first theta off it."""
+    first theta off it or of another size than the first."""
     states = [state_family(theta) for theta in thetas]
     occupied = [_occupied(state) for state in states]
     first = occupied[0][0]
     if all(index is first for index, _ in occupied):
+        off = [m for m, (_, vec) in enumerate(occupied) if vec.size != occupied[0][1].size]
+        if off:
+            raise InvalidFamilyError(f"state family changed dimension at theta={thetas[off[0]]}")
         vectors = np.stack([vec for _, vec in occupied])
     else:
         if len({getattr(state, "basis_tag", None) for state in states}) > 1:

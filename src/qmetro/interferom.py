@@ -139,18 +139,19 @@ def ramsey(
     leave the output's norm off 1 by about 1e-14, by an amount that
     changes with phi, and a finite-difference slope of a readout would
     take that change for signal (about 1e-9 of the slope near the fringe
-    extrema at N = 2000); so the norm check rescales the output to unit
-    norm (`_with_values` with ``rescale``).  The output before any
-    readout rotation is kept with the probe by phase (`_propagate`).
+    extrema at N = 2000); so the output is rescaled to unit norm after
+    its norm check (the spin state's `_with_values` always rescales).
+    The output before any readout rotation is kept with the probe by
+    phase (`_propagate`).
     """
-    state = _propagate(initial, phi, _first_pulse, rescale=True)
+    state = _propagate(initial, phi, _first_pulse)
     if readout_rotation is not None:
         state = rotate(state, _mean_spin_axis(state), readout_rotation)
     return state
 
 
-def _propagate(state, phi, first_half, **finish):
-    """The output state ``state._with_values(_interfere(...), **finish)``
+def _propagate(state, phi, first_half):
+    """The output state ``state._with_values(_interfere(...))``
     at phi, kept with the probe.  A float phi (Python or numpy) keys its
     output by its exact value, the sign of a zero included, so a later
     call at the same phi returns the same frozen state and propagates
@@ -165,7 +166,7 @@ def _propagate(state, phi, first_half, **finish):
     hit = None if kept is None else kept[1].get(key)
     if hit is not None:
         return hit
-    out = state._with_values(_interfere(state, phi, first_half), **finish)
+    out = state._with_values(_interfere(state, phi, first_half))
     if key is not None:
         outputs, charge = vars(state)["_kept"][1], _charge(out)
         while outputs and (len(outputs) + 1) * charge > SWEEP_BLOCK:
@@ -180,17 +181,20 @@ def _interfere(state, phi: float, first_half):
     vector, W (e^(i phi g) . x) in each sector, written at its place
     ``where``.  ``first_half(state)`` gives, once per probe state,
     the phi-independent half: per sector (where, product, W, g, x), with
-    every array read-only, g complex (the phase then skips a cast) and
-    ``product`` the matrix-vector product W takes (`_real_matvec` for a
-    real W, `numpy.matmul` for a complex one).  The state keeps it in its
-    one cache record, the private attribute `_kept` = (half, outputs of
-    `_propagate`), made with no outputs; a state whose first half raises
-    keeps nothing.  A call costs one phase and one product per sector;
-    the caller makes the output state, whose norm alone is checked
-    (`_with_values`)."""
+    g complex (the phase then skips a cast) and ``product`` the
+    matrix-vector product W takes (`_real_matvec` for a real W,
+    `numpy.matmul` for a complex one).  The state keeps it, every array
+    of it frozen in place, in its one cache record, the private attribute
+    `_kept` = (half, outputs of `_propagate`), made with no outputs; a
+    state whose first half raises keeps nothing.  A call costs one phase
+    and one product per sector; the caller makes the output state, whose
+    norm alone is checked (`_with_values`)."""
     kept = vars(state).get("_kept")
     if kept is None:
         kept = (first_half(state), {})
+        for _, _, *arrays in kept[0]:
+            for a in arrays:
+                a.setflags(write=False)
         object.__setattr__(state, "_kept", kept)
     out = np.empty_like(_occupied(state)[1])
     for where, product, w, g, x in kept[0]:
@@ -206,10 +210,8 @@ def _first_pulse(state: CollectiveSpinState) -> tuple:
     n = state.n_particles
     _, v = _jy_band(n)
     flipped = (-1.0) ** np.arange(n + 1) * state.amplitudes[::-1]
-    arrays = (-_dicke_ladder(n)[0].astype(complex), _real_matvec(v.T, flipped))
-    for a in arrays:
-        a.setflags(write=False)
-    return ((ALL, _real_matvec, v, *arrays),)
+    minus_m = -_dicke_ladder(n)[0].astype(complex)
+    return ((ALL, _real_matvec, v, minus_m, _real_matvec(v.T, flipped)),)
 
 
 def _mean_spin_axis(state: CollectiveSpinState) -> np.ndarray:
@@ -309,10 +311,8 @@ def _first_splitter(state: TwoModeFockState) -> tuple:
         v = np.linalg.eigh(band)[1]
         r_dag = np.exp(1j * (math.pi / 2.0) * _dicke_ladder(n)[0])
         split = r_dag.conj() * _real_matvec(v.T, values[sector])
-        arrays = (r_dag[:, None] * v, np.arange(n, -1, -1, dtype=complex), split)
-        for a in arrays:
-            a.setflags(write=False)
-        kept.append((sector, np.matmul, *arrays))
+        n_b = np.arange(n, -1, -1, dtype=complex)
+        kept.append((sector, np.matmul, r_dag[:, None] * v, n_b, split))
     return tuple(kept)
 
 

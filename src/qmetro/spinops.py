@@ -39,7 +39,9 @@ ALL = slice(None)  # the index of a state that keeps every amplitude (`_occupied
 
 
 def _check_hermitian(mat: np.ndarray, name: str) -> None:
-    if not np.abs(mat - mat.conj().T).max() <= HERMITICITY_TOL:  # NaN fails too
+    # relative to the largest |M_ij|, so a large matrix's round-off passes; NaN fails too
+    bound = HERMITICITY_TOL * max(1.0, float(np.abs(mat).max()))
+    if not np.abs(mat - mat.conj().T).max() <= bound:
         raise ValueError(f"{name} is not Hermitian")
 
 
@@ -177,14 +179,14 @@ class CollectiveSpinState:
         vars(self).update(basis_tag=_basis_tag("spin", n), amplitudes=amp)
         _take(self, ALL, amp)
 
-    def _with_values(self, values: np.ndarray, rescale: bool = False) -> "CollectiveSpinState":
+    def _with_values(self, values: np.ndarray) -> "CollectiveSpinState":
         """The state of this N whose amplitudes are ``values``, a
         C-contiguous complex vector of length N + 1 (`_take`); only their
-        norm is checked, and with ``rescale`` it is then made exactly 1
-        up to the division's round-off."""
+        norm is checked, and it is then made exactly 1 up to the
+        division's round-off, in place (Ramsey's output, `interferom.ramsey`)."""
         state = object.__new__(CollectiveSpinState)
         vars(state).update(n_particles=self.n_particles, basis_tag=self.basis_tag, amplitudes=values)
-        return _take(state, ALL, values, rescale=rescale)
+        return _take(state, ALL, values, rescale=True)
 
     @property
     def j(self) -> float:
@@ -259,10 +261,11 @@ def collective_ops(n_particles: int) -> CollectiveSpinOperators:
     """Build Jx, Jy, Jz for N particles via the angular-momentum ladder.
 
     J+|J,m> = sqrt(J(J+1) - m(m+1)) |J,m+1>, Jz diagonal with entries m.
-    Dense: every propagator and moment of the library, the two-mode
-    splitters included, works on the bands directly (`apply`, `rotate`,
-    `interferom.mz_two_mode`); these matrices serve the tests and demos
-    as the dense reference.
+    Dense: every spin propagator and moment of the library works on the
+    bands directly (`apply`, `rotate`, `interferom.ramsey`), and the
+    two-mode splitters build only each sector's (n+1)^2 Jx band for one
+    `numpy.linalg.eigh` (`interferom.mz_two_mode`); these matrices serve
+    the tests and demos as the dense reference.
     """
     n = int(n_particles)
     if n < 1:
@@ -414,32 +417,14 @@ def _euler_zyz(axis: np.ndarray, angle: float) -> tuple[float, float, float]:
     return 0.5 * (total + difference), beta, 0.5 * (total - difference)
 
 
-def _rotated(vector: np.ndarray, axis, angle: float) -> np.ndarray:
-    """exp(-i angle (n . J)) vector for a unit 3-vector n, unchecked.
-
-    The Euler product Rz(alpha) Ry(beta) Rz(gamma): the z rotations are
-    diagonal phases e^{-i x m}, skipped when their angle is exactly 0,
-    and Ry(beta) comes from the cached spectrum of Jy's real tridiagonal
-    gauge form.
-    """
-    alpha, beta, gamma = _euler_zyz(axis, angle)
-    n = vector.shape[0] - 1
-    m, _ = _dicke_ladder(n)
-    out = vector
-    if gamma != 0.0:
-        out = np.exp(-1j * gamma * m) * out
-    if beta != 0.0:
-        out = _band_evolve(out, _jy_band(n), _jy_gauge(n), beta)
-    if alpha != 0.0:
-        out = np.exp(-1j * alpha * m) * out
-    return out
-
-
 def rotate(state: CollectiveSpinState, axis, angle: float) -> CollectiveSpinState:
     """Rotate a collective-spin state by `angle` about the unit 3-vector `axis`.
 
-    Returns exp(-i * angle * (n . J)) |state> through `_rotated`; no
-    (N+1)^2 operator is built beyond the cached Jy spectrum.
+    Returns exp(-i * angle * (n . J)) |state> as the Euler product
+    Rz(alpha) Ry(beta) Rz(gamma) (`_euler_zyz`): the z rotations are
+    diagonal phases e^{-i x m}, skipped when their angle is exactly 0,
+    and Ry(beta) comes from the cached spectrum of Jy's real tridiagonal
+    gauge form; no (N+1)^2 operator is built beyond it.
     """
     ax = np.asarray(axis, dtype=float)
     if ax.shape != (3,):
@@ -447,7 +432,17 @@ def rotate(state: CollectiveSpinState, axis, angle: float) -> CollectiveSpinStat
     norm = float(np.linalg.norm(ax))
     if not abs(norm - 1.0) <= AXIS_TOL:  # NaN fails too
         raise ValueError(f"axis must have unit norm, got |axis| = {norm!r}")
-    return CollectiveSpinState(state.n_particles, _rotated(state.amplitudes, ax / norm, angle * norm))
+    alpha, beta, gamma = _euler_zyz(ax / norm, angle * norm)
+    n = state.n_particles
+    m, _ = _dicke_ladder(n)
+    out = state.amplitudes
+    if gamma != 0.0:
+        out = np.exp(-1j * gamma * m) * out
+    if beta != 0.0:
+        out = _band_evolve(out, _jy_band(n), _jy_gauge(n), beta)
+    if alpha != 0.0:
+        out = np.exp(-1j * alpha * m) * out
+    return CollectiveSpinState(n, out)
 
 
 def moments(state, obs: Observable) -> tuple[float, float]:
@@ -475,11 +470,6 @@ def _moments(vec: np.ndarray, applied: np.ndarray) -> tuple[float, float]:
     return mean, variance
 
 
-def _zero_spin(n_particles: int) -> float:
-    """The length at or below which a mean spin of N particles counts as zero."""
-    return MEAN_SPIN_EPS * max(1.0, n_particles / 2.0)
-
-
 def expectation_vector(state: CollectiveSpinState) -> np.ndarray:
     """The mean spin vector (<Jx>, <Jy>, <Jz>)."""
     vec = state.amplitudes
@@ -488,10 +478,10 @@ def expectation_vector(state: CollectiveSpinState) -> np.ndarray:
 
 def _mean_spin(state: CollectiveSpinState) -> tuple[np.ndarray | None, float]:
     """The unit direction of the mean spin <J> and its length |<J>|.
-    The direction is None when the length is at or below `_zero_spin`."""
+    The direction is None when the length counts as zero (MEAN_SPIN_EPS)."""
     jvec = expectation_vector(state)
     length = float(np.linalg.norm(jvec))
-    if length <= _zero_spin(state.n_particles):
+    if length <= MEAN_SPIN_EPS * max(1.0, state.n_particles / 2.0):
         return None, length
     return jvec / length, length
 

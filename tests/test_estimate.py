@@ -117,6 +117,29 @@ class TestClassicalFisher:
         with pytest.raises(InvalidDistributionError):
             classical_fisher(family, 0.5)
 
+    @staticmethod
+    def coin_with_derivative(derivative):
+        return DistributionFamily(
+            outcome_labels=("heads", "tails"),
+            prob_at=lambda theta: np.array([theta, 1.0 - theta]),
+            derivative=derivative,
+        )
+
+    @pytest.mark.parametrize(
+        "derivative",
+        [lambda t: 2.0, lambda t: np.array([1.0, -1.0, 0.0]), lambda t: np.array([np.nan, 1.0])],
+        ids=["scalar", "length-3", "nan"],
+    )
+    def test_bad_derivative_rejected(self, derivative):
+        # a scalar was broadcast over the outcomes (F = 19.05 for the true 4.76)
+        with pytest.raises(InvalidDistributionError, match="derivative shape .* at theta=0.3"):
+            classical_fisher(self.coin_with_derivative(derivative), 0.3)
+
+    def test_bad_derivative_names_its_theta(self):
+        family = self.coin_with_derivative(lambda t: 2.0 if t > 0.5 else np.array([1.0, -1.0]))
+        with pytest.raises(InvalidDistributionError, match="theta=0.7"):
+            estimate._classical_fishers(family, np.array([0.3, 0.7]))
+
     def test_outcome_permutation_invariance(self):
         base = ramsey_single_family()
         flipped = DistributionFamily(
@@ -336,6 +359,19 @@ class TestQfi:
         got = qfi_from_family(self.two_sector_family, 0.0)
         assert got == pytest.approx(4.0, abs=1e-8)
         assert got == pytest.approx(dense, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda n: css(n, 0.8, 0.2), lambda n: np.eye(n + 1, dtype=complex)[0]],
+        ids=["css", "bare-vector"],
+    )
+    def test_stencil_states_of_another_dimension_rejected(self, make):
+        # states of index ALL took the shared path, where np.stack raised
+        def family(theta):
+            return make(2 if theta < 0.4 else 3)
+
+        with pytest.raises(InvalidFamilyError, match="changed dimension at theta=0.39999"):
+            qfi_from_family(family, 0.4)
 
     def test_stencil_states_in_different_bases_rejected(self):
         def family(theta):

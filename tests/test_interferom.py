@@ -1444,6 +1444,18 @@ class TestKeptOutputs:
                 mz_two_mode(probe, math.nan)
         assert list(vars(probe)["_kept"][1].values()) == [kept]
 
+    def test_the_kernel_freezes_the_half_it_keeps(self):
+        # a first half may return writable arrays: the kernel freezes them
+        probe = random_spin_state(4, 2)
+        w, g, x = np.eye(5, dtype=complex), np.zeros(5, dtype=complex), probe.amplitudes.copy()
+        out = interferom._interfere(probe, 0.3, lambda state: ((slice(None), np.matmul, w, g, x),))
+        assert np.array_equal(out, probe.amplitudes)
+        ((_, _, *arrays),) = vars(probe)["_kept"][0]
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
     def test_a_rebuilt_kept_half_drops_the_outputs(self):
         probe = random_spin_state(6, 3)
         first = ramsey(probe, 0.2)

@@ -454,6 +454,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="Hermitian"):
             Observable(np.full((3, 3), np.nan), BasisTag("spin", 2))
 
+    def test_observable_guard_is_relative_to_the_largest_entry(self):
+        # R Jz R^dag with R = e^{-0.3i Jy} from dense eigh at N = 1000: the
+        # products leave an asymmetry of about 6e-14 at max |M_ij| = 478
+        ops = collective_ops(1000)
+        w, v = np.linalg.eigh(ops.jy)
+        r = (v * np.exp(-0.3j * w)) @ v.conj().T
+        Observable(r @ ops.jz @ r.conj().T, BasisTag("spin", 1000))
+
+    def test_observable_rejects_a_relative_asymmetry_of_1e_8(self):
+        matrix = 500.0 * np.array([[1.0, 1.0], [1.0 + 1e-8, -1.0]])
+        with pytest.raises(ValueError, match="Hermitian"):
+            Observable(matrix, BasisTag("spin", 1))
+
     def test_operators_reject_nan_matrix(self):
         ops = collective_ops(2)
         with pytest.raises(ValueError, match="jy is not Hermitian"):

@@ -533,6 +533,14 @@ class TestOneStateStore:
         assert exc.traceback[-1].name == "_take"
         assert exc.traceback[-1].path.name == "spinops.py"
 
+    def test_a_spin_state_with_new_values_is_rescaled_to_unit_norm(self):
+        # Ramsey's output: the norm check passes 1 + 1e-13, then the values
+        # are divided in place by their norm
+        values = css(3, 0.7, 0.2).amplitudes * math.sqrt(1.0 + 1e-13)
+        out = css(3, 0.7, 0.2)._with_values(values)
+        assert out.amplitudes is values
+        assert abs(np.vdot(values, values).real - 1.0) <= np.finfo(float).eps
+
     def test_a_two_mode_state_is_checked_against_one_less_its_deficit(self):
         state = TwoModeFockState(1, fock_grid(1.0 - 5e-11), truncation_deficit=5e-11)
         assert state.truncation_deficit == 5e-11
