@@ -89,6 +89,10 @@ class DistributionFamily:
     derivative: Optional[Callable[[float], np.ndarray]] = None
     table_at: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
+    def __post_init__(self):
+        if len(self.outcome_labels) == 0:
+            raise InvalidDistributionError("a distribution family needs at least one outcome")
+
     def probabilities(self, theta: float) -> np.ndarray:
         return self._probability_table([theta])[0]
 
@@ -323,7 +327,8 @@ def _family_vectors(state_family, thetas: np.ndarray) -> np.ndarray:
     union of their occupied entries (`spinops._occupied`): over the shared
     index itself when every state has it, as every phase of one probe
     does.  Every row is checked for unit norm, and an error names the
-    first theta off it or of another size than the first."""
+    first theta off it, of another size than the first, or in another
+    basis than the first."""
     states = [state_family(theta) for theta in thetas]
     occupied = [_occupied(state) for state in states]
     first = occupied[0][0]
@@ -333,8 +338,10 @@ def _family_vectors(state_family, thetas: np.ndarray) -> np.ndarray:
             raise InvalidFamilyError(f"state family changed dimension at theta={thetas[off[0]]}")
         vectors = np.stack([vec for _, vec in occupied])
     else:
-        if len({getattr(state, "basis_tag", None) for state in states}) > 1:
-            raise InvalidFamilyError(f"state family changed basis near theta={thetas[0]}")
+        tags = [getattr(state, "basis_tag", None) for state in states]
+        off = [m for m, tag in enumerate(tags) if tag != tags[0]]
+        if off:
+            raise InvalidFamilyError(f"state family changed basis at theta={thetas[off[0]]}")
         positions = [np.arange(vec.size) if index is ALL else index for index, vec in occupied]
         union = np.unique(np.concatenate(positions))
         vectors = np.zeros((len(states), union.size), dtype=complex)

@@ -377,7 +377,10 @@ def phase_sweep(
     thetas (`estimate._stencil`), for a `ramsey` or `mz_two_mode` family
     of one probe these are 5 propagations and 10 kept outputs.
     """
-    grid = np.atleast_1d(np.asarray(phi_grid, dtype=float))
+    grid = np.asarray(phi_grid, dtype=float)
+    if grid.ndim > 1:
+        raise ValueError(f"phase grid must be a scalar or 1-D, got shape {grid.shape}")
+    grid = np.atleast_1d(grid)
     if grid.size == 0:
         raise ValueError("phase grid must be non-empty")
     family = povm_family(state_family, readout)

@@ -206,6 +206,11 @@ def _signed_powers(base: float, exponents: np.ndarray) -> tuple[np.ndarray, np.n
     return sign, exponents * math.log(abs(base))
 
 
+def _finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def css(n_particles: int, theta: float, phi: float) -> CollectiveSpinState:
     """Coherent spin state: all N particles polarized along (theta, phi).
 
@@ -218,6 +223,8 @@ def css(n_particles: int, theta: float, phi: float) -> CollectiveSpinState:
     n = int(n_particles)
     if n < 1:
         raise ValueError("n_particles must be >= 1")
+    _finite("theta", theta)
+    _finite("phi", phi)
     half = 0.5 * theta
     k = np.arange(n + 1)  # k = J + m
     log_factorial = _log_factorials(n)
@@ -234,6 +241,7 @@ def ghz(n_particles: int, rel_phase: float = 0.0) -> CollectiveSpinState:
     n = int(n_particles)
     if n < 1:
         raise ValueError("n_particles must be >= 1")
+    _finite("rel_phase", rel_phase)
     amp = np.zeros(n + 1, dtype=complex)
     amp[n] = 1.0 / math.sqrt(2.0)
     amp[0] = np.exp(1j * rel_phase) / math.sqrt(2.0)

@@ -8,9 +8,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import closed_forms
 import numpy as np
 import pytest
-from conftest import legendre, oat_closed_form
 
 from qmetro.cli import (
     _KEYS,
@@ -31,22 +31,6 @@ def run_cli(args):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
-
-
-def check_twinfock_closed_forms(tmp_path, n, phi):
-    """twinfock-parity at N per mode on five phases: QFI = 2N(N+1) to 1e-6
-    relative, parity = P_N(cos 2 phi) to 1e-8 and F <= F_Q."""
-    out = tmp_path / f"tf{n}.csv"
-    code = run_cli(["run", "twinfock-parity", "--n", str(n), "--phi", phi, "--out", str(out)])
-    assert code == 0
-    rows = read_csv(out)
-    assert len(rows) == 5
-    for row in rows:
-        qfi = float(row["qfi"])
-        assert qfi == pytest.approx(2 * n * (n + 1), rel=1e-6)
-        expected = legendre(n, math.cos(2 * float(row["phi"])))
-        assert float(row["parity"]) == pytest.approx(expected, abs=1e-8)
-        assert float(row["classical_fisher"]) <= qfi * (1 + 1e-6)
 
 
 class TestScalarAndGridParsing:
@@ -191,45 +175,6 @@ class TestExitCodes:
 
 
 class TestRecords:
-    def test_noon_qfi_values(self, tmp_path):
-        out = tmp_path / "noon.csv"
-        assert run_cli(["run", "noon-qfi", "--n", "2,10,50", "--out", str(out)]) == 0
-        rows = read_csv(out)
-        assert [r["n"] for r in rows] == ["2", "10", "50"]
-        by_n = {int(r["n"]): r for r in rows}
-        assert float(by_n[10]["qfi"]) == pytest.approx(100.0, abs=1e-8)
-        assert float(by_n[10]["qcrb"]) == pytest.approx(0.1, abs=1e-10)
-
-    def test_ramsey_css_min_delta_is_sql(self, tmp_path):
-        out = tmp_path / "css.csv"
-        code = run_cli(
-            [
-                "run",
-                "ramsey-css",
-                "--n",
-                "100",
-                "--phi",
-                "0.1pi:0.9pi:9",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
-        deltas = [float(r["delta_theta_errorprop"]) for r in read_csv(out)]
-        assert min(deltas) == pytest.approx(0.1, abs=1e-9)
-
-    def test_mz_single_sits_at_unit_fisher(self, tmp_path):
-        # one particle: F = F_Q = 1 and error propagation 1 at every interior phase
-        out = tmp_path / "mz.csv"
-        assert run_cli(["run", "mz-single", "--phi", "0.3:2.8:4", "--v", "4", "--out", str(out)]) == 0
-        rows = read_csv(out)
-        assert len(rows) == 4
-        for row in rows:
-            assert row["n"] == "1"
-            for column in ("classical_fisher", "qfi", "delta_theta_errorprop"):
-                assert float(row[column]) == pytest.approx(1.0, abs=1e-8)
-            assert float(row["crb"]) == pytest.approx(0.5, abs=1e-8)
-
     def test_mz_single_is_the_one_particle_ramsey(self, tmp_path):
         runs = {}
         for name, extra in (("mz-single", []), ("ramsey-css", ["--n", "1"])):
@@ -238,47 +183,6 @@ class TestRecords:
             runs[name] = [{k: v for k, v in row.items() if k != "experiment"} for row in read_csv(out)]
         assert len(runs["mz-single"]) == 9
         assert runs["mz-single"] == runs["ramsey-css"]
-
-    def test_twinfock_parity_at_zero(self, tmp_path):
-        out = tmp_path / "tf.csv"
-        code = run_cli(
-            ["run", "twinfock-parity", "--n", "3", "--phi", "0", "--out", str(out)]
-        )
-        assert code == 0
-        rows = read_csv(out)
-        assert len(rows) == 1
-        assert float(rows[0]["parity"]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_twinfock_parity_closed_forms_at_n40(self, tmp_path):
-        # QFI = 2N(N+1), parity = P_N(cos 2 phi) and F <= F_Q well past the
-        # N <= 20 of the other twin-Fock checks
-        check_twinfock_closed_forms(tmp_path, 40, "0.01:pi/2:5")
-
-    def test_twinfock_parity_closed_forms_at_n100(self, tmp_path):
-        # one 201-dim sector, the grid of the console-script check
-        check_twinfock_closed_forms(tmp_path, 100, "0.1:1.5:5")
-
-    def test_ecs_qfi_matches_closed_form(self, tmp_path):
-        out = tmp_path / "ecs.json"
-        code = run_cli(
-            [
-                "run",
-                "ecs-qfi",
-                "--alpha",
-                "0.5,1,2",
-                "--format",
-                "json",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
-        records = json.loads(out.read_text())
-        for rec in records:
-            alpha = rec["alpha"]
-            na_sq = 1.0 / (2.0 * (1.0 + math.exp(-(alpha**2))))
-            closed = 4 * alpha**2 * na_sq + 4 * (1 - na_sq) * alpha**4 * na_sq
-            assert rec["qfi"] == pytest.approx(closed, rel=1e-6)
 
     def test_bjj_ground_regimes(self, tmp_path):
         out = tmp_path / "bjj.csv"
@@ -340,46 +244,6 @@ class TestRecords:
         ratio = float(row["mse"]) / float(row["crb_variance"])
         assert 1.0 <= ratio <= 1.3
 
-
-class TestLargeN:
-    """Large-N sweeps against the closed forms the benchmark checks."""
-
-    def test_ramsey_css_n400_sits_at_the_sql(self, tmp_path):
-        out = tmp_path / "css.csv"
-        args = ["run", "ramsey-css", "--n", "400", "--phi", "0.1pi:0.9pi:3"]
-        assert run_cli(args + ["--out", str(out)]) == 0
-        rows = read_csv(out)
-        assert len(rows) == 3
-        for row in rows:
-            assert float(row["classical_fisher"]) / 400 == pytest.approx(1.0, abs=1e-6)
-            assert float(row["qfi"]) / 400 == pytest.approx(1.0, abs=1e-6)
-            assert math.sqrt(400) * float(row["delta_theta_errorprop"]) == pytest.approx(
-                1.0, abs=1e-6
-            )
-
-    def test_ramsey_css_n1000_sits_at_the_sql(self, tmp_path):
-        out = tmp_path / "css.csv"
-        args = ["run", "ramsey-css", "--n", "1000", "--phi", "0.1:3:3"]
-        assert run_cli(args + ["--out", str(out)]) == 0
-        rows = read_csv(out)
-        assert len(rows) == 3
-        for row in rows:
-            assert float(row["classical_fisher"]) / 1000 == pytest.approx(1.0, abs=1e-6)
-            assert float(row["qfi"]) / 1000 == pytest.approx(1.0, abs=1e-6)
-            assert math.sqrt(1000) * float(row["delta_theta_errorprop"]) == pytest.approx(
-                1.0, abs=1e-6
-            )
-
-    def test_twinfock_parity_n400_qfi_sits_at_the_closed_form(self, tmp_path):
-        # F_Q reads F's five states at F's step: within 1e-9 of 2N(N+1) at N = 400
-        out = tmp_path / "tf.csv"
-        args = ["run", "twinfock-parity", "--n", "400", "--phi", "0.1:1.5:3"]
-        assert run_cli(args + ["--out", str(out)]) == 0
-        rows = read_csv(out)
-        assert len(rows) == 3
-        for row in rows:
-            assert float(row["qfi"]) / (2 * 400 * 401) == pytest.approx(1.0, abs=1e-9)
-
     def test_oat_squeeze_n2000_is_squeezed(self, tmp_path):
         out = tmp_path / "oat.csv"
         args = ["run", "oat-squeeze", "--n", "2000", "--chi", "0.01", "--t", "0.1:1:2"]
@@ -400,49 +264,72 @@ class TestLargeN:
         assert row["ground_degenerate"] == "false"
 
 
+# runs whose records `closed_forms` checks in full
+CLOSED_FORM_RUNS = [
+    ["mz-single", "--phi", "0.3:2.8:4", "--v", "4"],
+    ["ramsey-css", "--n", "100", "--phi", "0.1pi:0.9pi:9"],
+    ["ramsey-css", "--n", "400", "--phi", "0.1pi:0.9pi:3"],
+    ["ramsey-css", "--n", "1000", "--phi", "0.1:3:3"],
+    *(["ramsey-sss", "--n", "2,10,40,400,1000", "--chi", chi, "--phi", "pi/2"] for chi in ("0.01", "0.05")),
+    ["noon-qfi", "--n", "2,10,50"],
+    ["ecs-qfi", "--alpha", "0.5,1,2", "--format", "json"],
+    ["twinfock-parity", "--n", "3", "--phi", "0"],
+    ["twinfock-parity", "--n", "40", "--phi", "0.01:pi/2:5"],
+    ["twinfock-parity", "--n", "100", "--phi", "0.1:1.5:5"],
+    ["twinfock-parity", "--n", "400", "--phi", "0.1:1.5:3"],
+    *(["bjj-ground", "--n", "10,100,1000,2000", "--ec", "0", f"--jtun={jtun}", f"--delta={delta}"]
+      for jtun, delta in [(1, 0), (1, 0.5), (0.5, 2), (2, -1)]),
+]
+
+
+def csv_text(rows):
+    out = io.StringIO()
+    writer = csv.DictWriter(out, rows[0].keys())
+    writer.writeheader()
+    writer.writerows(rows)
+    return out.getvalue()
+
+
 class TestClosedForms:
-    """Records against exact forms at the points where they hold."""
+    """Records against the forms of `closed_forms`, and that table itself."""
 
-    @pytest.mark.parametrize("chi", ["0.01", "0.05"])
-    def test_ramsey_sss_at_half_pi_is_kitagawa_ueda_and_wineland(self, tmp_path, chi):
-        # rotations keep xi, so the probe's xi are those of the twisted CSS
-        # at chi t; at phi = pi/2 error propagation reaches
-        # sqrt(N) dphi = xi_R (Wineland et al., PRA 50, 67, 1994)
-        out = tmp_path / "sss.csv"
-        args = ["run", "ramsey-sss", "--n", "2,10,40,400,1000", "--chi", chi, "--phi", "pi/2"]
-        assert run_cli(args + ["--out", str(out)]) == 0
-        rows = read_csv(out)
-        assert len(rows) == 5
-        for row in rows:
-            n = int(row["n"])
-            closed = oat_closed_form(n, float(chi))
-            conditioning = max(1.0, n / (2.0 * closed["mean_spin"]))
-            assert float(row["xi_s_sq"]) == pytest.approx(closed["xi_s_sq"], rel=1e-12, abs=0)
-            for key in ("xi_r_sq", "xi_h_sq"):
-                assert float(row[key]) == pytest.approx(closed[key], rel=1e-12 * conditioning, abs=0)
-            ep = math.sqrt(n) * float(row["delta_theta_errorprop"])
-            assert ep == pytest.approx(math.sqrt(closed["xi_r_sq"]), abs=1e-9)
+    @pytest.mark.parametrize("argv", CLOSED_FORM_RUNS, ids=" ".join)
+    def test_records_hold_their_closed_forms(self, capsys, argv):
+        assert run_cli(["run", *argv]) == 0
+        assert closed_forms.failures(argv, capsys.readouterr().out) == []
 
-    @pytest.mark.parametrize("jtun,delta", [(1, 0), (1, 0.5), (0.5, 2), (2, -1)])
-    def test_bjj_ground_without_charging_energy_is_a_rotated_css(self, tmp_path, jtun, delta):
-        # H = -J Jx + delta Jz is (J^2 + delta^2)^(1/2) times a spin component:
-        # evenly spaced levels, and a ground state that is the CSS along
-        # (J, 0, -delta), at alpha = atan(|delta| / J) from the x axis
-        out = tmp_path / "bjj.csv"
-        args = ["run", "bjj-ground", "--n", "10,100,1000,2000", "--ec", "0"]
-        assert run_cli(args + [f"--jtun={jtun}", f"--delta={delta}", "--out", str(out)]) == 0
-        rows = read_csv(out)
-        assert [int(r["n"]) for r in rows] == [10, 100, 1000, 2000]
-        omega = math.hypot(jtun, delta)
-        half_alpha = 0.5 * math.atan(abs(delta) / jtun)
-        for row in rows:
-            n = int(row["n"])
-            assert row["regime"] == "rabi"
-            assert row["ground_degenerate"] == "false"
-            assert float(row["ground_energy"]) == pytest.approx(-0.5 * n * omega, rel=1e-12, abs=0)
-            assert float(row["gap"]) == pytest.approx(omega, rel=1e-12, abs=0)
-            # absolute: a tiny overlap is the round-off floor of the eigenvector
-            assert float(row["css_overlap"]) == pytest.approx(math.cos(half_alpha) ** (2 * n), abs=1e-12)
+    def test_every_experiment_has_an_entry(self):
+        assert list(closed_forms.FORMS) == list(EXPERIMENTS)
+
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_a_doubled_cell_of_a_form_column_fails_and_is_named(self, capsys, name):
+        # the defaults hold every form; doubling one cell of a form's
+        # column makes the runner exit 1 and name that row and column
+        assert run_cli(["run", name]) == 0
+        text = capsys.readouterr().out
+        assert closed_forms.report([name], text) == 0
+        capsys.readouterr()
+        rows = list(csv.DictReader(io.StringIO(text)))
+        forms = closed_forms.FORMS[name](rows[0], closed_forms.config([name]))
+        columns = [column for column, (expected, _) in forms.items() if not isinstance(expected, str)]
+        assert columns
+        for column in columns:
+            doubled = {**rows[0], column: repr(2.0 * float(rows[0][column]))}
+            assert closed_forms.report([name], csv_text([doubled, *rows[1:]])) == 1
+            assert f": row 0: {column} = " in capsys.readouterr().out
+
+    def test_a_row_at_nonzero_charging_energy_is_checked_for_its_bounds_only(self, capsys):
+        argv = ["bjj-ground", "--n", "4,5", "--ec", "1"]
+        assert run_cli(["run", *argv]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        cfg = closed_forms.config(argv)
+        assert [closed_forms.FORMS["bjj-ground"](row, cfg) for row in rows] == [{}, {}]
+        changed = [{**row, "ground_energy": "1", "gap": "-1", "css_overlap": "2"} for row in rows]
+        assert closed_forms.failures(argv, csv_text(changed)) == []
+        # the swept n is still read
+        assert closed_forms.failures(argv, csv_text([{**rows[0], "n": "6"}, rows[1]])) == [
+            "row 0: n = 6, expected 4.0 +- 0"
+        ]
 
     @pytest.mark.parametrize("n", [5, 40])
     def test_twinfock_parity_at_the_fringe_extrema_stays_in_the_unit_interval(self, tmp_path, n):
@@ -608,9 +495,9 @@ class TestOutputContracts:
         out = tmp_path / "cfg.csv"
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(f"# demo sweep\nn = 6\nout = {out}\n")
-        assert run_cli(["run", "noon-qfi", "--config", str(cfg)]) == 0
-        rows = read_csv(out)
-        assert float(rows[0]["qfi"]) == pytest.approx(36.0, abs=1e-8)
+        argv = ["noon-qfi", "--config", str(cfg)]
+        assert run_cli(["run", *argv]) == 0
+        assert closed_forms.failures(argv, out.read_text()) == []  # n = 6, F_Q = 36
 
     def test_stdout_when_no_out_path(self, capsys):
         assert run_cli(["run", "noon-qfi", "--n", "2"]) == 0

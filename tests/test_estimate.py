@@ -1,6 +1,7 @@
 import collections
 import functools
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -42,7 +43,7 @@ from qmetro import (
 from qmetro import estimate
 from qmetro._search import grid_then_golden_many
 from qmetro.cli import _MONTE_CARLO_COIN
-from qmetro.estimate import _minus_log_likelihoods, _observed_patterns
+from qmetro.estimate import STEP, _minus_log_likelihoods, _observed_patterns, _quantum_fishers
 from qmetro.spinops import evolve
 from search_oracles import _log_likelihood, grid_then_golden
 
@@ -70,6 +71,10 @@ def bernoulli_family():
 
 
 class TestClassicalFisher:
+    def test_a_family_with_no_outcomes_is_rejected(self):
+        with pytest.raises(InvalidDistributionError, match="at least one outcome"):
+            DistributionFamily((), lambda theta: np.zeros(0))
+
     def test_single_atom_ramsey_flat(self):
         family = ramsey_single_family()
         for phi in np.linspace(0.05, math.pi - 0.05, 25):
@@ -374,11 +379,16 @@ class TestQfi:
             qfi_from_family(family, 0.4)
 
     def test_stencil_states_in_different_bases_rejected(self):
+        # the error names the first theta whose basis differs from the first
+        # state's: 0.7 after 0.1 and 0.3, and 0.6 - STEP/2 in the stencil of 0.6
         def family(theta):
-            return twin_fock(1, cutoff=2 if theta < 0.5 else 3)
+            return twin_fock(1, cutoff=2 if theta < 0.6 else 3)
 
-        with pytest.raises(InvalidFamilyError, match="basis"):
-            qfi_from_family(family, 0.5)
+        with pytest.raises(InvalidFamilyError, match=r"changed basis at theta=0\.7$"):
+            _quantum_fishers(family, np.array([0.1, 0.3, 0.7]))
+        at = re.escape(str(0.6 - 0.5 * STEP))
+        with pytest.raises(InvalidFamilyError, match=f"changed basis at theta={at}$"):
+            qfi_from_family(family, 0.6)
 
 
 class TestNanGuards:

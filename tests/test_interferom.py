@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import legendre
+from closed_forms import legendre
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -1052,6 +1052,11 @@ class TestPhaseSweep:
                 jz_readout(initial),
                 [],
             )
+
+    def test_a_grid_of_more_than_one_dimension_is_rejected(self):
+        initial = css(2, 0.0, 0.0)
+        with pytest.raises(ValueError, match=r"scalar or 1-D, got shape \(1, 2\)"):
+            phase_sweep(lambda phi: ramsey(initial, phi), jz_readout(initial), [[0.1, 0.2]])
 
     def test_fisher_saturates_qfi_for_css_ramsey(self):
         n = 8

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import align_phase, oat_closed_form
+from closed_forms import oat_closed_form
+from conftest import align_phase
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 

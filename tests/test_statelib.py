@@ -215,6 +215,21 @@ class TestCss:
         assert np.array_equal(got == 0, expected == 0)  # exact zeros stay exact
 
 
+@pytest.mark.parametrize(
+    "make,args,name",
+    [
+        (css, (3, math.nan, 0.0), "theta"),
+        (css, (3, 0.3, math.inf), "phi"),
+        (ghz, (3, math.nan), "rel_phase"),
+    ],
+    ids=["theta", "phi", "rel_phase"],
+)
+def test_a_non_finite_angle_is_named(make, args, name):
+    # rejected before any arithmetic, which would warn first
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        make(*args)
+
+
 class TestGhz:
     @pytest.mark.parametrize("n,phase", [(1, 0.0), (4, 1.1), (9, -0.6)])
     def test_jz_mean_zero(self, n, phase):
