@@ -102,11 +102,16 @@ def _ecs(row, cfg):
     return _quantum(4 * alpha**2 * na_sq + 4 * (1 - na_sq) * alpha**4 * na_sq, cfg, 1e-6)
 
 
+def twin_fock_qfi(n):
+    """F_Q of twin Fock |N, N> under the Mach-Zehnder phase, at every phi."""
+    return 2.0 * n * (n + 1)
+
+
 def _twin_fock(row, cfg):
     """F_Q = 2N(N+1), and the parity P_N(cos 2 phi)."""
     n = int(row["n"])
     parity = legendre(n, math.cos(2 * float(row["phi"])))
-    return {**_quantum(2.0 * n * (n + 1), cfg, 1e-9), "parity": (parity, 1e-12)}
+    return {**_quantum(twin_fock_qfi(n), cfg, 1e-9), "parity": (parity, 1e-12)}
 
 
 def _bjj_ground(row, cfg):

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from closed_forms import legendre
+from closed_forms import legendre, twin_fock_qfi
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -827,7 +827,7 @@ class TestParity:
                 return math.sqrt(max(0.0, 1.0 - mean * mean))
 
             prop = error_propagation(signal, noise, 1e-3)
-            bound = 1.0 / math.sqrt(2 * n * (n + 1))
+            bound = 1.0 / math.sqrt(twin_fock_qfi(n))
             assert prop.value == pytest.approx(bound, rel=0.01)
 
 
