@@ -46,9 +46,9 @@ from .estimate import (
     run_monte_carlo,
 )
 from .interferom import (
-    _mode_readout,
-    _parity_mean,
+    _mode_moments,
     mz_two_mode,
+    parity_expectation,
     parity_sector_povm,
     phase_sweep,
     ramsey,
@@ -330,8 +330,7 @@ def _run_ecs_qfi(cfg: SimpleNamespace):
     for alpha in cfg.alpha:
         # F_Q = 4 Var n_b under the phase e^{i phi n_b}, exact
         state = ecs(alpha)
-        n_b = _mode_readout("b", np.arange(state.cutoff + 1.0), state.cutoff)
-        qfi = 4.0 * readout_moments(state, n_b)[1]
+        qfi = 4.0 * _mode_moments(state, "b", np.arange(state.cutoff + 1.0))[1]
         rows.append({"alpha": float(alpha), "qfi": qfi, "qcrb": cramer_rao(qfi, cfg.v or 1)})
     return rows, _min_summary(rows, "qcrb", swept="alpha")
 
@@ -342,7 +341,7 @@ def _run_twinfock_parity(cfg: SimpleNamespace):
         probe = twin_fock(n)
         readout = parity_sector_povm("b", probe.cutoff)
         rows += [
-            {**row, "parity": _parity_mean(mz_two_mode(probe, row["phi"]), readout)}
+            {**row, "parity": parity_expectation(mz_two_mode(probe, row["phi"]), "b")}
             for row in _sweep_rows(cfg, n, lambda phi: mz_two_mode(probe, phi), readout)
         ]
     return rows, _min_summary(rows, "delta_theta_errorprop")

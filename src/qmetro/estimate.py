@@ -128,7 +128,7 @@ class DistributionFamily:
         bad = ~(low >= -PSD_TOL) | ~(abs(total - 1.0) <= 1e-10)
         if bad.any():
             m = int(np.argmax(bad))
-            low, total, at = low[m], float(total[m]), at[m]
+            low, total, at = float(low[m]), float(total[m]), at[m]
             if low < -PSD_TOL:
                 raise InvalidDistributionError(f"negative probability {low!r} at theta={at}")
             raise InvalidDistributionError(f"probabilities sum to {total!r} at theta={at}")
@@ -173,7 +173,7 @@ class Readout:
 def _store(readout, value, basis_tag, outcome_values, outcome) -> Readout:
     """``readout``, or a new `Readout` if None, holding these fields, its
     fresh arrays frozen in place: the one store of every readout, after
-    the checks of its constructor or of `interferom._mode_readout`."""
+    the checks of its constructor or of `interferom.parity_sector_povm`."""
     readout = object.__new__(Readout) if readout is None else readout
     for a in (value, outcome_values, outcome):
         a.setflags(write=False)
@@ -256,12 +256,10 @@ def _classical_fishers(family: DistributionFamily, thetas: np.ndarray) -> list[f
 def povm_probabilities(state, readout: Readout) -> np.ndarray:
     """Outcome probabilities of a diagonal readout on a pure state, in the
     order of ``readout.outcome_values``, summed over the state's occupied
-    entries only (`spinops._occupied`)."""
-    index, vec = _occupied_in(state, readout.basis_tag)
-    probs = np.bincount(
-        readout.outcome[index], weights=vec.real**2 + vec.imag**2, minlength=len(readout)
-    )
-    total = probs.sum()
+    entries only (`spinops._occupied`): the one-row `_readout_table`,
+    checked to sum to 1."""
+    probs = _readout_table([state], readout)[0]
+    total = float(probs.sum())
     if not abs(total - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError(f"readout probabilities sum to {total!r}")
     return probs
@@ -293,15 +291,14 @@ def povm_family(state_family, readout: Readout) -> DistributionFamily:
 
 def _readout_table(states, readout: Readout) -> np.ndarray:
     """A readout's outcome probabilities on each of M states as an (M, K)
-    table, row m summed as `povm_probabilities` sums state m but not
-    checked.  When the states share one index, as every phase of one
-    probe does, their stacked amplitudes are read with one `np.bincount`,
-    row m's outcomes offset by K m; otherwise each row is one
-    `povm_probabilities` call."""
+    table, not checked.  When the states share one index, as every phase
+    of one probe does, their stacked amplitudes are read with one
+    `np.bincount`, row m's outcomes offset by K m; otherwise each row is
+    the one-row table of its state."""
     occupied = [_occupied_in(state, readout.basis_tag) for state in states]
     index = occupied[0][0]
     if any(where is not index for where, _ in occupied):
-        return np.array([povm_probabilities(state, readout) for state in states])
+        return np.array([_readout_table([state], readout)[0] for state in states])
     vectors = np.stack([vec for _, vec in occupied])
     rows, k = len(states), len(readout)
     labels = readout.outcome[index] + k * np.arange(rows)[:, None]
@@ -400,12 +397,18 @@ def error_propagation(signal, noise, theta: float) -> ErrorPropagation:
     flagged stationary (and yields +inf) when the slope is below 1e-12
     scaled by the sampled signal magnitude, or when it is no larger than
     its own finite-difference error (the gap `_central_diff` gives).  The
-    signal is sampled first, then the noise at theta; this is
-    `_error_propagations` at one theta.
+    signal is sampled first, then the noise at theta; a signal sample
+    or noise that is not finite, or a negative noise, is an error.  This
+    is `_error_propagations` at one theta.
     """
     outer = _stencil(np.array([theta], dtype=float))[1:]
     signals = np.array([[float(signal(t))] for (t,) in outer.tolist()])
-    return _error_propagations(signals, np.array([float(noise(theta))]))[0]
+    if not np.isfinite(signals).all():
+        raise ValueError(f"signal {signals[:, 0].tolist()} not finite near theta={theta}")
+    sigma = float(noise(theta))
+    if not 0.0 <= sigma < math.inf:  # NaN fails too
+        raise ValueError(f"noise {sigma!r} at theta={theta} must be finite and >= 0")
+    return _error_propagations(signals, np.array([sigma]))[0]
 
 
 def _error_propagations(signals: np.ndarray, sigma: np.ndarray) -> list[ErrorPropagation]:
@@ -493,13 +496,14 @@ def run_monte_carlo(
     section.  Trial streams are derived from (seed, trial index), so runs
     are reproducible bit-exactly and trials are independent.
     """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    for name, count in (("repetitions", repetitions), ("trials", trials)):
+        if not isinstance(count, (int, np.integer)) or count < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {count}")
+    if not seed >= 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     lo, hi = float(search_interval[0]), float(search_interval[1])
-    if not lo < hi:
-        raise ValueError("search interval must be non-degenerate")
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"search interval must be finite and non-degenerate, got ({lo}, {hi})")
     if not lo <= theta_true <= hi:
         raise ValueError(
             f"theta_true={theta_true} outside search interval [{lo}, {hi}]"

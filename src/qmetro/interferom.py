@@ -21,6 +21,11 @@ between the z gauges R = e^(-i pi m/2) and R^dag.  The phi-independent
 it, so a call costs one phase and one product per sector; the output
 state at a float phi is kept with it too (`_propagate`), so a phase the
 probe has seen costs a dictionary lookup.
+
+A value of one mode's number, a row of cutoff + 1 values, is read at a
+two-mode state's occupied entries alone (`_mode_moments`), so
+`parity_expectation` builds no grid; only the sweep's readout,
+`parity_sector_povm`, spreads its row over the (cutoff + 1)^2 grid.
 """
 
 from __future__ import annotations
@@ -29,30 +34,10 @@ import math
 
 import numpy as np
 
-from .estimate import (
-    PrecisionReport,
-    _classical_fishers,
-    _error_propagations,
-    _quantum_fishers,
-    _stencil,
-    cramer_rao,
-    povm_family,
-    readout_moments,
-    Readout,
-    _store,
-)
-from .spinops import (
-    ALL,
-    CollectiveSpinState,
-    _basis_tag,
-    _dicke_ladder,
-    _jy_band,
-    _mean_spin,
-    _occupied,
-    _real_matvec,
-    _spin_covariance,
-    rotate,
-)
+from .estimate import PrecisionReport, Readout, _classical_fishers, _error_propagations
+from .estimate import _quantum_fishers, _stencil, _store, cramer_rao, povm_family, readout_moments
+from .spinops import ALL, CollectiveSpinState, _basis_tag, _dicke_ladder, _jy_band, _mean_spin
+from .spinops import _moments, _occupied, _occupied_in, _real_matvec, _spin_covariance, rotate
 from .statelib import TwoModeFockState
 
 __all__ = [
@@ -316,31 +301,39 @@ def _first_splitter(state: TwoModeFockState) -> tuple:
     return tuple(kept)
 
 
-def _mode_readout(mode: str, row: np.ndarray, cutoff: int) -> Readout:
-    """`Readout` of the value row[n_mode] on |n_a, n_b>, bit for bit, with
-    its outcomes found on the row alone and spread over the grid as n_mode is."""
-    spread = {"a": np.repeat, "b": np.tile}.get(mode)
-    if spread is None:
+def _mode_column(mode: str) -> int:
+    """0 for mode a, 1 for mode b: where n_mode sits in (n_a, n_b)."""
+    if mode not in ("a", "b"):
         raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
+    return "ab".index(mode)
+
+
+def parity_sector_povm(mode: str, cutoff: int) -> Readout:
+    """Parity readout of one mode, value (-1)^n_mode: outcomes odd (-1),
+    even (+1).  Bit for bit the `Readout` of that value, with its outcomes
+    found on the row alone and spread over the grid as n_mode is."""
+    spread = (np.repeat, np.tile)[_mode_column(mode)]
+    row = (-1.0) ** np.arange(cutoff + 1)
     outcome_values, outcome = np.unique(row, return_inverse=True)
     tag = _basis_tag("fock", cutoff)
     return _store(None, spread(row, cutoff + 1), tag, outcome_values, spread(outcome, cutoff + 1))
 
 
-def parity_sector_povm(mode: str, cutoff: int) -> Readout:
-    """Parity readout of one mode, value (-1)^n_mode: outcomes odd (-1), even (+1)."""
-    return _mode_readout(mode, (-1.0) ** np.arange(cutoff + 1), cutoff)
+def _mode_moments(state, mode: str, row: np.ndarray) -> tuple[float, float]:
+    """`readout_moments` of the value row[n_mode] on |n_a, n_b>, cutoff
+    row.size - 1, bit for bit, read at the state's occupied entries alone:
+    (n_a, n_b) = divmod(flat index, cutoff + 1), and no grid is built."""
+    column, d = _mode_column(mode), row.size
+    index, vec = _occupied_in(state, _basis_tag("fock", d - 1))
+    flat = np.arange(vec.size) if index is ALL else index
+    return _moments(vec, row[np.divmod(flat, d)[column]] * vec)
 
 
 def parity_expectation(state: TwoModeFockState, mode: str) -> float:
-    """<exp(i pi n_mode)>, the mean of the mode's parity readout."""
-    return _parity_mean(state, parity_sector_povm(mode, state.cutoff))
-
-
-def _parity_mean(state: TwoModeFockState, readout: Readout) -> float:
-    """The mean of a parity readout, clamped to [-1, 1] when it lies within
-    1e-12 beyond +-1, which is round-off; further out it is an error."""
-    mean = readout_moments(state, readout)[0]
+    """<exp(i pi n_mode)>, the mean of the mode's parity readout, clamped
+    to [-1, 1] when it lies within 1e-12 beyond +-1, which is round-off;
+    further out it is an error."""
+    mean = _mode_moments(state, mode, (-1.0) ** np.arange(state.cutoff + 1))[0]
     if not abs(mean) <= 1.0 + 1e-12:  # NaN fails too
         raise ValueError(f"parity {mean!r} outside [-1, 1] beyond round-off")
     return min(1.0, max(-1.0, mean))

@@ -273,6 +273,7 @@ CLOSED_FORM_RUNS = [
     *(["ramsey-sss", "--n", "2,10,40,400,1000", "--chi", chi, "--phi", "pi/2"] for chi in ("0.01", "0.05")),
     ["noon-qfi", "--n", "2,10,50"],
     ["ecs-qfi", "--alpha", "0.5,1,2", "--format", "json"],
+    ["ecs-qfi", "--alpha", "4,8,12,16"],
     ["twinfock-parity", "--n", "3", "--phi", "0"],
     ["twinfock-parity", "--n", "40", "--phi", "0.01:pi/2:5"],
     ["twinfock-parity", "--n", "100", "--phi", "0.1:1.5:5"],

@@ -427,6 +427,18 @@ class TestNanGuards:
         with pytest.raises(InvalidFamilyError, match="nan"):
             qfi_from_family(lambda theta: np.full(3, np.nan, dtype=complex), 0.5)
 
+    def test_messages_print_plain_floats(self):
+        # not numpy 2's np.float64(-0.1)
+        family = DistributionFamily(("a", "b"), lambda t: np.array([t, 1.0 - t]))
+        with pytest.raises(InvalidDistributionError) as info:
+            family.probabilities(-0.1)
+        assert str(info.value) == "negative probability -0.1 at theta=-0.1"
+        tag = BasisTag("spin", 1)
+        state = SimpleNamespace(vector=np.array([1.0, 1.0]), basis_tag=tag)
+        with pytest.raises(ValueError) as info:
+            povm_probabilities(state, projective_povm(tag))
+        assert str(info.value) == "readout probabilities sum to 2.0"
+
 
 class TestCramerRao:
     def test_standard_quantum_limit(self):
@@ -474,6 +486,24 @@ class TestErrorPropagation:
         prop = error_propagation(lambda t: 1.0, lambda t: 0.5, 0.3)
         assert prop.stationary
         assert math.isinf(prop.value)
+
+    def test_negative_noise_rejected(self):
+        # gave delta theta = -1.047
+        with pytest.raises(ValueError, match=re.escape("noise -1.0 at theta=0.3")):
+            error_propagation(math.sin, lambda t: -1.0, 0.3)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_noise_that_is_not_finite_rejected(self, sigma):
+        # NaN gave delta theta = nan, not stationary
+        with pytest.raises(ValueError, match=re.escape(f"noise {sigma!r} at theta=0.3")):
+            error_propagation(math.sin, lambda t: sigma, 0.3)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_signal_that_is_not_finite_rejected(self, bad):
+        # one of the four samples, at theta - STEP
+        noise = lambda t: pytest.fail("the noise is read after the signal is checked")
+        with pytest.raises(ValueError, match=r"signal \[.*\] not finite near theta=0\.3"):
+            error_propagation(lambda t: bad if t < 0.3 - 0.75 * STEP else math.sin(t), noise, 0.3)
 
 
 class TestBoundConsistency:
@@ -805,6 +835,31 @@ class TestMonteCarlo:
         assert run.estimates[0] == 0.4
         with pytest.raises(ValueError):
             run.estimates[0] = 0.5
+
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            ({"search_interval": (0.0, math.inf)}, "search interval"),
+            ({"search_interval": (-math.inf, 1.0)}, "search interval"),
+            ({"search_interval": (math.nan, 1.0)}, "search interval"),
+            ({"repetitions": 10.5}, "repetitions"),
+            ({"repetitions": 10.0}, "repetitions"),
+            ({"trials": 2.5}, "trials"),
+            ({"seed": -1}, "seed"),
+        ],
+    )
+    def test_bad_arguments_are_named_before_the_family_is_read(self, change, named):
+        # (0, inf) failed in the family with "probabilities sum to nan at
+        # theta=nan"; 10.5 repetitions ran; seed -1 failed in numpy
+        family = DistributionFamily(("a", "b"), lambda t: pytest.fail("family read"))
+        args = dict(theta_true=0.5, repetitions=10, trials=2, seed=0, search_interval=(0.01, 0.99))
+        with pytest.raises(ValueError, match=named):
+            run_monte_carlo(family, **{**args, **change})
+
+    def test_numpy_integer_counts_and_seed_accepted(self):
+        args = (bernoulli_family(), 0.5, np.int64(10), np.int32(3), np.int64(4), (0.01, 0.99))
+        plain = run_monte_carlo(bernoulli_family(), 0.5, 10, 3, 4, (0.01, 0.99))
+        assert run_monte_carlo(*args).estimates.tobytes() == plain.estimates.tobytes()
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):

@@ -55,7 +55,7 @@ from qmetro import (
 )
 from qmetro import cli, estimate, interferom, spinops
 from qmetro.estimate import STEP
-from qmetro.interferom import _mean_spin_axis, _parity_mean, _readout_variance_series
+from qmetro.interferom import _mean_spin_axis, _mode_moments, _readout_variance_series
 from qmetro.spinops import _dicke_ladder, _jy_band, _occupied, _real_matvec, evolve
 from search_oracles import grid_then_golden
 
@@ -788,11 +788,25 @@ class TestParity:
         got = parity_expectation(mz_two_mode(twin_fock(n), phi), "b")
         assert got == (1.0 if phi == 0.0 else (-1.0) ** n)  # P_N(1), P_N(-1)
 
-    def test_parity_beyond_round_off_raises(self):
-        state = twin_fock(2)
-        doubled = Readout(2.0 * parity_sector_povm("b", state.cutoff).value, state.basis_tag)
-        with pytest.raises(ValueError, match="outside"):
-            _parity_mean(state, doubled)
+    def test_parity_beyond_round_off_raises(self, monkeypatch):
+        # the +-1 values doubled: a mean of 2 at phi = 0
+        real = interferom._moments
+        monkeypatch.setattr(interferom, "_moments", lambda vec, applied: real(vec, 2.0 * applied))
+        with pytest.raises(ValueError, match=r"parity 2\.0 outside"):
+            parity_expectation(mz_two_mode(twin_fock(2), 0.0), "b")
+
+    def test_parity_at_large_n_reads_no_grid(self):
+        # the (c + 1)^2 = 1001^2 readout peaked at 64 MB; the 2N + 1 = 2001
+        # occupied entries are read alone
+        state = mz_two_mode(twin_fock(1000), 0.3)
+        tracemalloc.start()
+        try:
+            got = parity_expectation(state, "b")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert got == -0.028967760841541238  # the grid readout's mean, bit for bit
 
     def test_parity_readout_outcomes(self):
         readout = parity_sector_povm("b", 3)
@@ -850,9 +864,21 @@ class TestModeOperators:
         pairs = [
             (parity_sector_povm("a", cutoff), Readout((-1.0) ** n_a, tag)),
             (parity_sector_povm("b", cutoff), Readout((-1.0) ** n_b, tag)),
-            # ecs-qfi's n_b readout
-            (interferom._mode_readout("b", np.arange(cutoff + 1.0), cutoff), Readout(n_b, tag)),
         ]
+        # ecs-qfi's n_b, and n_a, read at the occupied entries: on a state
+        # occupying a random part of the grid, and on a bare vector (all of it)
+        rng = np.random.default_rng(cutoff)
+        amplitudes = rng.normal(size=n_a.size) + 1j * rng.normal(size=n_a.size)
+        amplitudes[rng.random(n_a.size) < 0.5] = 0.0
+        amplitudes[-1] = 1.0
+        amplitudes /= np.linalg.norm(amplitudes)
+        states = [
+            TwoModeFockState(cutoff, amplitudes.reshape(cutoff + 1, -1)),
+            SimpleNamespace(vector=amplitudes, basis_tag=tag),
+        ]
+        for state, (mode, n) in itertools.product(states, [("a", n_a), ("b", n_b)]):
+            got = np.array(_mode_moments(state, mode, np.arange(cutoff + 1.0)))
+            assert got.tobytes() == np.array(readout_moments(state, Readout(n, tag))).tobytes()
         for readout, grid in pairs:
             assert readout.basis_tag == tag
             for name in ("value", "outcome", "outcome_values"):
@@ -1367,14 +1393,19 @@ class TestSweepBlocks:
         family = povm_family(two_sector_family, readout)
         thetas = np.array([0.0, 0.3, 0.7])
         expected = np.array([povm_probabilities(two_sector_family(t), readout) for t in thetas])
-        calls = []
-        real = estimate.povm_probabilities
-        monkeypatch.setattr(estimate, "povm_probabilities", lambda s, r: calls.append(s) or real(s, r))
-        assert np.array_equal(family.table_at(thetas), expected)
-        assert len(calls) == 3
-        calls.clear()
-        assert np.array_equal(family.table_at(thetas[1:]), expected[1:])
-        assert calls == []  # one shared index: one bincount
+        weighted, real = [], np.bincount
+
+        def counted(x, weights=None, minlength=0):
+            if weights is not None:  # a state's constructor counts its sectors unweighted
+                weighted.append(x)
+            return real(x, weights=weights, minlength=minlength)
+
+        monkeypatch.setattr(np, "bincount", counted)
+        assert family.table_at(thetas).tobytes() == expected.tobytes()
+        assert len(weighted) == 3  # theta = 0 has its own index: one bincount per state
+        weighted.clear()
+        assert family.table_at(thetas[1:]).tobytes() == expected[1:].tobytes()
+        assert len(weighted) == 1  # one shared index: one bincount
 
     @pytest.mark.parametrize("offset", [0.5 * STEP, STEP], ids=["half-step", "full-step"])
     def test_a_state_off_norm_at_one_stencil_theta_is_named(self, offset):
