@@ -53,7 +53,7 @@ from .interferom import (
     phase_sweep,
     ramsey,
 )
-from .spinops import rotate
+from .spinops import _count, rotate
 from .squeeze import (
     BjjParams,
     OatParams,
@@ -124,9 +124,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ConfigError(f"cannot parse integer list {text!r}")
     if not values:
         raise ConfigError("empty integer list")
-    if any(v < 1 for v in values):
-        raise ConfigError("particle numbers must be positive")
-    return values
+    return tuple(_count("particle numbers", v, 1) for v in values)
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -137,17 +135,11 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 
 def _repetitions(text: str) -> int:
-    v = int(text)
-    if v < 1:
-        raise ConfigError("repetitions v must be >= 1")
-    return v
+    return _count("repetitions v", int(text), 1)
 
 
 def _seed(text: str) -> int:
-    seed = int(text)
-    if seed < 0:
-        raise ConfigError("seed must be >= 0")
-    return seed
+    return _count("seed", int(text), 0)
 
 
 def _out_path(text: str) -> str:
@@ -478,11 +470,7 @@ def _format_cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
+    if isinstance(value, float):  # inf formats as "inf", -inf as "-inf"
         return f"{value:.17g}"
     return str(value)
 

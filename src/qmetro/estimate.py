@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from ._search import grid_then_golden_many
-from .spinops import ALL, BasisTag, Observable, _moments, _occupied, _occupied_in
+from .spinops import ALL, BasisTag, Observable, _count, _moments, _occupied, _occupied_in
 from .spinops import _value_type, moments
 
 __all__ = [
@@ -378,9 +378,8 @@ def _quantum_fishers(state_family, thetas: np.ndarray) -> list[float]:
 
 
 def cramer_rao(fisher: float, repetitions: int = 1) -> float:
-    """Cramer-Rao lower bound 1 / sqrt(v F); +inf for zero information."""
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+    """Cramer-Rao bound 1 / sqrt(v F), v an integer >= 1 (`spinops._count`); +inf at F = 0."""
+    repetitions = _count("repetitions", repetitions, 1)
     if not fisher >= 0.0:  # NaN fails too
         raise ValueError(f"Fisher information must be non-negative, got {fisher!r}")
     if fisher == 0.0:
@@ -494,13 +493,12 @@ def run_monte_carlo(
     float operations of a per-point evaluation, so the estimates are
     bit-identical to searching each trial on its own with a scalar golden
     section.  Trial streams are derived from (seed, trial index), so runs
-    are reproducible bit-exactly and trials are independent.
+    are reproducible bit-exactly and trials are independent.  The
+    repetitions, trials and seed are integers, not bools, at least 1, 1
+    and 0 (`spinops._count`).
     """
-    for name, count in (("repetitions", repetitions), ("trials", trials)):
-        if not isinstance(count, (int, np.integer)) or count < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {count}")
-    if not seed >= 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    repetitions = _count("repetitions", repetitions, 1)
+    trials, seed = _count("trials", trials, 1), _count("seed", seed, 0)
     lo, hi = float(search_interval[0]), float(search_interval[1])
     if not -math.inf < lo < hi < math.inf:
         raise ValueError(f"search interval must be finite and non-degenerate, got ({lo}, {hi})")
@@ -509,7 +507,7 @@ def run_monte_carlo(
             f"theta_true={theta_true} outside search interval [{lo}, {hi}]"
         )
     p_true = family.probabilities(theta_true)
-    streams = (np.random.default_rng([int(seed), trial]) for trial in range(trials))
+    streams = (np.random.default_rng([seed, trial]) for trial in range(trials))
     counts = np.array([rng.multinomial(repetitions, p_true) for rng in streams])
     patterns, pattern = _observed_patterns(counts)
     with np.errstate(divide="ignore"):
@@ -524,4 +522,4 @@ def run_monte_carlo(
     estimates = grid_then_golden_many(minus_log_likelihood, lo, hi, grid_values, tol=1e-10)
     bias = float(estimates.mean() - theta_true)
     mse = float(np.mean((estimates - theta_true) ** 2))
-    return MonteCarloRun(int(seed), repetitions, theta_true, estimates, bias, mse)
+    return MonteCarloRun(seed, repetitions, theta_true, estimates, bias, mse)

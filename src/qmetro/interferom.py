@@ -36,8 +36,9 @@ import numpy as np
 
 from .estimate import PrecisionReport, Readout, _classical_fishers, _error_propagations
 from .estimate import _quantum_fishers, _stencil, _store, cramer_rao, povm_family, readout_moments
-from .spinops import ALL, CollectiveSpinState, _basis_tag, _dicke_ladder, _jy_band, _mean_spin
-from .spinops import _moments, _occupied, _occupied_in, _real_matvec, _spin_covariance, rotate
+from .spinops import ALL, CollectiveSpinState, _basis_tag, _count, _dicke_ladder, _jy_band
+from .spinops import _mean_spin, _moments, _occupied, _occupied_in, _real, _real_matvec
+from .spinops import _spin_covariance, rotate
 from .statelib import TwoModeFockState
 
 __all__ = [
@@ -312,6 +313,7 @@ def parity_sector_povm(mode: str, cutoff: int) -> Readout:
     """Parity readout of one mode, value (-1)^n_mode: outcomes odd (-1),
     even (+1).  Bit for bit the `Readout` of that value, with its outcomes
     found on the row alone and spread over the grid as n_mode is."""
+    cutoff = _count("cutoff", cutoff, 0)
     spread = (np.repeat, np.tile)[_mode_column(mode)]
     row = (-1.0) ** np.arange(cutoff + 1)
     outcome_values, outcome = np.unique(row, return_inverse=True)
@@ -368,14 +370,19 @@ def phase_sweep(
     the family 15 calls, at the thetas the scalar functions use, and every
     figure equals theirs bit for bit; as all three read the same five
     thetas (`estimate._stencil`), for a `ramsey` or `mz_two_mode` family
-    of one probe these are 5 propagations and 10 kept outputs.
+    of one probe these are 5 propagations and 10 kept outputs.  Checked
+    before the family's first call: the repetitions are an integer, not a
+    bool, >= 1 (`spinops._count`), and every grid point is finite (`spinops._real`).
     """
+    repetitions = _count("repetitions", repetitions, 1)
     grid = np.asarray(phi_grid, dtype=float)
     if grid.ndim > 1:
         raise ValueError(f"phase grid must be a scalar or 1-D, got shape {grid.shape}")
     grid = np.atleast_1d(grid)
     if grid.size == 0:
         raise ValueError("phase grid must be non-empty")
+    for phi in grid.tolist():
+        _real("phase grid", phi)
     family = povm_family(state_family, readout)
     first = [state_family(grid[0])]  # sizes the first block, then is its first state read
     largest, start, reports = _charge(first[0]), 0, []

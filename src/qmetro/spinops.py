@@ -38,6 +38,22 @@ RESCALE = 1e150  # `_jx_eigenvectors` scales a column down by this once it passe
 ALL = slice(None)  # the index of a state that keeps every amplitude (`_occupied`)
 
 
+def _count(name: str, value, least: int) -> int:
+    """A count argument as an int: a Python or numpy integer, not a bool, >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return int(value)
+
+
+def _real(name: str, value) -> float:
+    """A real scalar argument as a float, which must be finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
 def _check_hermitian(mat: np.ndarray, name: str) -> None:
     # relative to the largest |M_ij|, so a large matrix's round-off passes; NaN fails too
     bound = HERMITICITY_TOL * max(1.0, float(np.abs(mat).max()))
@@ -134,8 +150,7 @@ class BasisTag:
     def __post_init__(self):
         if self.kind not in ("spin", "fock"):
             raise ValueError(f"unknown basis kind {self.kind!r}")
-        if self.size < 0:
-            raise ValueError("basis size must be non-negative")
+        object.__setattr__(self, "size", _count("basis size", self.size, 0))
 
     def __reduce__(self):
         return _basis_tag, (self.kind, self.size)
@@ -167,16 +182,14 @@ class CollectiveSpinState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        n = self.n_particles
-        if n < 1:
-            raise ValueError("n_particles must be >= 1")
+        n = _count("n_particles", self.n_particles, 1)
         # a copy: the caller's array stays writable
         amp = np.array(self.amplitudes, dtype=complex, order="C")
         if amp.shape != (n + 1,):
             raise ValueError(
                 f"amplitude vector must have length {n + 1}, got {amp.shape}"
             )
-        vars(self).update(basis_tag=_basis_tag("spin", n), amplitudes=amp)
+        vars(self).update(n_particles=n, basis_tag=_basis_tag("spin", n), amplitudes=amp)
         _take(self, ALL, amp)
 
     def _with_values(self, values: np.ndarray) -> "CollectiveSpinState":
@@ -265,11 +278,9 @@ def collective_ops(n_particles: int) -> CollectiveSpinOperators:
     bands directly (`apply`, `rotate`, `interferom.ramsey`), and the
     two-mode splitters build only each sector's (n+1)^2 Jx band for one
     `numpy.linalg.eigh` (`interferom.mz_two_mode`); these matrices serve
-    the tests and demos as the dense reference.
+    the tests and demos as the dense reference.  N is an integer >= 1 (`_count`).
     """
-    n = int(n_particles)
-    if n < 1:
-        raise ValueError("n_particles must be >= 1")
+    n = _count("n_particles", n_particles, 1)
     m, coupling = _dicke_ladder(n)
     jp = np.zeros((n + 1, n + 1), dtype=complex)
     jp[np.arange(1, n + 1), np.arange(n)] = coupling
@@ -426,6 +437,7 @@ def rotate(state: CollectiveSpinState, axis, angle: float) -> CollectiveSpinStat
     and Ry(beta) comes from the cached spectrum of Jy's real tridiagonal
     gauge form; no (N+1)^2 operator is built beyond it.
     """
+    angle = _real("angle", angle)
     ax = np.asarray(axis, dtype=float)
     if ax.shape != (3,):
         raise ValueError("axis must be a 3-vector")

@@ -20,7 +20,7 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,9 +30,11 @@ from .spinops import (
     _band_evolve,
     _basis_tag,
     _band_spectrum,
+    _count,
     _dicke_ladder,
     _mean_spin,
     _moments,
+    _real,
     _spin_covariance,
     _value_type,
     apply,
@@ -89,7 +91,7 @@ class OatParams:
     H = omega J_gamma + delta Jz + chi Jz^2,
     J_gamma = cos(gamma) Jx - sin(gamma) Jy,
 
-    evolved for duration t.
+    evolved for duration t.  Every field is a finite float (`spinops._real`).
     """
 
     chi: float
@@ -98,10 +100,14 @@ class OatParams:
     delta: float = 0.0
     gamma: float = 0.0
 
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _real(f.name, getattr(self, f.name)))
+
 
 @dataclass(frozen=True)
 class BjjParams:
-    """Symmetric/imbalanced Bose-Josephson junction parameters."""
+    """Bose-Josephson junction parameters: N a count >= 1, the rest finite reals."""
 
     n_particles: int
     tunneling: float
@@ -109,8 +115,9 @@ class BjjParams:
     charging_energy: float = 0.0
 
     def __post_init__(self):
-        if self.n_particles < 1:
-            raise ValueError("n_particles must be >= 1")
+        object.__setattr__(self, "n_particles", _count("n_particles", self.n_particles, 1))
+        for name in ("tunneling", "imbalance", "charging_energy"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
 
 
 class Regime(enum.Enum):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spinops import CollectiveSpinState, _basis_tag, _readonly, _take
+from .spinops import CollectiveSpinState, _basis_tag, _count, _readonly, _real, _take
 
 __all__ = [
     "TwoModeFockState",
@@ -49,7 +49,7 @@ def _log_factorials(n: int) -> np.ndarray:
     math.lgamma(k + 1) whose length is the least power of two above n,
     and at least 1024.  An entry never depends on the table's length,
     so neither does any result."""
-    return _log_factorial_table(max(10, int(n).bit_length()))[: n + 1]
+    return _log_factorial_table(max(10, n.bit_length()))[: n + 1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -104,8 +104,7 @@ class TwoModeFockState:
     truncation_deficit: float
 
     def __init__(self, cutoff: int, amplitudes, truncation_deficit: float = 0.0):
-        if cutoff < 0:
-            raise ValueError("cutoff must be >= 0")
+        cutoff = _count("cutoff", cutoff, 0)
         amp = np.asarray(amplitudes, dtype=complex)
         d = cutoff + 1
         if amp.shape != (d, d):
@@ -206,11 +205,6 @@ def _signed_powers(base: float, exponents: np.ndarray) -> tuple[np.ndarray, np.n
     return sign, exponents * math.log(abs(base))
 
 
-def _finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 def css(n_particles: int, theta: float, phi: float) -> CollectiveSpinState:
     """Coherent spin state: all N particles polarized along (theta, phi).
 
@@ -218,13 +212,11 @@ def css(n_particles: int, theta: float, phi: float) -> CollectiveSpinState:
     c_m = sqrt(C(N, J+m)) cos^(J-m)(theta/2) sin^(J+m)(theta/2) e^(-i(J+m)phi),
     with the binomial square roots accumulated through log-gamma so that
     N >= 170 does not overflow.  A power of an exactly zero cos or sin
-    (theta = 0) gives an exactly zero amplitude.
+    (theta = 0) gives an exactly zero amplitude.  N is an integer >= 1
+    (`spinops._count`), and theta and phi must be finite (`spinops._real`).
     """
-    n = int(n_particles)
-    if n < 1:
-        raise ValueError("n_particles must be >= 1")
-    _finite("theta", theta)
-    _finite("phi", phi)
+    n = _count("n_particles", n_particles, 1)
+    theta, phi = _real("theta", theta), _real("phi", phi)
     half = 0.5 * theta
     k = np.arange(n + 1)  # k = J + m
     log_factorial = _log_factorials(n)
@@ -237,11 +229,10 @@ def css(n_particles: int, theta: float, phi: float) -> CollectiveSpinState:
 
 
 def ghz(n_particles: int, rel_phase: float = 0.0) -> CollectiveSpinState:
-    """GHZ / NOON state (|J,+J> + e^(i theta) |J,-J>) / sqrt(2)."""
-    n = int(n_particles)
-    if n < 1:
-        raise ValueError("n_particles must be >= 1")
-    _finite("rel_phase", rel_phase)
+    """GHZ / NOON state (|J,+J> + e^(i theta) |J,-J>) / sqrt(2): N an integer,
+    not a bool, >= 1 (`spinops._count`), theta finite (`spinops._real`)."""
+    n = _count("n_particles", n_particles, 1)
+    rel_phase = _real("rel_phase", rel_phase)
     amp = np.zeros(n + 1, dtype=complex)
     amp[n] = 1.0 / math.sqrt(2.0)
     amp[0] = np.exp(1j * rel_phase) / math.sqrt(2.0)
@@ -252,15 +243,11 @@ def twin_fock(n_per_mode: int, cutoff: int | None = None) -> TwoModeFockState:
     """Twin Fock state |N>_a |N>_b.
 
     The cutoff must accommodate the Mach-Zehnder sequence, which can
-    populate |2N, 0>; it defaults to exactly 2N.
+    populate |2N, 0>; it defaults to exactly 2N.  N and the cutoff are
+    integers, not bools, at least 0 and 2N (`spinops._count`).
     """
-    n = int(n_per_mode)
-    if n < 0:
-        raise ValueError("n_per_mode must be >= 0")
-    if cutoff is None:
-        cutoff = 2 * n
-    if cutoff < 2 * n:
-        raise ValueError(f"cutoff must be >= 2N = {2 * n}, got {cutoff}")
+    n = _count("n_per_mode", n_per_mode, 0)
+    cutoff = 2 * n if cutoff is None else _count("cutoff", cutoff, 2 * n)
     unit = np.eye(1, 2 * n + 1, n, dtype=complex)[0]  # n_a = N in the sector n_a = 0..2N
     return _from_sectors(cutoff, (2 * n,), unit)
 
@@ -268,7 +255,8 @@ def twin_fock(n_per_mode: int, cutoff: int | None = None) -> TwoModeFockState:
 def ecs_branch_tail(alpha: complex, cutoff: int) -> float:
     """Poisson weight e^(-|a|^2) sum_{n > cutoff} |a|^(2n) / n! of one branch,
     the dropped terms summed smallest first (`_branch_tails`), in time and
-    memory O(max(cutoff, |a|^2))."""
+    memory O(max(cutoff, |a|^2)); the cutoff is a count (`spinops._count`)."""
+    cutoff = _count("cutoff", cutoff, 0)
     lam = abs(alpha) ** 2
     if lam == 0.0:
         return 0.0
@@ -315,11 +303,11 @@ def ecs(alpha: complex) -> TwoModeFockState:
     The per-mode cutoff is the smallest one whose Poisson tail per branch
     stays below ``ECS_TAIL_BOUND`` (TruncationError if none up to
     ``ECS_MAX_CUTOFF`` does); the dropped weight is reported as the
-    state's truncation deficit.
+    state's truncation deficit.  Both parts of alpha must be finite.
     """
     alpha = complex(alpha)
-    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
-        raise ValueError("alpha must be finite")
+    for part in (alpha.real, alpha.imag):
+        _real("alpha", part)
     params = EcsParams.from_alpha(alpha)
     lam = abs(alpha) ** 2
     cutoff, tail = _ecs_cutoff(lam)

@@ -5,7 +5,8 @@ configuration to {column: (expected, tolerance)}.  `failures` adds the
 bounds 0 <= F <= F_Q (1 + 1e-6) and |parity| <= 1, and the swept values.
 `python tests/closed_forms.py run <experiment> [flags]` runs the installed
 `qmetro` on those flags (records on stdout, so no --out) and exits 1 naming
-each row and column off its form.
+each row and column off its form, or 2 if no `qmetro` console script is on
+PATH.
 """
 
 import csv
@@ -197,7 +198,12 @@ def main(args):
     if args[:1] != ["run"]:
         print("usage: python tests/closed_forms.py run <experiment> [flags]", file=sys.stderr)
         return 2
-    done = subprocess.run(["qmetro", *args], capture_output=True, text=True)
+    try:
+        done = subprocess.run(["qmetro", *args], capture_output=True, text=True)
+    except FileNotFoundError:  # exit 1 is kept for a record off its form
+        print("no `qmetro` console script on PATH: install the package (pip install -e .)",
+              file=sys.stderr)
+        return 2
     sys.stderr.write(done.stderr)
     return done.returncode or report(args[1:], done.stdout)
 

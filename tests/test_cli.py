@@ -302,6 +302,16 @@ class TestClosedForms:
     def test_every_experiment_has_an_entry(self):
         assert list(closed_forms.FORMS) == list(EXPERIMENTS)
 
+    def test_a_missing_console_script_exits_2_in_one_line(self, monkeypatch, tmp_path, capsys):
+        # exit 1 would read as a record off its form; an empty PATH
+        # searches the working directory alone, which holds no `qmetro`
+        monkeypatch.setenv("PATH", "")
+        monkeypatch.chdir(tmp_path)
+        assert closed_forms.main(["run", "noon-qfi"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+        assert "`qmetro` console script" in err and "install the package" in err
+
     @pytest.mark.parametrize("name", list(EXPERIMENTS))
     def test_a_doubled_cell_of_a_form_column_fails_and_is_named(self, capsys, name):
         # the defaults hold every form; doubling one cell of a form's

@@ -1372,21 +1372,30 @@ class TestSweepBlocks:
         assert all(size * interferom.SWEEP_STATES * 5 <= interferom.SWEEP_BLOCK for size in blocks[1:])
         assert sum(blocks) == grid.size and repr(reports) == repr(whole)
 
-    def test_a_default_grid_twin_fock_sweep_at_n_100_stays_small(self):
-        probe = twin_fock(100)
-        readout = parity_sector_povm("b", probe.cutoff)
-        mz_two_mode(probe, 0.0)  # the kept half, built before the measure
-        grid = cli.parse_grid(cli._KEYS["phi"][1])
+    # (its family and readout, the grid, the bound on the peak in MiB); the
+    # default grid is cli.parse_grid(cli._KEYS["phi"][1]), 100 points
+    SMALL_SWEEPS = {
+        # a block's stencil states and the kept outputs cost 1 MiB each, the
+        # rest is working arrays and objects: 2.2 MiB measured, against 4.8
+        # for one block of all 100 points' states
+        "twin-fock-100-default-grid": (lambda: two_mode_family(twin_fock(100)), None, 3),
+        "css-1000-default-grid": (lambda: css_ramsey_family(1000), None, 4),  # 2.0 measured
+        "twin-fock-1000-3-points": (lambda: two_mode_family(twin_fock(1000)), (0.1, 0.8, 1.5), 3),  # 1.2
+    }
+
+    @pytest.mark.parametrize("case", SMALL_SWEEPS)
+    def test_a_sweep_stays_small(self, case):
+        make, grid, bound = self.SMALL_SWEEPS[case]
+        family, readout = make()
+        family(0.0)  # the probe's half, built before the measure
+        grid = cli.parse_grid(cli._KEYS["phi"][1]) if grid is None else np.array(grid)
         tracemalloc.start()
         try:
-            phase_sweep(lambda phi: mz_two_mode(probe, phi), readout, grid)
+            phase_sweep(family, readout, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a block's stencil states and the kept outputs cost SWEEP_BLOCK
-        # amplitudes (1 MB) each, the rest is working arrays and objects:
-        # 2.3 MB measured, against 4.8 MB for one block of all 100 points' states
-        assert peak < 3 * 16 * interferom.SWEEP_BLOCK
+        assert peak < bound * 2**20
 
     def test_support_that_moves_with_theta_is_read_state_by_state(self, monkeypatch):
         readout = parity_sector_povm("b", 2)
